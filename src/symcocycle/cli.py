@@ -8,7 +8,7 @@ written as `p,q,value` CSV rows in row-major order with p outermost,
 every float at 17 significant digits with LF line endings.
 
 Exit codes: 0 success, 1 failed verification properties, 2 invalid
-configuration or arguments, 3 numerical nonconvergence.
+configuration or arguments, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .dynamics import (
     HamiltonianSpec,
     TwistMap,
     compose,
+    isotopy,
 )
 from .cocycle import cocycle_by_action, cocycle_by_path
 from .invariants import (
@@ -361,8 +362,7 @@ def _cmd_calabi(args):
     sc = _scenario(args)
     _, m = _realized(args, sc)
     total = 0.0
-    factors = getattr(m, "factors", [m])
-    for factor in factors:
+    for factor in isotopy(m):
         if not isinstance(factor, FlowMap):
             raise ValidationError(
                 "calabi: every word letter must be a hamiltonian flow"

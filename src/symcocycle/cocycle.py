@@ -30,13 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import as_expr
-from .dynamics import (
-    ComposedMap,
-    FlowMap,
-    HamiltonianSpec,
-    IdentityMap,
-    map_with_jacobian,
-)
+from .dynamics import FlowMap, HamiltonianSpec, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -54,7 +48,6 @@ __all__ = [
     "cocycle_by_action",
     "cocycle_by_path",
     "hamiltonian_test",
-    "iota_cocycle",
     "normalize_compact",
     "pullback_difference",
 ]
@@ -73,6 +66,16 @@ class NotConstantOutsideSupport(NumericalError):
 # ============================================================
 # Normalization tags and grid functions
 # ============================================================
+
+
+def _wraps_q(manifold, window):
+    """Whether grids on ``window`` tile the cylinder's circle once, so that
+    q wraps."""
+    return (
+        manifold.is_cylinder
+        and abs(window.q_span - manifold.circumference)
+        <= 1e-9 * manifold.circumference
+    )
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,12 @@ class GridFunction:
     Default evaluation is bilinear; ``evaluate_cubic`` interpolates with a
     four-point Lagrange stencil per axis for fourth-order accuracy where
     composition precision matters.  On the cylinder (window spanning one
-    circumference) evaluation wraps q; grids built on the universal cover
-    set ``on_cover`` and never wrap.  Coordinates outside the window clamp
+    circumference) evaluation wraps q; grids on the universal cover live
+    on a plane model and never wrap.  Coordinates outside the window clamp
     to the edge, which continues boundary values constantly.
     """
 
-    def __init__(self, manifold, window, samples, normalization, on_cover=False):
+    def __init__(self, manifold, window, samples, normalization):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 3 or samples.shape[1] < 3:
             raise ValidationError(
@@ -117,7 +120,7 @@ class GridFunction:
         self.window = window
         self.samples = samples
         self.normalization = normalization
-        self.on_cover = bool(on_cover)
+        self._wraps = _wraps_q(manifold, window)
         self.n_p, self.n_q = samples.shape
         self.p_nodes = np.linspace(window.p_min, window.p_max, self.n_p)
         self.q_nodes = np.linspace(window.q_min, window.q_max, self.n_q)
@@ -130,21 +133,12 @@ class GridFunction:
     def resolution(self):
         return (self.n_p, self.n_q)
 
-    def _wraps_q(self):
-        return (
-            self.manifold.is_cylinder
-            and not self.on_cover
-            and abs(self.window.q_span - self.manifold.circumference)
-            <= 1e-9 * self.manifold.circumference
-        )
-
     def with_samples(self, samples, normalization=None):
         return GridFunction(
             self.manifold,
             self.window,
             samples,
             normalization or self.normalization,
-            self.on_cover,
         )
 
     def _check_compatible(self, other):
@@ -215,7 +209,7 @@ class GridFunction:
     def _coords(self, p, q):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        if self._wraps_q():
+        if self._wraps:
             q = self.window.q_min + np.mod(
                 q - self.window.q_min, self.manifold.circumference
             )
@@ -264,7 +258,7 @@ class GridFunction:
         i0 = np.clip(np.floor(x).astype(int) - 1, 0, self.n_p - 4)
         wx = self._lagrange4(x - i0)
         s = self.samples
-        if self._wraps_q():
+        if self._wraps:
             # wrap the q stencil over the unique columns (the seam column
             # repeats the first one)
             uniq = self.n_q - 1
@@ -319,38 +313,52 @@ class GridFunction:
 
 
 def _form_components(form):
+    """(a_p, a_q) expressions of a Primitive or of an (a_p, a_q) pair."""
     if isinstance(form, Primitive):
         return form.a_p, form.a_q
-    a_p, a_q = form
+    try:
+        a_p, a_q = form
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "a one-form must be a Primitive or an (a_p, a_q) pair"
+        ) from None
     return as_expr(a_p), as_expr(a_q)
+
+
+def _pullback_defect(f, form, ps, qs, manifold, fd_h=1e-5):
+    """Components (theta_p, theta_q) of f*(form) - form at the points.
+
+    The pullback uses the finite-difference jacobian of f; all five
+    stencil shifts ride through a single map evaluation.  Images are
+    wrapped on the cylinder before the form is evaluated there.
+    """
+    a_p, a_q = _form_components(form)
+    fp, fq = a_p.fn, a_q.fn
+    jet = map_with_jacobian(f, ps, qs, fd_h=fd_h)
+    yq = manifold.wrap_q(jet.yq) if manifold.is_cylinder else jet.yq
+    shape = jet.yp.shape
+    ap_f = np.broadcast_to(np.asarray(fp(jet.yp, yq, 0.0), float), shape)
+    aq_f = np.broadcast_to(np.asarray(fq(jet.yp, yq, 0.0), float), shape)
+    ap_here = np.broadcast_to(np.asarray(fp(ps, qs, 0.0), float), shape)
+    aq_here = np.broadcast_to(np.asarray(fq(ps, qs, 0.0), float), shape)
+    theta_p = ap_f * jet.dpp + aq_f * jet.dqp - ap_here
+    theta_q = ap_f * jet.dpq + aq_f * jet.dqq - aq_here
+    return theta_p, theta_q
 
 
 def pullback_difference(f, form, grid=None, manifold=None, fd_h=1e-5):
     """Components of f*(form) - form at the grid nodes of the window.
 
-    The pullback uses the finite-difference jacobian of f; all five
-    stencil shifts ride through a single map evaluation.  Returns
-    (P, Q, theta_p, theta_q).
+    Returns (P, Q, theta_p, theta_q).
     """
     manifold = manifold or f.manifold
     grid = grid or GridSpec()
     P, Q = grid.mesh(manifold.window)
-    a_p, a_q = _form_components(form)
-    fp, fq = a_p.fn, a_q.fn
-    jet = map_with_jacobian(f, P, Q, fd_h=fd_h)
-    yq = manifold.wrap_q(jet.yq) if manifold.is_cylinder else jet.yq
-    ap_f = np.broadcast_to(np.asarray(fp(jet.yp, yq, 0.0), float), P.shape)
-    aq_f = np.broadcast_to(np.asarray(fq(jet.yp, yq, 0.0), float), P.shape)
-    ap_here = np.broadcast_to(np.asarray(fp(P, Q, 0.0), float), P.shape)
-    aq_here = np.broadcast_to(np.asarray(fq(P, Q, 0.0), float), P.shape)
-    theta_p = ap_f * jet.dpp + aq_f * jet.dqp - ap_here
-    theta_q = ap_f * jet.dpq + aq_f * jet.dqq - aq_here
+    theta_p, theta_q = _pullback_defect(f, form, P, Q, manifold, fd_h)
     return P, Q, theta_p, theta_q
 
 
-def _integrate_exact_defect(
-    manifold, window, theta_p, theta_q, basepoint, tol, on_cover=False
-):
+def _integrate_exact_defect(manifold, window, theta_p, theta_q, basepoint, tol):
     """Potential of an exact grid one-form, pinned at the basepoint.
 
     Integrates along both axis-aligned two-segment path families and
@@ -361,13 +369,7 @@ def _integrate_exact_defect(
     dp = window.p_span / (n_p - 1)
     dq = window.q_span / (n_q - 1)
 
-    wraps = (
-        manifold.is_cylinder
-        and not on_cover
-        and abs(window.q_span - manifold.circumference)
-        <= 1e-9 * manifold.circumference
-    )
-    if wraps:
+    if _wraps_q(manifold, window):
         # nonzero loop periods mean no single-valued potential exists
         wq = simpson_weights(n_q, dq)
         periods = theta_q @ wq
@@ -402,23 +404,11 @@ def _integrate_exact_defect(
         )
 
     samples = 0.5 * (k_qfirst + k_pfirst)
-    out = GridFunction(
-        manifold,
-        window,
-        samples,
-        Normalization.pinned((bp, bq)),
-        on_cover=on_cover,
-    )
+    out = GridFunction(manifold, window, samples, Normalization.pinned((bp, bq)))
     # pin at the true basepoint, not just its nearest node
     off = out.evaluate(bp, bq)
     if off != 0.0:
-        out = GridFunction(
-            manifold,
-            window,
-            samples - off,
-            Normalization.pinned((bp, bq)),
-            on_cover=on_cover,
-        )
+        out = out.with_samples(samples - off)
     return out
 
 
@@ -439,32 +429,9 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, fd_h=1e-5, tol=1e-6):
     )
 
 
-def iota_cocycle(a, f, basepoint=None, grid=None, fd_h=1e-5, tol=1e-6):
-    """Generalized cocycle of a closed (not necessarily primitive)
-    one-form: the pinned potential of f*a - a."""
-    return cocycle_by_path(f, _form_components(a), basepoint, grid, fd_h, tol)
-
-
 # ============================================================
 # The action route
 # ============================================================
-
-
-def _flow_factors(m):
-    """Flatten a map into the FlowMaps of its generating isotopy."""
-    if isinstance(m, FlowMap):
-        return [m]
-    if isinstance(m, IdentityMap):
-        return []
-    if isinstance(m, ComposedMap):
-        out = []
-        for f in m.factors:
-            out.extend(_flow_factors(f))
-        return out
-    raise ValidationError(
-        f"the action route needs generating Hamiltonian data; {type(m).__name__} "
-        "is not a flow, the identity, or a composition of those"
-    )
 
 
 def _action_stream(flow, fap, faq, p0, q0):
@@ -520,10 +487,16 @@ def action_values(flow, alpha, ps, qs):
     """
     a_p, a_q = _form_components(alpha)
     fap, faq = a_p.fn, a_q.fn
+    flows = isotopy(flow)
+    if not all(isinstance(factor, FlowMap) for factor in flows):
+        raise ValidationError(
+            "the action route needs generating Hamiltonian data: a flow, the "
+            "identity, or a composition of flows"
+        )
     p = np.asarray(ps, dtype=float).copy()
     q = np.asarray(qs, dtype=float).copy()
     total = np.zeros(p.shape)
-    for factor in _flow_factors(flow):
+    for factor in flows:
         inc, p, q = _action_stream(factor, fap, faq, p, q)
         total = total + inc
     return total
@@ -576,12 +549,7 @@ def normalize_compact(K, support_window, tol=1e-4):
     takes two different constants on the two sides.
     """
     P, Q = np.meshgrid(K.p_nodes, K.q_nodes, indexing="ij")
-    outside = ~(
-        (P >= support_window.p_min)
-        & (P <= support_window.p_max)
-        & (Q >= support_window.q_min)
-        & (Q <= support_window.q_max)
-    )
+    outside = ~support_window.contains(P, Q)
     if not outside.any():
         raise ValidationError(
             "the support window covers the whole grid; nothing to normalize "
@@ -629,13 +597,7 @@ def hamiltonian_test(f, alpha, tol=1e-6, p0=None, n_loop=1024, fd_h=1e-5):
         p0 = 0.5 * (w.p_min + w.p_max)
     qs = w.q_min + circ * np.arange(n_loop) / n_loop
     ps = np.full_like(qs, float(p0))
-    a_p, a_q = _form_components(alpha)
-    jet = map_with_jacobian(f, ps, qs, fd_h=fd_h)
-    yq = manifold.wrap_q(jet.yq)
-    ap_f = np.broadcast_to(np.asarray(a_p.fn(jet.yp, yq, 0.0), float), qs.shape)
-    aq_f = np.broadcast_to(np.asarray(a_q.fn(jet.yp, yq, 0.0), float), qs.shape)
-    aq_here = np.broadcast_to(np.asarray(a_q.fn(ps, qs, 0.0), float), qs.shape)
-    theta_q = ap_f * jet.dpq + aq_f * jet.dqq - aq_here
+    _, theta_q = _pullback_defect(f, alpha, ps, qs, manifold, fd_h)
     # trapezoid rule on a periodic integrand: just the mean times the length
     period = float(np.mean(theta_q) * circ)
     return HamHatReport(abs(period) < tol, period, tol)

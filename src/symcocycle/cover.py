@@ -4,9 +4,10 @@ The cover of the cylinder is a plane strip with the same p band and an
 unbounded q coordinate; computations use a window spanning a few
 fundamental domains.  A map downstairs lifts once isotopy data is in
 hand: flows carry their own trajectories, twists come with an explicit
-one-parameter family, the identity is its own lift, and compositions
-lift factor by factor.  Plain callables carry no isotopy data and are
-rejected.
+one-parameter family, and both already return unwrapped q, so the lift
+applies the map's isotopy pieces in turn and only watches the flow
+trajectories for unwrapping gaps.  Plain callables carry no isotopy data
+and are rejected.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .errors import NonconvergenceError, ValidationError
 from .geometry import GridSpec, Window, WrongManifold, plane
-from .dynamics import ComposedMap, FlowMap, IdentityMap, TwistMap
-from .cocycle import _form_components, cocycle_by_path
+from .dynamics import FlowMap, isotopy
+from .cocycle import cocycle_by_path
 
 
 class TrajectoryGap(NonconvergenceError):
@@ -71,70 +72,31 @@ def deck_stride(K, circumference=2.0 * np.pi):
 
 
 # ============================================================
-# Atomic lifts
+# Lifted maps
 # ============================================================
 
 
-def _lift_flow(flow):
+def _march_watching_gaps(flow, p, q):
+    """March a flow over its duration, raising TrajectoryGap when q jumps
+    by more than half the circumference in one step."""
     half = 0.5 * flow.manifold.circumference
+    prev = None
+    worst = 0.0
 
-    def run(p, q):
-        state = {"prev": None, "worst": 0.0}
+    def on_node(k, t, pv, qv):
+        nonlocal prev, worst
+        if prev is not None:
+            worst = max(worst, float(np.max(np.abs(np.asarray(qv) - prev))))
+        prev = np.asarray(qv, dtype=float)
 
-        def watch(k, t, pv, qv):
-            prev = state["prev"]
-            if prev is not None:
-                jump = float(np.max(np.abs(np.asarray(qv) - prev)))
-                if jump > state["worst"]:
-                    state["worst"] = jump
-            state["prev"] = np.asarray(qv, dtype=float)
-
-        out_p, out_q = flow._march(
-            np.asarray(p, dtype=float).copy(),
-            np.asarray(q, dtype=float).copy(),
-            0.0,
-            flow.spec.duration,
-            on_node=watch,
+    out = flow._march(p, q, 0.0, flow.spec.duration, on_node=on_node)
+    if worst > half:
+        raise TrajectoryGap(
+            f"trajectory q jumped by {worst:.3e} in one step, "
+            f"more than half the circumference ({half:.3e}); the "
+            "integrator step is too coarse to unwrap"
         )
-        if state["worst"] > half:
-            raise TrajectoryGap(
-                f"trajectory q jumped by {state['worst']:.3e} in one step, "
-                f"more than half the circumference ({half:.3e}); the "
-                "integrator step is too coarse to unwrap"
-            )
-        return out_p, out_q
-
-    return run
-
-
-def _lift_twist(tw):
-    prof = tw.profile.fn
-
-    # the explicit family (p, q + s*t(p)) unwraps to its own endpoint
-    def run(p, q):
-        p = np.asarray(p, dtype=float)
-        t = np.broadcast_to(np.asarray(prof(p, 0.0, 0.0), float), p.shape)
-        return p.copy(), np.asarray(q, dtype=float) + t
-
-    return run
-
-
-def _atomic_lifters(m):
-    if isinstance(m, IdentityMap):
-        return []
-    if isinstance(m, FlowMap):
-        return [_lift_flow(m)]
-    if isinstance(m, TwistMap):
-        return [_lift_twist(m)]
-    if isinstance(m, ComposedMap):
-        out = []
-        for factor in m.factors:
-            out.extend(_atomic_lifters(factor))
-        return out
-    raise ValidationError(
-        f"cannot lift {type(m).__name__}: no isotopy data (expected a flow, "
-        "twist, identity, or a composition of those)"
-    )
+    return out
 
 
 class LiftedMap:
@@ -151,7 +113,7 @@ class LiftedMap:
         self.base_manifold = base.manifold
         self.periods = int(periods)
         self.manifold = plane(lifted_window(base.manifold, periods))
-        self._lifters = _atomic_lifters(base)
+        self._pieces = isotopy(base)
 
     def apply(self, p, q):
         scalar = np.isscalar(p) and np.isscalar(q)
@@ -159,8 +121,11 @@ class LiftedMap:
         cq = np.asarray(q, dtype=float)
         cp, cq = np.broadcast_arrays(cp, cq)
         cp, cq = cp.copy(), cq.copy()
-        for run in self._lifters:
-            cp, cq = run(cp, cq)
+        for piece in self._pieces:
+            if isinstance(piece, FlowMap):
+                cp, cq = _march_watching_gaps(piece, cp, cq)
+            else:
+                cp, cq = piece.apply(cp, cq)
         if scalar:
             return float(cp), float(cq)
         return cp, cq
@@ -256,48 +221,3 @@ def growth_rate(K, circumference=2.0 * np.pi):
     denom = ((qf - qbar) ** 2).sum(axis=-1)
     slopes = ((qf - qbar) * (fam - fbar)).sum(axis=-1) / denom
     return float(np.mean(slopes))
-
-
-def oscillation_bound(flow, alpha, grid=None, n_time=21):
-    """A priori bound on the oscillation of the lifted cocycle.
-
-    For a Hamiltonian flow the lifted cocycle at x is controlled by the
-    line integral of alpha along the orbit plus the accumulated value of
-    the Hamiltonian, whence
-
-        osc <= 2 * sup|alpha| * max orbit length
-               + 2 * max|F| * duration,
-
-    with the suprema sampled on the base grid.
-    """
-    if not isinstance(flow, FlowMap):
-        raise ValidationError("the oscillation bound needs a generating flow")
-    mani = flow.manifold
-    grid = grid or GridSpec()
-    P, Q = grid.mesh(mani.window)
-    a_p, a_q = _form_components(alpha)
-    norm_a = np.hypot(
-        np.broadcast_to(np.asarray(a_p.fn(P, Q, 0.0), float), P.shape),
-        np.broadcast_to(np.asarray(a_q.fn(P, Q, 0.0), float), P.shape),
-    )
-    sup_a = float(np.max(norm_a))
-
-    state = {"prev": None, "len": np.zeros(P.size)}
-
-    def watch(k, t, pv, qv):
-        prev = state["prev"]
-        if prev is not None:
-            state["len"] = state["len"] + np.hypot(pv - prev[0], qv - prev[1])
-        state["prev"] = (np.asarray(pv, float), np.asarray(qv, float))
-
-    flow._march(P.ravel().copy(), Q.ravel().copy(), 0.0, flow.spec.duration,
-                on_node=watch)
-    max_len = float(np.max(state["len"]))
-
-    duration = flow.spec.duration
-    ff = flow.spec.F.fn
-    max_f = 0.0
-    for t in np.linspace(0.0, duration, n_time):
-        vals = np.abs(np.asarray(ff(P, Q, float(t)), dtype=float))
-        max_f = max(max_f, float(np.max(vals)))
-    return 2.0 * sup_a * max_len + 2.0 * max_f * abs(duration)

@@ -34,7 +34,6 @@ __all__ = [
     "GeneratorSet",
     "distortion_lower_bound",
     "distortion_table",
-    "lipschitz_constant",
     "probe_points",
     "word_ball_norm",
 ]
@@ -228,12 +227,6 @@ class GeneratorSet:
         """Cocycle of the word's composition, same primitive, grid and
         method as the per-generator cocycles."""
         return self._cocycle_of_map(self.realize(word))
-
-
-def lipschitz_constant(gens):
-    """Worst single-generator cocycle oscillation; the constant m in
-    osc(K(w)) <= m * |w|."""
-    return gens.m
 
 
 # ============================================================

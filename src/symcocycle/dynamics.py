@@ -17,6 +17,12 @@ expression, never integrated.  Words over named generators compose in
 product order: the leftmost letter acts last, matching how f.g names the
 map x -> f(g(x)).
 
+Every map answers one protocol: ``apply``, ``inverse`` and ``factors``,
+the flat tuple of its atomic isotopy pieces in application order.  Flows
+and twists are their own single piece, the identity has none, and a
+composition lists the pieces of its factors, flattened when it is built.
+``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
+
 All map objects work in unwrapped cylinder coordinates: outputs continue
 the input representative continuously, which is what lifting to the
 universal cover needs.  Field and profile expressions are evaluated at
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError, ValidationError
+from .errors import NonconvergenceError, NumericalError, ValidationError
 from .exprlang import Expr, as_expr
 from .geometry import Window
 
@@ -46,11 +52,9 @@ __all__ = [
     "SupportClaimError",
     "TwistMap",
     "UnknownGenerator",
-    "advect",
     "compose",
+    "isotopy",
     "map_with_jacobian",
-    "symplectic_residual",
-    "vector_field",
 ]
 
 
@@ -117,12 +121,7 @@ class HamiltonianSpec:
         ps = np.linspace(w.p_min, w.p_max, n_space)
         qs = np.linspace(w.q_min, w.q_max, n_space)
         P, Q = np.meshgrid(ps, qs, indexing="ij")
-        outside = ~(
-            (P >= claim.p_min)
-            & (P <= claim.p_max)
-            & (Q >= claim.q_min)
-            & (Q <= claim.q_max)
-        )
+        outside = ~claim.contains(P, Q)
         if not outside.any():
             return self
         fn = self.F.fn
@@ -138,10 +137,6 @@ class HamiltonianSpec:
                 f"outside the claimed region (tolerance {tol:.1e})"
             )
         return self
-
-
-def vector_field(spec):
-    return spec.vector_field()
 
 
 # ============================================================
@@ -161,6 +156,8 @@ def _as_float_pair(p, q, out_p, out_q):
 
 class IdentityMap:
     """The do-nothing map; the empty word composes to this."""
+
+    factors = ()
 
     def __init__(self, manifold):
         self.manifold = manifold
@@ -193,20 +190,10 @@ class TwistMap:
     def inverse(self):
         return TwistMap(-self.profile, self.manifold)
 
-    def is_clamped_dehn(self, below=-1.0, above=1.0, tol=1e-9, n=17):
-        """True when the profile is 0 left of ``below`` and one full
-        circumference right of ``above`` inside the window."""
-        if not self.manifold.is_cylinder:
-            return False
-        w = self.manifold.window
-        circ = self.manifold.circumference
-        lo = np.linspace(w.p_min, min(below, w.p_max), n)
-        hi = np.linspace(max(above, w.p_min), w.p_max, n)
-        tlo = np.broadcast_to(np.asarray(self._prof(lo, 0.0, 0.0), dtype=float), lo.shape)
-        thi = np.broadcast_to(np.asarray(self._prof(hi, 0.0, 0.0), dtype=float), hi.shape)
-        return bool(
-            np.max(np.abs(tlo)) <= tol and np.max(np.abs(thi - circ)) <= tol
-        )
+    @property
+    def factors(self):
+        # the family (p, q + s*t(p)), s in [0, 1], is the isotopy
+        return (self,)
 
 
 class FlowMap:
@@ -215,7 +202,8 @@ class FlowMap:
     ``scheme`` is "rk4" (default) or "implicit_midpoint"; both use the
     fixed step ``step`` (the last step is shortened to land exactly).
     Trajectories that stray past the window plus ``escape_slack`` trigger
-    one EscapedWindowWarning per call.
+    one EscapedWindowWarning per call; trajectories that overflow raise
+    NumericalError.
     """
 
     def __init__(self, spec, manifold, scheme="rk4", step=1e-3, escape_slack=None):
@@ -316,31 +304,37 @@ class FlowMap:
     def _march(self, p, q, t0, t1, on_node=None):
         stepper = self._step_rk4 if self.scheme == "rk4" else self._step_midpoint
         span = t1 - t0
-        if span == 0.0:
-            if on_node is not None:
-                on_node(0, t0, p, q)
-            return p, q
         n = max(1, math.ceil(abs(span) / self.step))
         h = span / n
         w = self.manifold.window
         s = self.escape_slack
         escaped = False
-        if on_node is not None:
-            on_node(0, t0, p, q)
-        for k in range(n):
-            t = t0 + k * h
-            p, q = stepper(p, q, t, h)
-            if not escaped:
-                qw = self._wrap(q)
-                bad = (
-                    (np.asarray(p) < w.p_min - s)
-                    | (np.asarray(p) > w.p_max + s)
-                    | (np.asarray(qw) < w.q_min - s)
-                    | (np.asarray(qw) > w.q_max + s)
-                )
-                escaped = bool(np.any(bad))
+        # an overflowing field turns into inf and nan silently; the single
+        # finiteness check after the last step reports it
+        with np.errstate(over="ignore", invalid="ignore"):
             if on_node is not None:
-                on_node(k + 1, t0 + (k + 1) * h, p, q)
+                on_node(0, t0, p, q)
+            for k in range(n):
+                t = t0 + k * h
+                p, q = stepper(p, q, t, h)
+                if not escaped:
+                    qw = self._wrap(q)
+                    bad = (
+                        (np.asarray(p) < w.p_min - s)
+                        | (np.asarray(p) > w.p_max + s)
+                        | (np.asarray(qw) < w.q_min - s)
+                        | (np.asarray(qw) > w.q_max + s)
+                    )
+                    escaped = bool(np.any(bad))
+                if on_node is not None:
+                    on_node(k + 1, t0 + (k + 1) * h, p, q)
+        lost = np.size(p) - np.count_nonzero(np.isfinite(p) & np.isfinite(q))
+        if lost:
+            raise NumericalError(
+                f"the flow overflowed: {lost} of {np.size(p)} trajectories end "
+                "at non-finite points; shrink the window or the step, or tame "
+                "the Hamiltonian"
+            )
         if escaped:
             warnings.warn(
                 EscapedWindowWarning(
@@ -374,44 +368,19 @@ class FlowMap:
     def n_steps(self):
         return max(1, math.ceil(self.spec.duration / self.step))
 
-    def trajectory_nodes(self, p, q):
-        """Yield (t_k, p_k, q_k) at the uniform step nodes from time 0
-        through the duration, starting values included.  Arrays are copies;
-        cylinder q stays unwrapped."""
-        nodes = []
-
-        def keep(k, t, pv, qv):
-            nodes.append((t, np.array(pv, dtype=float), np.array(qv, dtype=float)))
-
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        self._march(p, q, 0.0, self.spec.duration, on_node=keep)
-        return nodes
-
-    def advect(self, x, t0, t1):
-        """Integrate one seed from t0 to t1.  Returns the endpoint and the
-        recorded trajectory vertices (consecutive duplicates collapsed, so
-        a frozen seed yields a single vertex)."""
-        p0, q0 = float(x[0]), float(x[1])
-        verts = []
-
-        def keep(k, t, pv, qv):
-            verts.append((float(pv), float(qv)))
-
-        self._march(p0, q0, float(t0), float(t1), on_node=keep)
-        kept = [verts[0]]
-        for v in verts[1:]:
-            if v != kept[-1]:
-                kept.append(v)
-        return kept[-1], np.asarray(kept)
-
-
-def advect(flow, x, t0, t1):
-    return flow.advect(x, t0, t1)
+    @property
+    def factors(self):
+        return (self,)
 
 
 class ComposedMap:
-    """Several maps applied in sequence."""
+    """Several maps applied in sequence.
+
+    ``factors`` holds the atomic pieces in application order: nested
+    compositions are flattened and identities dropped at construction.
+    A map without ``factors`` stays one opaque piece; the composition
+    still applies, but ``isotopy`` rejects it.
+    """
 
     def __init__(self, factors, manifold=None):
         factors = list(factors)
@@ -426,7 +395,9 @@ class ComposedMap:
                 raise ValidationError(
                     "all factors of a composition must share one manifold model"
                 )
-        self.factors = factors
+        self.factors = tuple(
+            atom for f in factors for atom in getattr(f, "factors", (f,))
+        )
         self.manifold = manifold
 
     def apply(self, p, q):
@@ -439,6 +410,23 @@ class ComposedMap:
         return ComposedMap(
             [f.inverse() for f in reversed(self.factors)], self.manifold
         )
+
+
+def isotopy(m):
+    """The atomic isotopy pieces of a map, in application order.
+
+    Raises ValidationError when the map, or a piece of a composition, is
+    not a flow, a twist, the identity or a composition of those: a plain
+    object with an ``apply`` method carries no isotopy data.
+    """
+    pieces = getattr(m, "factors", None)
+    for piece in (m,) if pieces is None else pieces:
+        if not hasattr(piece, "factors"):
+            raise ValidationError(
+                f"{type(piece).__name__} carries no isotopy data; expected a "
+                "flow, a twist, the identity or a composition of those"
+            )
+    return pieces
 
 
 # ============================================================
@@ -599,9 +587,3 @@ def map_with_jacobian(m, P, Q, fd_h=1e-5):
         dpq=((yp[3] - yp[4]) * inv2h).reshape(shape),
         dqq=((yq[3] - yq[4]) * inv2h).reshape(shape),
     )
-
-
-def symplectic_residual(m, P, Q, fd_h=1e-5):
-    """max |det Df - 1| over the points, jacobian by central differences."""
-    jet = map_with_jacobian(m, P, Q, fd_h)
-    return float(np.max(np.abs(jet.det() - 1.0)))

@@ -46,9 +46,6 @@ __all__ = [
     "ParseError",
     "UnknownIdentifierError",
     "as_expr",
-    "diff",
-    "evaluate",
-    "grad",
     "parse",
 ]
 
@@ -714,15 +711,3 @@ def as_expr(x):
     if isinstance(x, (int, float)):
         return Expr(Num(float(x)))
     raise ValidationError(f"cannot interpret {type(x)!r} as an expression")
-
-
-def evaluate(e, p, q, t=0.0):
-    return as_expr(e)(p, q, t)
-
-
-def diff(e, var):
-    return as_expr(e).diff(var)
-
-
-def grad(e):
-    return as_expr(e).grad()

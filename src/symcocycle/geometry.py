@@ -16,7 +16,7 @@ used by the grid-based code elsewhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .exprlang import Expr, as_expr
 __all__ = [
     "GridSpec",
     "ManifoldModel",
-    "PathPolyline",
     "Primitive",
     "QuadratureNonconvergence",
     "Window",
@@ -34,10 +33,7 @@ __all__ = [
     "cumulative_integral",
     "cylinder",
     "integrate_area",
-    "integrate_oneform",
-    "period_over_core_loop",
     "plane",
-    "polygon_signed_area",
     "quad_adaptive",
     "simpson_weights",
 ]
@@ -91,9 +87,11 @@ class Window:
         return self.p_span * self.q_span
 
     def contains(self, p, q, slack=0.0):
+        """Whether (p, q) lies in the window grown by ``slack``; elementwise
+        on arrays."""
         return (
-            self.p_min - slack <= p <= self.p_max + slack
-            and self.q_min - slack <= q <= self.q_max + slack
+            (self.p_min - slack <= p) & (p <= self.p_max + slack)
+            & (self.q_min - slack <= q) & (q <= self.q_max + slack)
         )
 
     def contains_window(self, other):
@@ -295,87 +293,6 @@ class Primitive:
                     )
         return self
 
-    def norm_sup(self, manifold, n_samples=201):
-        """Supremum of the euclidean component norm over the window.
-
-        This is a report about the window only; nothing is claimed about
-        the behaviour outside it.
-        """
-        w = manifold.window
-        ps = np.linspace(w.p_min, w.p_max, n_samples)
-        qs = np.linspace(w.q_min, w.q_max, n_samples)
-        P, Q = np.meshgrid(ps, qs, indexing="ij")
-        ap = np.asarray(self.a_p(P, Q, 0.0), dtype=float)
-        aq = np.asarray(self.a_q(P, Q, 0.0), dtype=float)
-        return float(np.max(np.hypot(ap, aq)))
-
-
-# ============================================================
-# Paths
-# ============================================================
-
-
-@dataclass(frozen=True)
-class PathPolyline:
-    """Piecewise-linear chart path.
-
-    ``windings[k]`` adds that many extra full turns in q to segment k on
-    the cylinder: the segment from (p0, q0) to (p1, q1) traverses
-    Delta q = (q1 - q0) + windings[k] * circumference in the lift.
-    Trajectory output arrives with q already unwrapped, so its windings
-    are all zero.
-    """
-
-    vertices: tuple
-    windings: tuple = field(default=None)
-
-    def __post_init__(self):
-        verts = tuple((float(p), float(q)) for p, q in self.vertices)
-        if len(verts) < 2:
-            raise ValidationError("a path needs at least two vertices")
-        for p, q in verts:
-            if not (math.isfinite(p) and math.isfinite(q)):
-                raise ValidationError(f"non-finite path vertex ({p}, {q})")
-        for a, b in zip(verts, verts[1:]):
-            if a == b:
-                raise ValidationError(f"repeated consecutive path vertex {a}")
-        w = self.windings
-        if w is None:
-            w = (0,) * (len(verts) - 1)
-        else:
-            w = tuple(int(x) for x in w)
-            if len(w) != len(verts) - 1:
-                raise ValidationError(
-                    f"expected {len(verts) - 1} winding hints, got {len(w)}"
-                )
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "windings", w)
-
-    @property
-    def n_segments(self):
-        return len(self.vertices) - 1
-
-    def reversed(self):
-        return PathPolyline(
-            tuple(reversed(self.vertices)),
-            tuple(-w for w in reversed(self.windings)),
-        )
-
-    def is_closed(self, manifold=None):
-        a = self.vertices[0]
-        b = self.vertices[-1]
-        if manifold is not None and manifold.is_cylinder:
-            return a[0] == b[0] and abs(manifold.wrap_delta(b[1] - a[1])) < 1e-12
-        return a == b
-
-
-def polygon_signed_area(vertices):
-    """Shoelace area of a closed polygon (last vertex joins the first)."""
-    pts = np.asarray(vertices, dtype=float)
-    x = pts[:, 0]
-    y = pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
 
 # ============================================================
 # Adaptive Gauss-Legendre quadrature
@@ -432,52 +349,6 @@ def _refine(f, a, b, whole, tol, noise_floor, depth_left):
     )
 
 
-def _component_pair(alpha):
-    if isinstance(alpha, Primitive):
-        return alpha.a_p, alpha.a_q
-    try:
-        a_p, a_q = alpha
-    except (TypeError, ValueError):
-        raise ValidationError(
-            "a one-form must be a Primitive or an (a_p, a_q) pair"
-        ) from None
-    return as_expr(a_p), as_expr(a_q)
-
-
-def integrate_oneform(alpha, path, tol=1e-10, manifold=None):
-    """Line integral of a one-form along a polyline path.
-
-    ``alpha`` is a Primitive or an (a_p, a_q) expression pair.  On a
-    cylinder the path's per-segment winding hints select the lift, and
-    components are evaluated at wrapped q.  Orientation follows vertex
-    order; the error target tol is split evenly over segments.
-    """
-    a_p, a_q = _component_pair(alpha)
-    fp, fq = a_p.fn, a_q.fn
-    circ = manifold.circumference if (manifold and manifold.is_cylinder) else None
-    seg_tol = tol / path.n_segments
-    total = 0.0
-    for k in range(path.n_segments):
-        (p0, q0) = path.vertices[k]
-        (p1, q1) = path.vertices[k + 1]
-        dp = p1 - p0
-        dq = q1 - q0
-        if circ is not None:
-            dq += path.windings[k] * circ
-
-        def seg(s, p0=p0, q0=q0, dp=dp, dq=dq):
-            p = p0 + dp * s
-            q = q0 + dq * s
-            if circ is not None:
-                q = manifold.wrap_q(q)
-            return fp(p, q, 0.0) * dp + fq(p, q, 0.0) * dq
-
-        if dp == 0.0 and dq == 0.0:
-            continue
-        total += quad_adaptive(seg, 0.0, 1.0, seg_tol)
-    return total
-
-
 def integrate_area(g, window, tol=1e-10):
     """Iterated adaptive quadrature of a scalar field over the window."""
     if isinstance(g, Expr):
@@ -504,25 +375,6 @@ def integrate_area(g, window, tol=1e-10):
     return quad_adaptive(
         row, window.p_min, window.p_max, 0.5 * tol, noise_floor=2.0 * inner_tol
     )
-
-
-def period_over_core_loop(manifold, theta, p0, tol=1e-10):
-    """Integral of a one-form around the core loop {p = p0} of the cylinder.
-
-    Only the dq component contributes since dp vanishes along the loop.
-    Nonzero periods of a closed form certify that it is not exact.
-    """
-    if not manifold.is_cylinder:
-        raise WrongManifold("core loops only exist on the cylinder")
-    _, a_q = _component_pair(theta)
-    fq = a_q.fn
-    q0 = manifold.window.q_min
-
-    def loop(qs):
-        qs = np.asarray(qs, dtype=float)
-        return fq(np.full_like(qs, float(p0)), qs, 0.0)
-
-    return quad_adaptive(loop, q0, q0 + manifold.circumference, tol)
 
 
 # ============================================================

@@ -22,15 +22,8 @@ from .geometry import (
     quad_adaptive,
     simpson_weights,
 )
-from .dynamics import (
-    ComposedMap,
-    FlowMap,
-    HamiltonianSpec,
-    IdentityMap,
-    TwistMap,
-    map_with_jacobian,
-)
-from .cocycle import _form_components, action_values
+from .dynamics import FlowMap, HamiltonianSpec, isotopy, map_with_jacobian
+from .cocycle import _form_components, _pullback_defect, action_values
 from .cover import LiftedMap, growth_rate, lifted_cocycle, lifted_window
 
 __all__ = [
@@ -165,21 +158,15 @@ def twist_boundary_difference(tw, alpha=None, below=-1.0, above=1.0,
     line.  Adaptive panels keep Gauss nodes away from the profile's
     clamp corners, which fixed grids would smear.
     """
-    alpha = alpha or Primitive.p_dq()
-    a_p, a_q = _form_components(alpha)
-    fap, faq = a_p.fn, a_q.fn
+    # parsed once here rather than on every quadrature panel
+    alpha = _form_components(alpha or Primitive.p_dq())
     w = tw.manifold.window
     q0 = 0.5 * (w.q_min + w.q_max)
 
     def theta_p(ps):
         ps = np.asarray(ps, dtype=float)
         qs = np.full_like(ps, q0)
-        jet = map_with_jacobian(tw, ps, qs, fd_h=fd_h)
-        yq = tw.manifold.wrap_q(jet.yq) if tw.manifold.is_cylinder else jet.yq
-        ap_f = np.broadcast_to(np.asarray(fap(jet.yp, yq, 0.0), float), ps.shape)
-        aq_f = np.broadcast_to(np.asarray(faq(jet.yp, yq, 0.0), float), ps.shape)
-        ap_here = np.broadcast_to(np.asarray(fap(ps, qs, 0.0), float), ps.shape)
-        return ap_f * jet.dpp + aq_f * jet.dqp - ap_here
+        return _pullback_defect(tw, alpha, ps, qs, tw.manifold, fd_h)[0]
 
     return quad_adaptive(theta_p, float(below), float(above), tol=tol)
 
@@ -432,37 +419,25 @@ class FluxReport:
     tol: float
 
 
-def _flux_of_factor(m, n_loop=1024, n_time=64):
-    """Core-loop period of the time-integrated flux form of one factor."""
-    if isinstance(m, IdentityMap):
-        return 0.0
-    if isinstance(m, TwistMap):
-        # the family moves points along q only; the flux form is a
-        # multiple of dp, which has no period over the core loop
-        return 0.0
-    if isinstance(m, FlowMap):
-        mani = m.manifold
-        w = mani.window
-        p0 = 0.5 * (w.p_min + w.p_max)
-        qs = w.q_min + mani.circumference * np.arange(n_loop) / n_loop
-        ps = np.full_like(qs, p0)
-        duration = m.spec.duration
-        xp = m._xp
-        ts = np.linspace(0.0, duration, n_time + 1)
-        wts = simpson_weights(n_time + 1, duration / n_time)
-        total = 0.0
-        for t, wt in zip(ts, wts):
-            # loop integral of the dq component by the periodic trapezoid
-            vals = np.broadcast_to(
-                np.asarray(xp(ps, qs, float(t)), float), qs.shape
-            )
-            total += wt * float(np.mean(vals)) * mani.circumference
-        return total
-    if isinstance(m, ComposedMap):
-        return sum(_flux_of_factor(g, n_loop, n_time) for g in m.factors)
-    raise ValidationError(
-        f"flux needs isotopy data; cannot handle {type(m).__name__}"
-    )
+def _flux_of_flow(m, n_loop=1024, n_time=64):
+    """Core-loop period of the time-integrated flux form of one flow."""
+    mani = m.manifold
+    w = mani.window
+    p0 = 0.5 * (w.p_min + w.p_max)
+    qs = w.q_min + mani.circumference * np.arange(n_loop) / n_loop
+    ps = np.full_like(qs, p0)
+    duration = m.spec.duration
+    xp = m._xp
+    ts = np.linspace(0.0, duration, n_time + 1)
+    wts = simpson_weights(n_time + 1, duration / n_time)
+    total = 0.0
+    for t, wt in zip(ts, wts):
+        # loop integral of the dq component by the periodic trapezoid
+        vals = np.broadcast_to(
+            np.asarray(xp(ps, qs, float(t)), float), qs.shape
+        )
+        total += wt * float(np.mean(vals)) * mani.circumference
+    return total
 
 
 def flux_compare(f, alpha=None, grid=None, periods=3, tol=1e-3):
@@ -476,7 +451,11 @@ def flux_compare(f, alpha=None, grid=None, periods=3, tol=1e-3):
     if not f.manifold.is_cylinder:
         raise WrongManifold("flux_compare is a cylinder diagnostic")
     alpha = alpha or Primitive.p_dq()
-    flux = _flux_of_factor(f)
+    # a twist family moves points along q only, so its flux form is a
+    # multiple of dp, which has no period over the core loop
+    flux = sum(
+        _flux_of_flow(piece) for piece in isotopy(f) if isinstance(piece, FlowMap)
+    )
     K = lifted_cocycle(f, alpha, grid=grid, periods=periods)
     rate = growth_rate(K, f.manifold.circumference)
     return FluxReport(

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,27 @@ def test_cocycle_nonexact_path_route_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical error" in err
+
+
+@pytest.mark.parametrize("method", ["path", "action"])
+def test_overflowing_flow_exits_3(tmp_path, capsys, method):
+    path = write_variant(
+        tmp_path, PLANE_BUMP,
+        manifold={
+            "kind": "plane",
+            "window": {"p_min": -2.0, "p_max": 2.0, "q_min": -2.0, "q_max": 2.0},
+            "resolution": [11, 11],
+        },
+        hamiltonians={"g": {"expression": "exp(3*(p^2 + q^2))"}},
+        integrator={"h": 0.01},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["cocycle", "--config", path, "--method", method,
+                         "--out", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "non-finite" in err
 
 
 def test_cocycle_action_route_succeeds(tmp_path, capsys):

@@ -20,7 +20,6 @@ from symcocycle.cocycle import (
     cocycle_by_action,
     cocycle_by_path,
     hamiltonian_test,
-    iota_cocycle,
     normalize_compact,
     pullback_difference,
 )
@@ -231,7 +230,19 @@ def test_nonexact_form_detected_for_nonsymplectic_map():
             return 2.0 * np.asarray(p, float), np.asarray(q, float)
 
     with pytest.raises(NonExactForm):
-        iota_cocycle((parse("0"), parse("p")), Doubler(), grid=GridSpec(21, 21))
+        cocycle_by_path(Doubler(), (parse("0"), parse("p")), grid=GridSpec(21, 21))
+
+
+@pytest.mark.parametrize("form", [3.0, ("p",), ("0", "p", "q")])
+def test_malformed_one_form_is_a_validation_error(form):
+    f = bump_flow(step=0.1)
+    g = FlowMap(HamiltonianSpec(parse("0.3*q")), CYL, step=0.1)
+    with pytest.raises(ValidationError, match="one-form"):
+        cocycle_by_path(f, form, grid=GridSpec(11, 11))
+    with pytest.raises(ValidationError, match="one-form"):
+        cocycle_by_action(f, form, grid=GridSpec(11, 11))
+    with pytest.raises(ValidationError, match="one-form"):
+        hamiltonian_test(g, form)
 
 
 def test_nonexact_form_period_on_cylinder():
@@ -454,7 +465,7 @@ def test_iota_of_exact_form_is_difference():
     # a = dG for G = sin(p) * q
     G = parse("sin(p)*q")
     a = (G.diff("p"), G.diff("q"))
-    got = iota_cocycle(a, f, basepoint=(0.0, 0.0), grid=grid)
+    got = cocycle_by_path(f, a, basepoint=(0.0, 0.0), grid=grid)
     P, Q = grid.mesh(PLANE4.window)
     yp, yq = f.apply(P.ravel(), Q.ravel())
     want = np.sin(yp).reshape(P.shape) * yq.reshape(P.shape) - np.sin(P) * Q
@@ -463,8 +474,8 @@ def test_iota_of_exact_form_is_difference():
 
 
 def test_iota_identity_map_is_zero():
-    got = iota_cocycle(
-        (parse("0"), parse("1")), IdentityMap(CYL), grid=GridSpec(11, 33)
+    got = cocycle_by_path(
+        IdentityMap(CYL), (parse("0"), parse("1")), grid=GridSpec(11, 33)
     )
     assert got.max_abs() < 1e-9
 
@@ -474,7 +485,7 @@ def test_iota_dq_on_cylinder_measures_displacement():
         HamiltonianSpec(parse("0.1*exp(-0.8*p^2)*(1 - cos(q))")), CYL, step=2e-3
     )
     grid = GridSpec(41, 65)
-    got = iota_cocycle((parse("0"), parse("1")), f, grid=grid)
+    got = cocycle_by_path(f, (parse("0"), parse("1")), grid=grid)
     P, Q = grid.mesh(CYL.window)
     yp, yq = f.apply(P.ravel(), Q.ravel())
     disp = (yq - Q.ravel()).reshape(P.shape)

@@ -17,7 +17,6 @@ from symcocycle.cover import (
     lifted_cocycle,
     lifted_grid,
     lifted_window,
-    oscillation_bound,
     periodicity_residual,
     projection_residual,
 )
@@ -172,17 +171,3 @@ def test_lifted_matches_base_on_fundamental_domain():
     down_vals = K_down.samples
     diff = up_vals - down_vals
     assert np.max(diff) - np.min(diff) < 1e-4
-
-
-def test_oscillation_bound_holds():
-    flow = compact_flow()
-    K = lifted_cocycle(flow, PDQ, grid=GridSpec(41, 65), periods=2)
-    bound = oscillation_bound(flow, PDQ, grid=GridSpec(41, 65))
-    assert 0.0 < K.oscillation() <= bound
-    # the bound is not vacuous: same order of magnitude as the data
-    assert bound < 100.0
-
-
-def test_oscillation_bound_needs_flow():
-    with pytest.raises(ValidationError):
-        oscillation_bound(IdentityMap(CYL), PDQ)

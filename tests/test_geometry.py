@@ -7,23 +7,16 @@ from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
     GridSpec,
-    PathPolyline,
     Primitive,
     QuadratureNonconvergence,
     Window,
-    WrongManifold,
     cumulative_integral,
     cylinder,
     integrate_area,
-    integrate_oneform,
-    period_over_core_loop,
     plane,
-    polygon_signed_area,
     quad_adaptive,
     simpson_weights,
 )
-
-RNG = np.random.default_rng(20240817)
 
 
 def unit_square():
@@ -50,6 +43,8 @@ def test_window_queries():
     assert w.contains(0, 0)
     assert not w.contains(2.5, 0)
     assert w.contains(2.5, 0, slack=1.0)
+    inside = w.contains(np.array([0.0, 2.5, 2.0]), np.array([0.0, 0.0, 3.0]))
+    assert inside.tolist() == [True, False, True]
     assert w.contains_window(Window(-1, 1, 0, 1))
     assert not w.contains_window(Window(-3, 1, 0, 1))
     inner = w.shrink(0.5)
@@ -134,140 +129,6 @@ def test_named_primitive_lookup():
         Primitive.named("does_not_exist")
 
 
-def test_primitive_norm_sup():
-    m = plane(Window(-2, 2, -2, 2))
-    # |(0, p)| peaks at |p| = 2
-    assert Primitive.p_dq().norm_sup(m) == pytest.approx(2.0)
-    # |(-q/2, p/2)| peaks at a corner
-    assert Primitive.symmetric().norm_sup(m) == pytest.approx(math.sqrt(2.0))
-
-
-# ------------------------------------------------------------------
-# paths
-# ------------------------------------------------------------------
-
-
-def test_path_validation():
-    with pytest.raises(ValidationError):
-        PathPolyline(((0, 0),))
-    with pytest.raises(ValidationError):
-        PathPolyline(((0, 0), (0, 0)))
-    with pytest.raises(ValidationError):
-        PathPolyline(((0, 0), (math.nan, 1)))
-    with pytest.raises(ValidationError):
-        PathPolyline(((0, 0), (1, 1)), windings=(0, 0))
-
-
-def test_path_reversed():
-    path = PathPolyline(((0, 0), (1, 0), (1, 1)), windings=(1, 0))
-    rev = path.reversed()
-    assert rev.vertices == ((1, 1), (1, 0), (0, 0))
-    assert rev.windings == (0, -1)
-
-
-def test_path_is_closed_on_cylinder():
-    m = cylinder(Window(-1, 1, 0, 2 * math.pi))
-    loop = PathPolyline(((0.5, 0.0), (0.5, 2 * math.pi)))
-    assert loop.is_closed(m)
-    assert not loop.is_closed()  # as a plane path it is open
-
-
-# ------------------------------------------------------------------
-# line integrals
-# ------------------------------------------------------------------
-
-
-def test_oneform_vertical_segments():
-    alpha = Primitive.p_dq()
-    zero_seg = PathPolyline(((0, 0), (0, 1)))
-    assert integrate_oneform(alpha, zero_seg) == pytest.approx(0.0, abs=1e-12)
-    one_seg = PathPolyline(((1, 0), (1, 1)))
-    assert integrate_oneform(alpha, one_seg) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_oneform_unit_circle_matches_riemann_oracle():
-    # inscribed 4096-gon around the unit circle, counterclockwise
-    s = np.linspace(0.0, 2 * math.pi, 4097)
-    verts = tuple(zip(np.cos(s), np.sin(s)))
-    poly = PathPolyline(verts)
-    got = integrate_oneform(Primitive.p_dq(), poly, tol=1e-9)
-
-    # oracle: dense midpoint Riemann sum of p dq over a million segments
-    so = np.linspace(0.0, 2 * math.pi, 1_000_001)
-    pm = np.cos(0.5 * (so[:-1] + so[1:]))
-    dq = np.diff(np.sin(so))
-    oracle = float(np.sum(pm * dq))
-
-    assert oracle == pytest.approx(math.pi, abs=1e-9)
-    assert got == pytest.approx(oracle, abs=3e-6)
-    assert got == pytest.approx(math.pi, abs=3e-6)
-
-
-def _random_closed_polygon(n_verts):
-    while True:
-        pts = RNG.uniform(-2, 2, size=(n_verts, 2))
-        closed = np.vstack([pts, pts[:1]])
-        if all(
-            tuple(a) != tuple(b) for a, b in zip(closed[:-1], closed[1:])
-        ):
-            return closed
-
-
-@pytest.mark.parametrize("prim_name", ["p_dq", "minus_q_dp", "symmetric"])
-def test_primitive_loop_integral_is_signed_area(prim_name):
-    tol = 1e-10
-    for n in (3, 5, 8):
-        closed = _random_closed_polygon(n)
-        path = PathPolyline(tuple(map(tuple, closed)))
-        area = polygon_signed_area(closed[:-1])
-        got = integrate_oneform(Primitive.named(prim_name), path, tol=tol)
-        assert got == pytest.approx(area, abs=10 * tol)
-
-
-def test_exact_form_has_zero_loop_integral():
-    # dg for smooth g integrates to zero around triangles
-    g = parse("sin(p)*exp(-q^2) + p*q^2")
-    dg = (g.diff("p"), g.diff("q"))
-    tol = 1e-10
-    for _ in range(4):
-        tri = _random_closed_polygon(3)
-        path = PathPolyline(tuple(map(tuple, tri)))
-        assert integrate_oneform(dg, path, tol=tol) == pytest.approx(
-            0.0, abs=10 * tol
-        )
-
-
-def test_builtin_primitives_differ_by_exact_forms():
-    pdq = Primitive.p_dq()
-    sym = Primitive.symmetric()
-    diff_form = (pdq.a_p - sym.a_p, pdq.a_q - sym.a_q)
-    for n in (4, 7):
-        closed = _random_closed_polygon(n)
-        path = PathPolyline(tuple(map(tuple, closed)))
-        assert integrate_oneform(diff_form, path, tol=1e-10) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-
-def test_reversed_path_negates_integral():
-    path = PathPolyline(((0.2, -1.0), (1.3, 0.4), (0.9, 2.0)))
-    alpha = Primitive.symmetric()
-    fwd = integrate_oneform(alpha, path, tol=1e-11)
-    bwd = integrate_oneform(alpha, path.reversed(), tol=1e-11)
-    assert fwd == pytest.approx(-bwd, abs=1e-10)
-
-
-def test_oneform_winding_hint_on_cylinder():
-    m = cylinder(Window(-1, 1, 0, 2 * math.pi))
-    # same endpoints, one extra full turn: integral of p dq differs by
-    # p * circumference
-    base = PathPolyline(((0.5, 1.0), (0.5, 2.0)))
-    turned = PathPolyline(((0.5, 1.0), (0.5, 2.0)), windings=(1,))
-    a = integrate_oneform(Primitive.p_dq(), base, tol=1e-11, manifold=m)
-    b = integrate_oneform(Primitive.p_dq(), turned, tol=1e-11, manifold=m)
-    assert b - a == pytest.approx(0.5 * 2 * math.pi, abs=1e-9)
-
-
 # ------------------------------------------------------------------
 # area integrals
 # ------------------------------------------------------------------
@@ -298,43 +159,6 @@ def test_gaussian_area_matches_1d_oracle():
 def test_area_accepts_plain_callables():
     got = integrate_area(lambda p, q: p * q, unit_square(), tol=1e-11)
     assert got == pytest.approx(0.25, abs=1e-10)
-
-
-# ------------------------------------------------------------------
-# core-loop periods
-# ------------------------------------------------------------------
-
-
-def test_period_constant_dq_component():
-    m = cylinder(Window(-1, 1, 0, 2 * math.pi))
-    c = 0.8125
-    got = period_over_core_loop(m, (parse("0"), parse(repr(c))), p0=0.3)
-
-    # oracle: direct Riemann sum around the loop
-    qs = np.linspace(0, 2 * math.pi, 100_001)
-    oracle = float(np.sum(np.full(100_000, c) * np.diff(qs)))
-    assert got == pytest.approx(oracle, abs=1e-9)
-    assert got == pytest.approx(c * 2 * math.pi, abs=1e-9)
-
-
-def test_period_of_exact_form_vanishes():
-    m = cylinder(Window(-1, 1, 0, 2 * math.pi))
-    g = parse("tanh(p)*sin(q)")
-    dg = (g.diff("p"), g.diff("q"))
-    assert period_over_core_loop(m, dg, p0=0.5, tol=1e-11) == pytest.approx(
-        0.0, abs=1e-10
-    )
-
-
-def test_period_ignores_dp_component():
-    m = cylinder(Window(-1, 1, 0, 2 * math.pi))
-    got = period_over_core_loop(m, (parse("p"), parse("0")), p0=0.7)
-    assert got == 0.0
-
-
-def test_period_requires_cylinder():
-    with pytest.raises(WrongManifold):
-        period_over_core_loop(plane(unit_square()), (parse("0"), parse("1")), 0.0)
 
 
 # ------------------------------------------------------------------
@@ -412,9 +236,3 @@ def test_cumulative_integral_axis():
     assert np.allclose(along_last[0], cumulative_integral(np.sin(x), x[1] - x[0]))
     transposed = cumulative_integral(block.T, x[1] - x[0], axis=0)
     assert np.allclose(transposed, along_last.T)
-
-
-def test_polygon_signed_area_orientation():
-    ccw = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert polygon_signed_area(ccw) == pytest.approx(1.0)
-    assert polygon_signed_area(ccw[::-1]) == pytest.approx(-1.0)
