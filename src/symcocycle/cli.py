@@ -60,7 +60,6 @@ class Scenario:
     primitive: Primitive
     maps: dict
     generator_names: tuple
-    scheme: str
     step: float
     tol: float
     fd_h: float
@@ -158,7 +157,11 @@ def load_scenario(path):
 
     integ = raw.get("integrator", {})
     _require_keys(integ, ("scheme", "h"), (), "integrator")
-    scheme = integ.get("scheme", "rk4")
+    # the key stays for compatibility; RK4 is the only integrator
+    if integ.get("scheme", "rk4") != "rk4":
+        raise ValidationError(
+            f"scenario integrator: scheme must be 'rk4', got {integ['scheme']!r}"
+        )
     step = _number(integ, "h", "integrator", 1e-3)
 
     tols = raw.get("tolerances", {})
@@ -183,7 +186,7 @@ def load_scenario(path):
             None if claim is None else _window_from(claim, f"{where}.support_claim"),
         )
         spec.validate_support(manifold)
-        maps[name] = FlowMap(spec, manifold, scheme=scheme, step=step)
+        maps[name] = FlowMap(spec, manifold, step=step)
 
     twists = raw.get("twists", {})
     if not isinstance(twists, dict):
@@ -223,7 +226,7 @@ def load_scenario(path):
 
     return Scenario(
         manifold=manifold, grid=grid, primitive=primitive, maps=maps,
-        generator_names=tuple(gen_names), scheme=scheme, step=step,
+        generator_names=tuple(gen_names), step=step,
         tol=tol, fd_h=fd_h, basepoint=basepoint,
     )
 

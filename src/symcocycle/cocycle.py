@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import as_expr
-from .dynamics import FlowMap, HamiltonianSpec, isotopy, map_with_jacobian
+from .dynamics import FlowMap, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -280,12 +280,12 @@ class GridFunction:
             return float(out)
         return out
 
-    def compose_with(self, m, cubic=True):
-        """Samples of self(m(x)) on the same grid, modulo constants."""
+    def compose_with(self, m):
+        """Samples of self(m(x)) on the same grid, modulo constants, by
+        cubic interpolation."""
         P, Q = np.meshgrid(self.p_nodes, self.q_nodes, indexing="ij")
         yp, yq = m.apply(P.ravel(), Q.ravel())
-        ev = self.evaluate_cubic if cubic else self.evaluate
-        vals = ev(yp, yq)
+        vals = self.evaluate_cubic(yp, yq)
         return self.with_samples(
             np.asarray(vals).reshape(self.samples.shape),
             Normalization.mod_constants(),
@@ -325,7 +325,7 @@ def _form_components(form):
     return as_expr(a_p), as_expr(a_q)
 
 
-def _pullback_defect(f, form, ps, qs, manifold, fd_h=1e-5):
+def _pullback_defect(f, form, ps, qs, fd_h=1e-5):
     """Components (theta_p, theta_q) of f*(form) - form at the points.
 
     The pullback uses the finite-difference jacobian of f; all five
@@ -335,7 +335,7 @@ def _pullback_defect(f, form, ps, qs, manifold, fd_h=1e-5):
     a_p, a_q = _form_components(form)
     fp, fq = a_p.fn, a_q.fn
     jet = map_with_jacobian(f, ps, qs, fd_h=fd_h)
-    yq = manifold.wrap_q(jet.yq) if manifold.is_cylinder else jet.yq
+    yq = f.manifold.wrap_q(jet.yq)
     shape = jet.yp.shape
     ap_f = np.broadcast_to(np.asarray(fp(jet.yp, yq, 0.0), float), shape)
     aq_f = np.broadcast_to(np.asarray(fq(jet.yp, yq, 0.0), float), shape)
@@ -346,20 +346,20 @@ def _pullback_defect(f, form, ps, qs, manifold, fd_h=1e-5):
     return theta_p, theta_q
 
 
-def pullback_difference(f, form, grid=None, manifold=None, fd_h=1e-5):
-    """Components of f*(form) - form at the grid nodes of the window.
+def pullback_difference(f, form, grid=None, fd_h=1e-5):
+    """Components of f*(form) - form at the grid nodes of f's window.
 
     Returns (P, Q, theta_p, theta_q).
     """
-    manifold = manifold or f.manifold
     grid = grid or GridSpec()
-    P, Q = grid.mesh(manifold.window)
-    theta_p, theta_q = _pullback_defect(f, form, P, Q, manifold, fd_h)
+    P, Q = grid.mesh(f.manifold.window)
+    theta_p, theta_q = _pullback_defect(f, form, P, Q, fd_h)
     return P, Q, theta_p, theta_q
 
 
 def _integrate_exact_defect(manifold, window, theta_p, theta_q, basepoint, tol):
-    """Potential of an exact grid one-form, pinned at the basepoint.
+    """Potential of an exact grid one-form, pinned at the basepoint, which
+    the caller has checked lies in the window.
 
     Integrates along both axis-aligned two-segment path families and
     cross-checks them; on the cylinder additionally checks the loop
@@ -384,9 +384,7 @@ def _integrate_exact_defect(manifold, window, theta_p, theta_q, basepoint, tol):
     ip = cumulative_integral(theta_p, dp, axis=0)
     iq = cumulative_integral(theta_q, dq, axis=1)
 
-    bp, bq = float(basepoint[0]), float(basepoint[1])
-    if not window.contains(bp, bq, slack=1e-12):
-        raise ValidationError(f"basepoint ({bp}, {bq}) is outside the window")
+    bp, bq = basepoint
     i0 = int(round((bp - window.p_min) / dp))
     j0 = int(round((bq - window.q_min) / dq))
 
@@ -423,9 +421,13 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, fd_h=1e-5, tol=1e-6):
     w = manifold.window
     if basepoint is None:
         basepoint = (0.5 * (w.p_min + w.p_max), 0.5 * (w.q_min + w.q_max))
-    P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid, manifold, fd_h)
+    bp, bq = float(basepoint[0]), float(basepoint[1])
+    # checked before the jet, which marches five copies of the grid
+    if not w.contains(bp, bq, slack=1e-12):
+        raise ValidationError(f"basepoint ({bp}, {bq}) is outside the window")
+    P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid, fd_h)
     return _integrate_exact_defect(
-        manifold, w, theta_p, theta_q, basepoint, tol
+        manifold, w, theta_p, theta_q, (bp, bq), tol
     )
 
 
@@ -453,7 +455,7 @@ def _action_stream(flow, fap, faq, p0, q0):
     weights = simpson_weights(n + 1, h)
     ff = flow.spec.F.fn
     xp, xq = flow._xp, flow._xq
-    wrap = manifold.wrap_q if manifold.is_cylinder else (lambda q: q)
+    wrap = manifold.wrap_q
     acc = np.zeros(np.shape(p0))
 
     def on_node(k, t, pv, qv):
@@ -478,6 +480,17 @@ def _action_stream(flow, fap, faq, p0, q0):
     return acc, end_p, end_q
 
 
+def _flows_of(m):
+    """The isotopy pieces of ``m``, all of which must be flows."""
+    flows = isotopy(m)
+    if not all(isinstance(factor, FlowMap) for factor in flows):
+        raise ValidationError(
+            "the action route needs generating Hamiltonian data: a flow, the "
+            "identity, or a composition of flows"
+        )
+    return flows
+
+
 def action_values(flow, alpha, ps, qs):
     """Action-route cocycle values at arbitrary points.
 
@@ -487,12 +500,7 @@ def action_values(flow, alpha, ps, qs):
     """
     a_p, a_q = _form_components(alpha)
     fap, faq = a_p.fn, a_q.fn
-    flows = isotopy(flow)
-    if not all(isinstance(factor, FlowMap) for factor in flows):
-        raise ValidationError(
-            "the action route needs generating Hamiltonian data: a flow, the "
-            "identity, or a composition of flows"
-        )
+    flows = _flows_of(flow)
     p = np.asarray(ps, dtype=float).copy()
     q = np.asarray(qs, dtype=float).copy()
     total = np.zeros(p.shape)
@@ -502,12 +510,11 @@ def action_values(flow, alpha, ps, qs):
     return total
 
 
-def cocycle_by_action(flow, alpha, grid=None, manifold=None, scheme="rk4",
-                      step=1e-3):
+def cocycle_by_action(flow, alpha, grid=None):
     """Cocycle of a Hamiltonian flow map from the action integral.
 
-    Accepts a FlowMap, a composition of FlowMaps, or a HamiltonianSpec
-    (then ``manifold`` is required).  Per grid node x the value is
+    Accepts a FlowMap or a composition of FlowMaps.  Per grid node x the
+    value is
 
         integral of alpha along the orbit of x
         + integral of F(orbit(t), t) dt over the flow duration,
@@ -516,13 +523,9 @@ def cocycle_by_action(flow, alpha, grid=None, manifold=None, scheme="rk4",
     factors in turn for compositions).  The result is a GridFunction
     modulo constants.
     """
-    if isinstance(flow, HamiltonianSpec):
-        if manifold is None:
-            raise ValidationError(
-                "cocycle_by_action needs a manifold when given a bare "
-                "Hamiltonian specification"
-            )
-        flow = FlowMap(flow, manifold, scheme=scheme, step=step)
+    # anything else (a bare Hamiltonian specification, a twist) is
+    # rejected before its manifold is read
+    _flows_of(flow)
     manifold = flow.manifold
     grid = grid or GridSpec()
     P, Q = grid.mesh(manifold.window)
@@ -582,8 +585,10 @@ class HamHatReport:
     tol: float
 
 
-def hamiltonian_test(f, alpha, tol=1e-6, p0=None, n_loop=1024, fd_h=1e-5):
-    """Loop period of f*alpha - alpha around the cylinder's core circle.
+def hamiltonian_test(f, alpha, tol=1e-6, fd_h=1e-5):
+    """Loop period of f*alpha - alpha around the cylinder's core circle,
+    the loop at the window's middle p, by the trapezoid rule on 1024
+    nodes.
 
     On the plane there are no loops and the answer is always yes with
     period zero.
@@ -593,11 +598,9 @@ def hamiltonian_test(f, alpha, tol=1e-6, p0=None, n_loop=1024, fd_h=1e-5):
         return HamHatReport(True, 0.0, tol)
     w = manifold.window
     circ = manifold.circumference
-    if p0 is None:
-        p0 = 0.5 * (w.p_min + w.p_max)
-    qs = w.q_min + circ * np.arange(n_loop) / n_loop
-    ps = np.full_like(qs, float(p0))
-    _, theta_q = _pullback_defect(f, alpha, ps, qs, manifold, fd_h)
+    qs = w.q_min + circ * np.arange(1024) / 1024
+    ps = np.full_like(qs, 0.5 * (w.p_min + w.p_max))
+    _, theta_q = _pullback_defect(f, alpha, ps, qs, fd_h)
     # trapezoid rule on a periodic integrand: just the mean times the length
     period = float(np.mean(theta_q) * circ)
     return HamHatReport(abs(period) < tol, period, tol)

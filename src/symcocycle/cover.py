@@ -131,12 +131,6 @@ class LiftedMap:
         return cp, cq
 
 
-def lift(f, point, periods=2):
-    """Endpoint of the lifted map at one cover point."""
-    lm = f if isinstance(f, LiftedMap) else LiftedMap(f, periods)
-    return lm.apply(float(point[0]), float(point[1]))
-
-
 # ============================================================
 # Equivariance diagnostics
 # ============================================================

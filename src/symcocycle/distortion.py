@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import Primitive
-from .dynamics import ComposedMap, GroupWord, IdentityMap, UnknownGenerator
+from .dynamics import GroupWord, compose
 from .cocycle import cocycle_by_action, cocycle_by_path
 from .invariants import polterovich
 
@@ -44,6 +44,14 @@ FINGERPRINT_RESOLUTION = 1e-6
 #: Two maps count as equal on probes when every image coordinate agrees
 #: this closely.
 MATCH_TOL = 2e-6
+
+#: Probe counts of the word-ball search: the primary set decides matches,
+#: the secondary set rechecks words of different lengths that collide.
+N_PROBES = 40
+N_SECONDARY = 200
+
+#: A fixed-point difference at most this large makes the bound vacuous.
+DEGENERATE_TOL = 1e-9
 
 
 class DegenerateBound(NumericalError):
@@ -147,8 +155,7 @@ class GeneratorSet:
     are computed once at construction with identical primitive, grid,
     and basepoint so that oscillations are comparable.  ``m`` is the
     largest single-generator oscillation, the Lipschitz constant of the
-    cocycle for the word metric.  Inverse maps are built once and
-    cached, since the word-ball search uses them constantly.
+    cocycle for the word metric.
 
     ``method`` selects how cocycles are computed: "path" integrates the
     pullback defect over grid paths and cross-checks two routes, "action"
@@ -186,11 +193,15 @@ class GeneratorSet:
                 f"method must be 'path' or 'action', got {method!r}"
             )
         self.method = method
-        self.inverse_maps = {name: m.inverse() for name, m in self.maps.items()}
         self.cocycles = {
             name: self._cocycle_of_map(m) for name, m in self.maps.items()
         }
         self.m = max(K.oscillation() for K in self.cocycles.values())
+        # a single positive letter composes to its generator alone, whose
+        # cocycle is already in hand
+        self._word_cocycles = {
+            GroupWord(((name, 1),)): K for name, K in self.cocycles.items()
+        }
 
     def _cocycle_of_map(self, m):
         if self.method == "action":
@@ -200,33 +211,17 @@ class GeneratorSet:
             fd_h=self.fd_h, tol=self.tol,
         )
 
-    def letter_map(self, name, exponent):
-        try:
-            table = self.maps if exponent == 1 else self.inverse_maps
-            return table[name]
-        except KeyError:
-            known = ", ".join(self.names)
-            raise UnknownGenerator(
-                f"word uses unbound generator {name!r}; known: {known}"
-            ) from None
-
     def realize(self, word):
-        """The composed map of a word, using the cached inverses.
-
-        Word letters are in product order (leftmost applied last), so
-        composition factors run through them reversed.
-        """
-        factors = [
-            self.letter_map(name, e) for name, e in reversed(word.letters)
-        ]
-        if not factors:
-            return IdentityMap(self.manifold)
-        return ComposedMap(factors, self.manifold)
+        """The composed map of a word (product order: leftmost applied
+        last)."""
+        return compose(word, self.maps, self.manifold)
 
     def cocycle_of_word(self, word):
         """Cocycle of the word's composition, same primitive, grid and
-        method as the per-generator cocycles."""
-        return self._cocycle_of_map(self.realize(word))
+        method as the per-generator cocycles; memoized per word."""
+        if word not in self._word_cocycles:
+            self._word_cocycles[word] = self._cocycle_of_map(self.realize(word))
+        return self._word_cocycles[word]
 
 
 # ============================================================
@@ -234,28 +229,24 @@ class GeneratorSet:
 # ============================================================
 
 
-def distortion_lower_bound(gens, word, x, y, n, cocycle=None,
-                           degenerate_tol=1e-9):
+def distortion_lower_bound(gens, word, x, y, n):
     """Lower bound n * |P| / m on the word length of ``word``**n.
 
     P is the fixed-point difference of the word's composition between x
     and y, m the generator set's Lipschitz constant.  Both x and y must
-    be fixed by the composition.  Pass a precomputed ``cocycle`` of the
-    word to skip recomputing it across several values of n.
+    be fixed by the composition.  The word's cocycle comes from the
+    generator set's memo, so several values of n compute it once.
     """
     n = int(n)
     if n < 0:
         raise ValidationError(f"the power n must be nonnegative, got {n}")
     if not isinstance(word, GroupWord):
         word = GroupWord(tuple(word))
-    f = gens.realize(word)
-    if cocycle is None:
-        cocycle = gens.cocycle_of_word(word)
-    value = polterovich(f, cocycle, x, y)
-    if abs(value) <= degenerate_tol:
+    value = polterovich(gens.realize(word), gens.cocycle_of_word(word), x, y)
+    if abs(value) <= DEGENERATE_TOL:
         raise DegenerateBound(
             f"fixed-point difference {value:.3e} is zero within "
-            f"{degenerate_tol:.1e}; the bound would be vacuous"
+            f"{DEGENERATE_TOL:.1e}; the bound would be vacuous"
         )
     if not gens.m > 0.0:
         raise DegenerateBound(
@@ -269,25 +260,18 @@ def distortion_lower_bound(gens, word, x, y, n, cocycle=None,
 # ============================================================
 
 
-def _apply_letters(gens, letters, ps, qs):
-    """Apply a letter sequence (application order) to probe arrays."""
-    p = np.array(ps, dtype=float)
-    q = np.array(qs, dtype=float)
-    for name, e in letters:
-        p, q = gens.letter_map(name, e).apply(p, q)
-    return p, gens.manifold.wrap_q(q)
-
-
 def _secondary_disagree(gens, letters_a, letters_b, ps, qs):
-    pa, qa = _apply_letters(gens, letters_a, ps, qs)
-    pb, qb = _apply_letters(gens, letters_b, ps, qs)
-    fa = Fingerprint(pa, qa)
-    fb = Fingerprint(pb, qb)
-    return fa.distance(fb, gens.manifold) > MATCH_TOL
+    """Whether two words, given as letter tuples in application order,
+    realize maps that differ on the probes."""
+    mani = gens.manifold
+    fa, fb = (
+        Fingerprint.of_map(gens.realize(GroupWord(letters[::-1])), ps, qs, mani)
+        for letters in (letters_a, letters_b)
+    )
+    return fa.distance(fb, mani) > MATCH_TOL
 
 
-def word_ball_norm(gens, target, radius_cap=6, seed=0, n_probes=40,
-                   n_secondary=200):
+def word_ball_norm(gens, target, radius_cap=6, seed=0):
     """Least word length realizing ``target``, or None past the cap.
 
     Breadth-first search over freely reduced words in the generators
@@ -310,9 +294,9 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0, n_probes=40,
             f"radius_cap must be between 0 and 8, got {radius_cap}"
         )
     manifold = gens.manifold
-    ps, qs = probe_points(manifold.window, n_probes, seed)
+    ps, qs = probe_points(manifold.window, N_PROBES, seed)
     sec_ps, sec_qs = probe_points(
-        manifold.window, n_secondary, seed, inset=0.04
+        manifold.window, N_SECONDARY, seed, inset=0.04
     )
     target_fp = Fingerprint.of_map(target, ps, qs, manifold)
 
@@ -325,7 +309,7 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0, n_probes=40,
     letters = []
     for name in gens.names:
         letters.append((name, 1, gens.maps[name]))
-        letters.append((name, -1, gens.inverse_maps[name]))
+        letters.append((name, -1, gens.maps[name].inverse()))
 
     # Words are letter tuples in application order (first applied first).
     seen = {identity_fp.key: (0, ())}
@@ -376,16 +360,16 @@ def _word_text(letters):
 def distortion_table(gens, word, x, y, n_max, radius_cap=6, seed=0):
     """Rows (n, bound, empirical_norm, ratio) for n = 1 .. n_max.
 
-    The word's cocycle is computed once and shared across all n.  The
-    empirical norm comes from the word-ball oracle aimed at the n-th
-    power of the word; None past the search cap, with a None ratio.
+    The word's cocycle is computed once (the generator set memoizes it)
+    and shared across all n.  The empirical norm comes from the word-ball
+    oracle aimed at the n-th power of the word; None past the search cap,
+    with a None ratio.
     """
     if not isinstance(word, GroupWord):
         word = GroupWord(tuple(word))
-    K = gens.cocycle_of_word(word)
     rows = []
     for n in range(1, int(n_max) + 1):
-        bound = distortion_lower_bound(gens, word, x, y, n, cocycle=K)
+        bound = distortion_lower_bound(gens, word, x, y, n)
         target = gens.realize(word.power(n))
         norm = word_ball_norm(gens, target, radius_cap=radius_cap, seed=seed)
         ratio = None if not norm else bound / norm

@@ -7,10 +7,10 @@ contracting the field into dp^dq gives dF:
     (p', q') = (dF/dq, -dF/dp)
 
 so F = p translates q downward and F = (p^2 + q^2)/2 rotates clockwise.
-Flows integrate this field with classical fixed-step RK4 by default (the
-symplectic defect is monitored, not enforced; an implicit midpoint scheme
-is available).  Inverse maps integrate the time-reversed field rather
-than inverting pointwise, so group identities hold at the flow level.
+Flows integrate this field with classical fixed-step RK4 (the symplectic
+defect is monitored, not enforced).  Inverse maps integrate the
+time-reversed field rather than inverting pointwise, so group identities
+hold at the flow level.
 
 Twist maps (p, q) -> (p, q + t(p)) are applied exactly from their profile
 expression, never integrated.  Words over named generators compose in
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .exprlang import Expr, as_expr
 from .geometry import Window
 
@@ -108,8 +108,10 @@ class HamiltonianSpec:
         back = (-self.F).substitute({"t": as_expr(self.duration) - as_expr("t")})
         return HamiltonianSpec(back, self.duration, self.support_claim)
 
-    def validate_support(self, manifold, tol=1e-12, n_space=41, n_time=5):
-        """Check |F| <= tol on the part of the window outside the claim."""
+    def validate_support(self, manifold):
+        """Check |F| <= 1e-12 on the part of the window outside the claim,
+        sampled on a 41x41 grid at 5 times."""
+        tol = 1e-12
         claim = self.support_claim
         if claim is None:
             return self
@@ -118,15 +120,15 @@ class HamiltonianSpec:
             raise SupportClaimError(
                 "support claim must lie inside the manifold window"
             )
-        ps = np.linspace(w.p_min, w.p_max, n_space)
-        qs = np.linspace(w.q_min, w.q_max, n_space)
+        ps = np.linspace(w.p_min, w.p_max, 41)
+        qs = np.linspace(w.q_min, w.q_max, 41)
         P, Q = np.meshgrid(ps, qs, indexing="ij")
         outside = ~claim.contains(P, Q)
         if not outside.any():
             return self
         fn = self.F.fn
         worst = 0.0
-        for tv in np.linspace(0.0, self.duration, n_time):
+        for tv in np.linspace(0.0, self.duration, 5):
             vals = np.broadcast_to(
                 np.asarray(fn(P, Q, float(tv)), dtype=float), P.shape
             )
@@ -199,28 +201,20 @@ class TwistMap:
 class FlowMap:
     """Time-``duration`` map of a Hamiltonian specification.
 
-    ``scheme`` is "rk4" (default) or "implicit_midpoint"; both use the
-    fixed step ``step`` (the last step is shortened to land exactly).
-    Trajectories that stray past the window plus ``escape_slack`` trigger
-    one EscapedWindowWarning per call; trajectories that overflow raise
-    NumericalError.
+    Integrated by RK4 with the fixed step ``step`` (the last step is
+    shortened to land exactly).  Trajectories that stray past the window
+    plus a quarter of its longer side trigger one EscapedWindowWarning per
+    call; trajectories that overflow raise NumericalError.
     """
 
-    def __init__(self, spec, manifold, scheme="rk4", step=1e-3, escape_slack=None):
-        if scheme not in ("rk4", "implicit_midpoint"):
-            raise ValidationError(
-                f"scheme must be 'rk4' or 'implicit_midpoint', got {scheme!r}"
-            )
+    def __init__(self, spec, manifold, step=1e-3):
         if not (step > 0 and math.isfinite(step)):
             raise ValidationError(f"step must be positive, got {step}")
         self.spec = spec
         self.manifold = manifold
-        self.scheme = scheme
         self.step = float(step)
         w = manifold.window
-        if escape_slack is None:
-            escape_slack = 0.25 * max(w.p_span, w.q_span)
-        self.escape_slack = float(escape_slack)
+        self._slack = 0.25 * max(w.p_span, w.q_span)
         xp, xq = spec.vector_field()
         self._xp = xp.fn
         self._xq = xq.fn
@@ -250,13 +244,8 @@ class FlowMap:
 
     # -- stepping ------------------------------------------------
 
-    def _wrap(self, q):
-        if self.manifold.is_cylinder:
-            return self.manifold.wrap_q(q)
-        return q
-
     def _step_rk4(self, p, q, t, h):
-        xp, xq, w = self._xp, self._xq, self._wrap
+        xp, xq, w = self._xp, self._xq, self.manifold.wrap_q
         k1p = xp(p, w(q), t)
         k1q = xq(p, w(q), t)
         p2 = p + 0.5 * h * k1p
@@ -279,35 +268,11 @@ class FlowMap:
             q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q),
         )
 
-    def _step_midpoint(self, p, q, t, h):
-        xp, xq, w = self._xp, self._xq, self._wrap
-        tm = t + 0.5 * h
-        zp = p + h * xp(p, w(q), tm)
-        zq = q + h * xq(p, w(q), tm)
-        scale = 1.0 + float(np.max(np.abs(p))) + float(np.max(np.abs(q)))
-        for _ in range(30):
-            mp = 0.5 * (p + zp)
-            mq = 0.5 * (q + zq)
-            np_ = p + h * xp(mp, w(mq), tm)
-            nq_ = q + h * xq(mp, w(mq), tm)
-            delta = max(
-                float(np.max(np.abs(np_ - zp))), float(np.max(np.abs(nq_ - zq)))
-            )
-            zp, zq = np_, nq_
-            if delta <= 1e-14 * scale:
-                return zp, zq
-        raise NonconvergenceError(
-            "implicit midpoint fixed-point iteration failed to converge; "
-            "reduce the step size"
-        )
-
     def _march(self, p, q, t0, t1, on_node=None):
-        stepper = self._step_rk4 if self.scheme == "rk4" else self._step_midpoint
         span = t1 - t0
         n = max(1, math.ceil(abs(span) / self.step))
         h = span / n
-        w = self.manifold.window
-        s = self.escape_slack
+        mani = self.manifold
         escaped = False
         # an overflowing field turns into inf and nan silently; the single
         # finiteness check after the last step reports it
@@ -316,16 +281,11 @@ class FlowMap:
                 on_node(0, t0, p, q)
             for k in range(n):
                 t = t0 + k * h
-                p, q = stepper(p, q, t, h)
+                p, q = self._step_rk4(p, q, t, h)
                 if not escaped:
-                    qw = self._wrap(q)
-                    bad = (
-                        (np.asarray(p) < w.p_min - s)
-                        | (np.asarray(p) > w.p_max + s)
-                        | (np.asarray(qw) < w.q_min - s)
-                        | (np.asarray(qw) > w.q_max + s)
+                    escaped = not np.all(
+                        mani.window.contains(p, mani.wrap_q(q), slack=self._slack)
                     )
-                    escaped = bool(np.any(bad))
                 if on_node is not None:
                     on_node(k + 1, t0 + (k + 1) * h, p, q)
         lost = np.size(p) - np.count_nonzero(np.isfinite(p) & np.isfinite(q))
@@ -354,13 +314,7 @@ class FlowMap:
 
     def inverse(self):
         if self._inverse is None:
-            inv = FlowMap(
-                self.spec.time_reversed(),
-                self.manifold,
-                self.scheme,
-                self.step,
-                self.escape_slack,
-            )
+            inv = FlowMap(self.spec.time_reversed(), self.manifold, self.step)
             inv._inverse = self
             self._inverse = inv
         return self._inverse

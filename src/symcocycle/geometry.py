@@ -102,17 +102,6 @@ class Window:
             and other.q_max <= self.q_max
         )
 
-    def shrink(self, margin_p, margin_q=None):
-        """Inset copy of the window; margins must leave positive area."""
-        if margin_q is None:
-            margin_q = margin_p
-        return Window(
-            self.p_min + margin_p,
-            self.p_max - margin_p,
-            self.q_min + margin_q,
-            self.q_max - margin_q,
-        )
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -263,12 +252,14 @@ class Primitive:
                     "primitive components must not depend on time"
                 )
 
-    def validate(self, manifold, tol=1e-8, n_samples=13):
-        """Check d(alpha) = dp^dq on the window and, on the cylinder,
-        q-periodicity of both components.  Returns self."""
+    def validate(self, manifold):
+        """Check d(alpha) = dp^dq within 1e-8 on a 13x13 grid of the window
+        and, on the cylinder, q-periodicity of both components.  Returns
+        self."""
+        tol = 1e-8
         w = manifold.window
-        ps = np.linspace(w.p_min, w.p_max, n_samples)
-        qs = np.linspace(w.q_min, w.q_max, n_samples)
+        ps = np.linspace(w.p_min, w.p_max, 13)
+        qs = np.linspace(w.q_min, w.q_max, 13)
         P, Q = np.meshgrid(ps, qs, indexing="ij")
         curl = self.a_q.diff("p")(P, Q, 0.0) - self.a_p.diff("q")(P, Q, 0.0)
         dev = float(np.max(np.abs(np.asarray(curl) - 1.0)))

@@ -43,6 +43,18 @@ __all__ = [
 ]
 
 
+#: How far a point may move under f and still count as fixed.
+FIXED_TOL = 1e-8
+
+#: Fixed-point search: scan residuals below EXACT_TOL form exactly fixed
+#: regions; refined candidates are kept below ACCEPT_TOL and merged
+#: within DEDUP_RADIUS; at most MAX_CANDIDATES seeds are refined.
+EXACT_TOL = 1e-10
+ACCEPT_TOL = 1e-8
+DEDUP_RADIUS = 1e-6
+MAX_CANDIDATES = 200
+
+
 class WrongNormalization(ValidationError):
     """The operation needs a differently normalized cocycle."""
 
@@ -114,24 +126,22 @@ def calabi_from_hamiltonian(spec, manifold, tol=1e-9):
 
 def _motion(f, p, q):
     dp, dq = f.apply(float(p), float(q))
-    dq = dq - q
-    if f.manifold.is_cylinder:
-        dq = f.manifold.wrap_delta(dq)
-    return float(np.hypot(dp - p, dq))
+    return float(np.hypot(dp - p, f.manifold.wrap_delta(dq - q)))
 
 
-def polterovich(f, K, x, y, fixed_tol=1e-8):
+def polterovich(f, K, x, y):
     """K(x) - K(y) for two fixed points of f.
 
     Constants cancel in the difference, so any normalization of K is
-    accepted.  Both points must genuinely be fixed.
+    accepted.  Both points must genuinely be fixed: each may move by at
+    most FIXED_TOL.
     """
     for label, pt in (("x", x), ("y", y)):
         moved = _motion(f, pt[0], pt[1])
-        if moved > fixed_tol:
+        if moved > FIXED_TOL:
             raise NotFixedPoint(
                 f"{label} = ({pt[0]:.6g}, {pt[1]:.6g}) moves by {moved:.3e} "
-                f"under f (tolerance {fixed_tol:.1e})"
+                f"under f (tolerance {FIXED_TOL:.1e})"
             )
     return float(
         K.evaluate_cubic(float(x[0]), float(x[1]))
@@ -149,9 +159,8 @@ def oscillation(K):
 # ============================================================
 
 
-def twist_boundary_difference(tw, alpha=None, below=-1.0, above=1.0,
-                              fd_h=1e-5, tol=1e-9):
-    """K(above, q) - K(below, q) for a twist, by adaptive line quadrature.
+def twist_boundary_difference(tw, alpha=None, fd_h=1e-5, tol=1e-9):
+    """K(1, q) - K(-1, q) for a twist, by adaptive line quadrature.
 
     The cocycle of a twist depends on p alone, so the difference is the
     integral of the p-component of the pullback defect along a constant-q
@@ -166,9 +175,9 @@ def twist_boundary_difference(tw, alpha=None, below=-1.0, above=1.0,
     def theta_p(ps):
         ps = np.asarray(ps, dtype=float)
         qs = np.full_like(ps, q0)
-        return _pullback_defect(tw, alpha, ps, qs, tw.manifold, fd_h)[0]
+        return _pullback_defect(tw, alpha, ps, qs, fd_h)[0]
 
-    return quad_adaptive(theta_p, float(below), float(above), tol=tol)
+    return quad_adaptive(theta_p, -1.0, 1.0, tol=tol)
 
 
 # ============================================================
@@ -194,9 +203,6 @@ class FixedPointReport:
     @property
     def found(self):
         return len(self.points) > 0
-
-    def locations(self):
-        return [fp.location for fp in self.points]
 
 
 def _exact_components(mask, wrap_q):
@@ -231,9 +237,9 @@ def _exact_components(mask, wrap_q):
     return comps
 
 
-def _newton_refine(f, p, q, accept_tol, max_iter=30):
+def _newton_refine(f, p, q, max_iter=30):
     mani = f.manifold
-    wrapd = mani.wrap_delta if mani.is_cylinder else (lambda d: d)
+    wrapd = mani.wrap_delta
     w = mani.window
     span = max(w.p_span, w.q_span)
 
@@ -273,7 +279,7 @@ def _newton_refine(f, p, q, accept_tol, max_iter=30):
             scale *= 0.5
         if not moved:
             break
-    return p, q, best if best < accept_tol else None
+    return p, q, best if best < ACCEPT_TOL else None
 
 
 def _winding_of_orbit(f, p, q):
@@ -289,23 +295,15 @@ def _winding_of_orbit(f, p, q):
     return int(round((yq - q) / mani.circumference))
 
 
-def find_fixed_points(
-    f,
-    grid=None,
-    alpha=None,
-    exact_tol=1e-10,
-    accept_tol=1e-8,
-    dedup_radius=1e-6,
-    max_candidates=200,
-):
+def find_fixed_points(f, grid=None, alpha=None):
     """Scan-and-refine search for fixed points of f on its window.
 
-    Exactly fixed regions (residual below ``exact_tol`` over connected
+    Exactly fixed regions (residual below EXACT_TOL over connected
     patches of the scan grid) are reported through one representative
     each, the lexicographically first node.  Isolated candidates start
     from strict local minima of the displacement and are polished by a
     damped Newton iteration on f(x) - x; only residuals below
-    ``accept_tol`` are kept.  An empty report is legal output: finding
+    ACCEPT_TOL are kept.  An empty report is legal output: finding
     nothing at one resolution proves nothing.
     """
     mani = f.manifold
@@ -313,13 +311,9 @@ def find_fixed_points(
     grid = grid or GridSpec()
     P, Q = grid.mesh(w)
     yp, yq = f.apply(P, Q)
-    dp = yp - P
-    dq = yq - Q
-    if mani.is_cylinder:
-        dq = mani.wrap_delta(dq)
-    R = np.hypot(dp, dq)
+    R = np.hypot(yp - P, mani.wrap_delta(yq - Q))
 
-    exact = R < exact_tol
+    exact = R < EXACT_TOL
     wrap_q = mani.is_cylinder
     comps = _exact_components(exact, wrap_q)
     n_exact = int(exact[:, : exact.shape[1] - 1].sum() if wrap_q else exact.sum())
@@ -345,16 +339,17 @@ def find_fixed_points(
     seeds = [
         (float(interior[i, j]), float(P[i + 1, j + 1]), float(Q[i + 1, j + 1]))
         for i, j in zip(*np.nonzero(mins))
-        if interior[i, j] >= exact_tol
+        if interior[i, j] >= EXACT_TOL
     ]
     seeds.sort()
-    for _, sp, sq in seeds[:max_candidates]:
-        pp, qq, res = _newton_refine(f, sp, sq, accept_tol)
+    for _, sp, sq in seeds[:MAX_CANDIDATES]:
+        pp, qq, res = _newton_refine(f, sp, sq)
         if res is None:
             continue
-        if not w.contains(pp, mani.wrap_q(qq) if wrap_q else qq, slack=1e-9):
+        qq = mani.wrap_q(qq)
+        if not w.contains(pp, qq, slack=1e-9):
             continue
-        found.append((pp, mani.wrap_q(qq) if wrap_q else qq, res, False))
+        found.append((pp, qq, res, False))
 
     # lexicographic order, then drop near-duplicates
     found.sort(key=lambda item: (item[0], item[1]))
@@ -362,10 +357,8 @@ def find_fixed_points(
     for cand in found:
         dup = False
         for prev in kept:
-            dq_ = cand[1] - prev[1]
-            if wrap_q:
-                dq_ = mani.wrap_delta(dq_)
-            if np.hypot(cand[0] - prev[0], dq_) < dedup_radius:
+            dq_ = mani.wrap_delta(cand[1] - prev[1])
+            if np.hypot(cand[0] - prev[0], dq_) < DEDUP_RADIUS:
                 dup = True
                 break
         if not dup:

@@ -86,6 +86,17 @@ def test_violated_support_claim_rejected(tmp_path):
     assert cli.main(["osc", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("scheme", ["implicit_midpoint", "euler"])
+def test_only_rk4_integrator_accepted(tmp_path, capsys, scheme):
+    path = write_variant(
+        tmp_path, PLANE_BUMP, integrator={"scheme": scheme, "h": 0.005}
+    )
+    with pytest.raises(ValidationError, match="scheme must be 'rk4'"):
+        cli.load_scenario(path)
+    assert cli.main(["osc", "--config", path]) == 2
+    assert "scheme" in capsys.readouterr().err
+
+
 def test_validation_exit_codes(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["osc", "--config", missing]) == 2

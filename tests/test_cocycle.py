@@ -258,6 +258,23 @@ def test_basepoint_outside_window():
         )
 
 
+def test_basepoint_checked_before_the_map_runs():
+    calls = []
+
+    class Recording:
+        manifold = PLANE4
+
+        def apply(self, p, q):
+            calls.append(np.size(p))
+            raise AssertionError("the map ran before the basepoint check")
+
+    with pytest.raises(ValidationError, match="basepoint"):
+        cocycle_by_path(
+            Recording(), PDQ, basepoint=(9.0, 0.0), grid=GridSpec(11, 11)
+        )
+    assert calls == []
+
+
 # ------------------------------------------------------------------
 # action route
 # ------------------------------------------------------------------
@@ -265,11 +282,9 @@ def test_basepoint_outside_window():
 
 def test_action_zero_hamiltonian():
     A = cocycle_by_action(
-        HamiltonianSpec(parse("0")),
+        FlowMap(HamiltonianSpec(parse("0")), PLANE4, step=0.25),
         PDQ,
         grid=GridSpec(11, 11),
-        manifold=PLANE4,
-        step=0.25,
     )
     assert A.max_abs() == 0.0
     assert A.normalization.kind == "mod_constants"

@@ -13,7 +13,6 @@ from symcocycle.cover import (
     TrajectoryGap,
     deck_residual,
     growth_rate,
-    lift,
     lifted_cocycle,
     lifted_grid,
     lifted_window,
@@ -70,12 +69,12 @@ def test_lifted_window_and_grid():
 
 def test_identity_lift_is_identity():
     lm = LiftedMap(IdentityMap(CYL))
-    assert lift(lm, (0.3, 7.9)) == (0.3, 7.9)
+    assert lm.apply(0.3, 7.9) == (0.3, 7.9)
 
 
 def test_twist_lift_quarter_turn_at_origin():
     tw = TwistMap(parse(QUAD_PROFILE), CYL)
-    got = lift(tw, (0.0, 0.0))
+    got = LiftedMap(tw).apply(0.0, 0.0)
     assert got[0] == 0.0
     assert got[1] == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -83,7 +82,7 @@ def test_twist_lift_quarter_turn_at_origin():
 def test_twist_lift_full_turn_not_wrapped():
     # above the clamp the lift moves a full circumference, visibly
     tw = TwistMap(parse(QUAD_PROFILE), CYL)
-    got = lift(tw, (1.5, 1.0))
+    got = LiftedMap(tw).apply(1.5, 1.0)
     assert got[1] == pytest.approx(1.0 + 2 * math.pi, abs=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_trajectory_gap_on_coarse_step():
     # q moves by 4 in a single integrator step: unwrapping is ambiguous
     f = FlowMap(HamiltonianSpec(parse("4*p")), CYL, step=2.0)
     with pytest.raises(TrajectoryGap):
-        lift(f, (0.5, 0.0))
+        LiftedMap(f).apply(0.5, 0.0)
 
 
 # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from symcocycle.dynamics import (
     IdentityMap,
     TwistMap,
 )
+from symcocycle.cocycle import cocycle_by_action, cocycle_by_path
 from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
@@ -194,13 +195,26 @@ def test_bound_formula_linear_and_below_word_length():
     assert b3 <= 3.0 + 1e-12
 
 
-def test_bound_accepts_precomputed_cocycle():
-    gens = center_gens()
+def test_word_cocycle_is_memoized():
+    # a single positive letter is answered by the generator's own cocycle,
+    # bitwise equal to computing it afresh on the realized word
+    path_gens = center_gens()
     word = GroupWord.from_string("g")
-    K = gens.cocycle_of_word(word)
-    direct = distortion_lower_bound(gens, word, ORIGIN, FAR, 2)
-    reused = distortion_lower_bound(gens, word, ORIGIN, FAR, 2, cocycle=K)
-    assert reused == direct
+    K = path_gens.cocycle_of_word(word)
+    assert K is path_gens.cocycles["g"]
+    fresh = cocycle_by_path(path_gens.realize(word), PDQ, grid=GridSpec(61, 61))
+    assert fresh.samples.tobytes() == K.samples.tobytes()
+
+    action_gens = disjoint_gens()
+    word = GroupWord.from_string("a")
+    K = action_gens.cocycle_of_word(word)
+    assert K is action_gens.cocycles["a"]
+    fresh = cocycle_by_action(action_gens.realize(word), PDQ, grid=GridSpec(41, 41))
+    assert fresh.samples.tobytes() == K.samples.tobytes()
+
+    # longer words are computed once per generator set
+    K = action_gens.cocycle_of_word(GroupWord.from_string("a b"))
+    assert action_gens.cocycle_of_word(GroupWord.from_string("a b")) is K
 
 
 def test_bound_rejects_moving_points_and_bad_n():

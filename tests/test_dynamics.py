@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symcocycle.errors import NonconvergenceError, NumericalError, ValidationError
+from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import Window, cylinder, plane
 from symcocycle.dynamics import (
@@ -204,28 +204,7 @@ def test_escape_warning():
         flow.apply(0.5, 0.1)  # q drifts to -0.9, far past the slack
 
 
-def test_implicit_midpoint_agrees():
-    flow = FlowMap(ROTATION, PLANE, scheme="implicit_midpoint", step=1e-3)
-    end = flow.apply(1.0, 0.0)
-    want = rotation_exact(1.0, 0.0, 1.0)
-    assert end[0] == pytest.approx(want[0], abs=1e-6)
-    assert end[1] == pytest.approx(want[1], abs=1e-6)
-
-
-def test_implicit_midpoint_nonconvergence():
-    flow = FlowMap(
-        HamiltonianSpec(parse("(p^2 + q^2)/2"), duration=10.0),
-        PLANE,
-        scheme="implicit_midpoint",
-        step=10.0,
-    )
-    with pytest.raises(NonconvergenceError):
-        flow.apply(1.0, 0.0)
-
-
 def test_bad_scheme_and_step():
-    with pytest.raises(ValidationError):
-        FlowMap(ROTATION, PLANE, scheme="euler")
     with pytest.raises(ValidationError):
         FlowMap(ROTATION, PLANE, step=0.0)
 

@@ -47,8 +47,6 @@ def test_window_queries():
     assert inside.tolist() == [True, False, True]
     assert w.contains_window(Window(-1, 1, 0, 1))
     assert not w.contains_window(Window(-3, 1, 0, 1))
-    inner = w.shrink(0.5)
-    assert (inner.p_min, inner.p_max) == (-1.5, 1.5)
 
 
 def test_gridspec():

@@ -5,11 +5,14 @@ pieces; the action route, the lift to the cover and the flux read it
 through ``isotopy``.
 """
 
+import functools
 import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
@@ -17,9 +20,11 @@ from symcocycle.geometry import GridSpec, Primitive, Window, cylinder
 from symcocycle.dynamics import (
     ComposedMap,
     FlowMap,
+    GroupWord,
     HamiltonianSpec,
     IdentityMap,
     TwistMap,
+    compose,
     isotopy,
 )
 from symcocycle.cocycle import cocycle_by_action
@@ -96,6 +101,34 @@ def test_action_route_rejects_twists():
     tw = TwistMap(parse("0.5*p"), CYL)
     with pytest.raises(ValidationError, match="composition of flows"):
         cocycle_by_action(ComposedMap([drift_flow(), tw]), Primitive.p_dq(), grid=GRID)
+
+
+@functools.lru_cache(maxsize=None)
+def word_maps():
+    return {"f": drift_flow(), "t": TwistMap(parse("0.5*p"), CYL)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ft"), st.sampled_from([1, -1])), max_size=5))
+def test_compose_matches_letters_applied_one_at_a_time(letters):
+    maps = word_maps()
+    inverses = {name: m.inverse() for name, m in maps.items()}
+    word = GroupWord(tuple(letters))
+    ps = np.linspace(-1.5, 1.5, 5)
+    qs = np.linspace(0.2, 6.0, 5)
+    got_p, got_q = compose(word, maps).apply(ps, qs)
+    p, q = ps, qs
+    for name, e in reversed(word.letters):  # product order: rightmost first
+        p, q = (maps if e == 1 else inverses)[name].apply(p, q)
+    assert got_p.tobytes() == np.asarray(p).tobytes()
+    assert got_q.tobytes() == np.asarray(q).tobytes()
+
+
+def test_compose_reuses_the_cached_flow_inverse():
+    f = word_maps()["f"]
+    inverse_word = compose(GroupWord((("f", -1),)), word_maps())
+    assert len(inverse_word.factors) == 1
+    assert inverse_word.factors[0] is f.inverse()
 
 
 @pytest.mark.parametrize(
