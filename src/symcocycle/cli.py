@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import NumericalError, ValidationError
 from .exprlang import parse as parse_expr
 from .geometry import GridSpec, Primitive, Window, cylinder, plane
 from .dynamics import (
+    FD_H,
     FlowMap,
     GroupWord,
     HamiltonianSpec,
@@ -32,8 +34,9 @@ from .dynamics import (
     compose,
     isotopy,
 )
-from .cocycle import cocycle_by_action, cocycle_by_path
+from .cocycle import PATH_TOL, cocycle_by_action, cocycle_by_path
 from .invariants import (
+    NoFixedPointFound,
     calabi_from_hamiltonian,
     find_fixed_points,
     flux_compare,
@@ -60,7 +63,6 @@ class Scenario:
     primitive: Primitive
     maps: dict
     generator_names: tuple
-    step: float
     tol: float
     fd_h: float
     basepoint: tuple | None
@@ -87,6 +89,13 @@ def _number(block, key, where, default=None):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"scenario {where}: {key} must be a number")
     return float(v)
+
+
+def _positive(v, what):
+    # JSON and --tol both accept NaN and infinity, which switch checks off
+    if not (v > 0 and math.isfinite(v)):
+        raise ValidationError(f"{what} must be positive and finite, got {v}")
+    return v
 
 
 def _window_from(block, where):
@@ -166,8 +175,8 @@ def load_scenario(path):
 
     tols = raw.get("tolerances", {})
     _require_keys(tols, ("tol", "fd_h"), (), "tolerances")
-    tol = _number(tols, "tol", "tolerances", 1e-6)
-    fd_h = _number(tols, "fd_h", "tolerances", 1e-5)
+    tol = _positive(_number(tols, "tol", "tolerances", PATH_TOL), "tolerances.tol")
+    fd_h = _positive(_number(tols, "fd_h", "tolerances", FD_H), "tolerances.fd_h")
 
     maps = {}
     hams = raw.get("hamiltonians", {})
@@ -216,7 +225,8 @@ def load_scenario(path):
     if basepoint is not None:
         if not isinstance(basepoint, (list, tuple)) or len(basepoint) != 2:
             raise ValidationError("scenario basepoint: expected [p, q]")
-        bp = (float(basepoint[0]), float(basepoint[1]))
+        coords = dict(zip("pq", basepoint))
+        bp = (_number(coords, "p", "basepoint"), _number(coords, "q", "basepoint"))
         if not manifold.window.contains(bp[0], bp[1]):
             raise ValidationError(
                 f"scenario basepoint: ({bp[0]:.6g}, {bp[1]:.6g}) lies outside "
@@ -226,8 +236,8 @@ def load_scenario(path):
 
     return Scenario(
         manifold=manifold, grid=grid, primitive=primitive, maps=maps,
-        generator_names=tuple(gen_names), step=step,
-        tol=tol, fd_h=fd_h, basepoint=basepoint,
+        generator_names=tuple(gen_names), tol=tol, fd_h=fd_h,
+        basepoint=basepoint,
     )
 
 
@@ -239,7 +249,7 @@ def load_scenario(path):
 def _scenario(args):
     sc = load_scenario(args.config)
     if args.tol is not None:
-        sc.tol = float(args.tol)
+        sc.tol = _positive(args.tol, "--tol")
     return sc
 
 
@@ -333,7 +343,7 @@ def _auto_pair(m, K, sc):
     """Two fixed points separated as far as the cocycle can tell."""
     report = find_fixed_points(m, grid=sc.grid)
     if len(report.points) < 2:
-        raise NumericalError(
+        raise NoFixedPointFound(
             "fixed-point search found fewer than two fixed points; give "
             "--x and --y explicitly"
         )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import as_expr
-from .dynamics import FlowMap, isotopy, map_with_jacobian
+from .dynamics import FD_H, FlowMap, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -52,6 +52,15 @@ __all__ = [
     "pullback_difference",
 ]
 
+#: Path-route tolerance: the two path families and the cylinder loop
+#: periods may disagree by at most 100 times this.
+PATH_TOL = 1e-6
+#: Largest oscillation outside the support that ``normalize_compact``
+#: still treats as one constant.
+COMPACT_TOL = 1e-4
+#: Largest core-loop period that ``hamiltonian_test`` counts as zero.
+PERIOD_TOL = 1e-6
+
 
 class NonExactForm(NumericalError):
     """The pullback defect has a detectable period; no single-valued
@@ -66,16 +75,6 @@ class NotConstantOutsideSupport(NumericalError):
 # ============================================================
 # Normalization tags and grid functions
 # ============================================================
-
-
-def _wraps_q(manifold, window):
-    """Whether grids on ``window`` tile the cylinder's circle once, so that
-    q wraps."""
-    return (
-        manifold.is_cylinder
-        and abs(window.q_span - manifold.circumference)
-        <= 1e-9 * manifold.circumference
-    )
 
 
 @dataclass(frozen=True)
@@ -97,17 +96,18 @@ class Normalization:
 
 
 class GridFunction:
-    """Real samples on a uniform grid over a window, with interpolation.
+    """Real samples on a uniform grid over the manifold's window, with
+    interpolation.
 
     Default evaluation is bilinear; ``evaluate_cubic`` interpolates with a
     four-point Lagrange stencil per axis for fourth-order accuracy where
-    composition precision matters.  On the cylinder (window spanning one
-    circumference) evaluation wraps q; grids on the universal cover live
-    on a plane model and never wrap.  Coordinates outside the window clamp
-    to the edge, which continues boundary values constantly.
+    composition precision matters.  On the cylinder evaluation wraps q;
+    grids on the universal cover live on a plane model and never wrap.
+    Coordinates outside the window clamp to the edge, which continues
+    boundary values constantly.
     """
 
-    def __init__(self, manifold, window, samples, normalization):
+    def __init__(self, manifold, samples, normalization):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 3 or samples.shape[1] < 3:
             raise ValidationError(
@@ -117,10 +117,10 @@ class GridFunction:
         if not np.all(np.isfinite(samples)):
             raise ValidationError("samples contain non-finite values")
         self.manifold = manifold
-        self.window = window
+        self.window = window = manifold.window
         self.samples = samples
         self.normalization = normalization
-        self._wraps = _wraps_q(manifold, window)
+        self._wraps = manifold.is_cylinder
         self.n_p, self.n_q = samples.shape
         self.p_nodes = np.linspace(window.p_min, window.p_max, self.n_p)
         self.q_nodes = np.linspace(window.q_min, window.q_max, self.n_q)
@@ -129,26 +129,18 @@ class GridFunction:
 
     # -- bookkeeping ----------------------------------------------
 
-    @property
-    def resolution(self):
-        return (self.n_p, self.n_q)
-
     def with_samples(self, samples, normalization=None):
         return GridFunction(
-            self.manifold,
-            self.window,
-            samples,
-            normalization or self.normalization,
+            self.manifold, samples, normalization or self.normalization
         )
 
     def _check_compatible(self, other):
         if (
-            self.window != other.window
-            or self.samples.shape != other.samples.shape
+            self.samples.shape != other.samples.shape
             or self.manifold != other.manifold
         ):
             raise ValidationError(
-                "grid functions must share manifold, window and resolution"
+                "grid functions must share manifold and resolution"
             )
 
     # -- arithmetic (results are considered modulo constants) -----
@@ -325,7 +317,7 @@ def _form_components(form):
     return as_expr(a_p), as_expr(a_q)
 
 
-def _pullback_defect(f, form, ps, qs, fd_h=1e-5):
+def _pullback_defect(f, form, ps, qs, fd_h=FD_H):
     """Components (theta_p, theta_q) of f*(form) - form at the points.
 
     The pullback uses the finite-difference jacobian of f; all five
@@ -346,7 +338,7 @@ def _pullback_defect(f, form, ps, qs, fd_h=1e-5):
     return theta_p, theta_q
 
 
-def pullback_difference(f, form, grid=None, fd_h=1e-5):
+def pullback_difference(f, form, grid=None, fd_h=FD_H):
     """Components of f*(form) - form at the grid nodes of f's window.
 
     Returns (P, Q, theta_p, theta_q).
@@ -357,19 +349,20 @@ def pullback_difference(f, form, grid=None, fd_h=1e-5):
     return P, Q, theta_p, theta_q
 
 
-def _integrate_exact_defect(manifold, window, theta_p, theta_q, basepoint, tol):
-    """Potential of an exact grid one-form, pinned at the basepoint, which
-    the caller has checked lies in the window.
+def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
+    """Potential of an exact grid one-form on the manifold's window, pinned
+    at the basepoint, which the caller has checked lies in the window.
 
     Integrates along both axis-aligned two-segment path families and
     cross-checks them; on the cylinder additionally checks the loop
     periods row by row.  Raises NonExactForm past 100*tol.
     """
+    window = manifold.window
     n_p, n_q = theta_p.shape
     dp = window.p_span / (n_p - 1)
     dq = window.q_span / (n_q - 1)
 
-    if _wraps_q(manifold, window):
+    if manifold.is_cylinder:
         # nonzero loop periods mean no single-valued potential exists
         wq = simpson_weights(n_q, dq)
         periods = theta_q @ wq
@@ -402,7 +395,7 @@ def _integrate_exact_defect(manifold, window, theta_p, theta_q, basepoint, tol):
         )
 
     samples = 0.5 * (k_qfirst + k_pfirst)
-    out = GridFunction(manifold, window, samples, Normalization.pinned((bp, bq)))
+    out = GridFunction(manifold, samples, Normalization.pinned((bp, bq)))
     # pin at the true basepoint, not just its nearest node
     off = out.evaluate(bp, bq)
     if off != 0.0:
@@ -410,7 +403,7 @@ def _integrate_exact_defect(manifold, window, theta_p, theta_q, basepoint, tol):
     return out
 
 
-def cocycle_by_path(f, alpha, basepoint=None, grid=None, fd_h=1e-5, tol=1e-6):
+def cocycle_by_path(f, alpha, basepoint=None, grid=None, fd_h=FD_H, tol=PATH_TOL):
     """Cocycle of a map by path integration of its pullback defect.
 
     The result is pinned to zero at the basepoint (window center by
@@ -426,9 +419,7 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, fd_h=1e-5, tol=1e-6):
     if not w.contains(bp, bq, slack=1e-12):
         raise ValidationError(f"basepoint ({bp}, {bq}) is outside the window")
     P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid, fd_h)
-    return _integrate_exact_defect(
-        manifold, w, theta_p, theta_q, (bp, bq), tol
-    )
+    return _integrate_exact_defect(manifold, theta_p, theta_q, (bp, bq), tol)
 
 
 # ============================================================
@@ -531,10 +522,7 @@ def cocycle_by_action(flow, alpha, grid=None):
     P, Q = grid.mesh(manifold.window)
     acc = action_values(flow, alpha, P.ravel(), Q.ravel())
     return GridFunction(
-        manifold,
-        manifold.window,
-        acc.reshape(P.shape),
-        Normalization.mod_constants(),
+        manifold, acc.reshape(P.shape), Normalization.mod_constants()
     )
 
 
@@ -543,13 +531,13 @@ def cocycle_by_action(flow, alpha, grid=None):
 # ============================================================
 
 
-def normalize_compact(K, support_window, tol=1e-4):
+def normalize_compact(K, support_window):
     """Subtract the constant that K takes outside the support window.
 
-    Requires K to be constant (within tol of oscillation) on the sampled
-    part of its window outside ``support_window``; the classic failure is
-    a twist whose profile integral misses one full circumference, which
-    takes two different constants on the two sides.
+    Requires K to be constant (within COMPACT_TOL of oscillation) on the
+    sampled part of its window outside ``support_window``; the classic
+    failure is a twist whose profile integral misses one full
+    circumference, which takes two different constants on the two sides.
     """
     P, Q = np.meshgrid(K.p_nodes, K.q_nodes, indexing="ij")
     outside = ~support_window.contains(P, Q)
@@ -560,11 +548,11 @@ def normalize_compact(K, support_window, tol=1e-4):
         )
     vals = K.samples[outside]
     osc = float(np.max(vals) - np.min(vals))
-    if osc > tol:
+    if osc > COMPACT_TOL:
         raise NotConstantOutsideSupport(
             f"cocycle oscillates by {osc:.3e} outside the claimed support "
-            f"(tolerance {tol:.1e}); no compactly supported representative "
-            "exists"
+            f"(tolerance {COMPACT_TOL:.1e}); no compactly supported "
+            "representative exists"
         )
     level = float(np.mean(vals))
     return K.with_samples(K.samples - level, Normalization.compact())
@@ -575,32 +563,31 @@ class HamHatReport:
     """Outcome of the exactness (period) test.
 
     ``in_ham_hat`` holds when every loop period of f*alpha - alpha
-    vanishes within tolerance.  Isotopy of f to the identity is not
+    vanishes within PERIOD_TOL.  Isotopy of f to the identity is not
     checked and cannot be from samples; this is the exactness criterion
     alone.
     """
 
     in_ham_hat: bool
     period: float
-    tol: float
 
 
-def hamiltonian_test(f, alpha, tol=1e-6, fd_h=1e-5):
+def hamiltonian_test(f, alpha):
     """Loop period of f*alpha - alpha around the cylinder's core circle,
     the loop at the window's middle p, by the trapezoid rule on 1024
-    nodes.
+    nodes; periods below PERIOD_TOL count as zero.
 
     On the plane there are no loops and the answer is always yes with
     period zero.
     """
     manifold = f.manifold
     if not manifold.is_cylinder:
-        return HamHatReport(True, 0.0, tol)
+        return HamHatReport(True, 0.0)
     w = manifold.window
     circ = manifold.circumference
     qs = w.q_min + circ * np.arange(1024) / 1024
     ps = np.full_like(qs, 0.5 * (w.p_min + w.p_max))
-    _, theta_q = _pullback_defect(f, alpha, ps, qs, fd_h)
+    _, theta_q = _pullback_defect(f, alpha, ps, qs)
     # trapezoid rule on a periodic integrand: just the mean times the length
     period = float(np.mean(theta_q) * circ)
-    return HamHatReport(abs(period) < tol, period, tol)
+    return HamHatReport(abs(period) < PERIOD_TOL, period)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NonconvergenceError, ValidationError
 from .geometry import GridSpec, Window, WrongManifold, plane
-from .dynamics import FlowMap, isotopy
-from .cocycle import cocycle_by_path
+from .dynamics import FD_H, FlowMap, isotopy
+from .cocycle import PATH_TOL, cocycle_by_path
 
 
 class TrajectoryGap(NonconvergenceError):
@@ -59,8 +59,9 @@ def lifted_grid(base_grid, periods=2):
     return GridSpec(base_grid.n_p, periods * (base_grid.n_q - 1) + 1)
 
 
-def deck_stride(K, circumference=2.0 * np.pi):
-    """Column stride of one deck translate on a lifted grid."""
+def deck_stride(K, circumference):
+    """Column stride of one deck translate on a lifted grid of a cylinder
+    with this circumference."""
     n_q = K.samples.shape[1]
     per = K.window.q_span / circumference
     periods = int(round(per))
@@ -164,7 +165,7 @@ def projection_residual(lifted, ps, qs):
 
 
 def lifted_cocycle(
-    f, alpha, grid=None, periods=2, basepoint=None, fd_h=1e-5, tol=1e-6
+    f, alpha, grid=None, periods=2, basepoint=None, fd_h=FD_H, tol=PATH_TOL
 ):
     """Path-route cocycle of the lifted map on the cover window.
 
@@ -180,7 +181,7 @@ def lifted_cocycle(
     )
 
 
-def periodicity_residual(K, circumference=2.0 * np.pi):
+def periodicity_residual(K, circumference):
     """max |K(p, q + circ) - K(p, q)| over lifted grid nodes.
 
     Small iff the lifted cocycle descends to the cylinder, which happens
@@ -191,7 +192,7 @@ def periodicity_residual(K, circumference=2.0 * np.pi):
     return float(np.max(np.abs(s[:, stride:] - s[:, :-stride])))
 
 
-def growth_rate(K, circumference=2.0 * np.pi):
+def growth_rate(K, circumference):
     """Least-squares slope of K along q, taken over deck translates.
 
     Every lattice family {(p_i, q_k + j*circ)} is fit with a line in q

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import Primitive
-from .dynamics import GroupWord, compose
-from .cocycle import cocycle_by_action, cocycle_by_path
+from .dynamics import FD_H, GroupWord, compose
+from .cocycle import PATH_TOL, cocycle_by_action, cocycle_by_path
 from .invariants import polterovich
 
 __all__ = [
@@ -83,8 +83,8 @@ def probe_points(window, count=40, seed=0, inset=0.05):
     """Quasi-random probe points inside ``window``.
 
     A Halton sequence in bases 2 and 3, started at an offset derived
-    from ``seed`` so that different seeds give disjoint, equally
-    well-spread point sets.  Points keep ``inset`` of the window span
+    from the nonnegative ``seed`` so that different seeds give disjoint,
+    equally well-spread point sets.  Points keep ``inset`` of the window span
     away from each edge; probes hugging the boundary would make escape
     warnings and wrap seams part of the equality test for no gain.
     """
@@ -93,7 +93,11 @@ def probe_points(window, count=40, seed=0, inset=0.05):
         raise ValidationError(f"need at least one probe point, got {count}")
     if not (0.0 <= inset < 0.5):
         raise ValidationError(f"inset must be in [0, 0.5), got {inset}")
-    start = int(seed) * 997 + 1
+    seed = int(seed)
+    if seed < 0:
+        # a Halton index at or below zero puts every probe on one point
+        raise ValidationError(f"the probe seed must be nonnegative, got {seed}")
+    start = seed * 997 + 1
     u = np.array([_radical_inverse(start + i, 2) for i in range(count)])
     v = np.array([_radical_inverse(start + i, 3) for i in range(count)])
     pad_p = inset * window.p_span
@@ -131,16 +135,15 @@ class Fingerprint:
         pim, qim = m.apply(np.array(ps, dtype=float), np.array(qs, dtype=float))
         return cls(pim, manifold.wrap_q(qim))
 
-    def distance(self, other, manifold=None):
-        """Largest coordinate-wise gap to ``other`` over all probes."""
+    def distance(self, other, manifold):
+        """Largest coordinate-wise gap to ``other`` over all probes, with
+        q-gaps wrapped on the manifold."""
         dp = np.abs(self.p_images - other.p_images)
-        dq = self.q_images - other.q_images
-        if manifold is not None and manifold.is_cylinder:
-            dq = manifold.wrap_delta(dq)
+        dq = manifold.wrap_delta(self.q_images - other.q_images)
         return float(max(np.max(dp), np.max(np.abs(dq))))
 
-    def matches(self, other, manifold=None, tol=MATCH_TOL):
-        return self.distance(other, manifold) <= tol
+    def matches(self, other, manifold):
+        return self.distance(other, manifold) <= MATCH_TOL
 
 
 # ============================================================
@@ -165,7 +168,7 @@ class GeneratorSet:
     """
 
     def __init__(self, named_maps, alpha=None, grid=None, basepoint=None,
-                 fd_h=1e-5, tol=1e-6, method="path"):
+                 fd_h=FD_H, tol=PATH_TOL, method="path"):
         items = list(
             named_maps.items() if hasattr(named_maps, "items") else named_maps
         )
@@ -357,7 +360,7 @@ def _word_text(letters):
 # ============================================================
 
 
-def distortion_table(gens, word, x, y, n_max, radius_cap=6, seed=0):
+def distortion_table(gens, word, x, y, n_max, seed=0):
     """Rows (n, bound, empirical_norm, ratio) for n = 1 .. n_max.
 
     The word's cocycle is computed once (the generator set memoizes it)
@@ -371,7 +374,7 @@ def distortion_table(gens, word, x, y, n_max, radius_cap=6, seed=0):
     for n in range(1, int(n_max) + 1):
         bound = distortion_lower_bound(gens, word, x, y, n)
         target = gens.realize(word.power(n))
-        norm = word_ball_norm(gens, target, radius_cap=radius_cap, seed=seed)
+        norm = word_ball_norm(gens, target, seed=seed)
         ratio = None if not norm else bound / norm
         rows.append((n, bound, norm, ratio))
     return rows

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import Expr, as_expr
-from .geometry import Window
+from .geometry import Window, q_jump
 
 __all__ = [
     "ComposedMap",
@@ -56,6 +56,10 @@ __all__ = [
     "isotopy",
     "map_with_jacobian",
 ]
+
+
+#: Step of the central-difference jacobian in ``map_with_jacobian``.
+FD_H = 1e-5
 
 
 class EscapedWindowWarning(UserWarning):
@@ -220,27 +224,15 @@ class FlowMap:
         self._xq = xq.fn
         self._inverse = None
         if manifold.is_cylinder:
-            self._check_field_periodicity(xp, xq)
-
-    def _check_field_periodicity(self, xp, xq, n=13, tol=1e-9):
-        w = self.manifold.window
-        circ = self.manifold.circumference
-        ps = np.linspace(w.p_min, w.p_max, n)
-        qs = np.linspace(w.q_min, w.q_max, n)
-        P, Q = np.meshgrid(ps, qs, indexing="ij")
-        for label, comp in (("dF/dq", xp), ("dF/dp", xq)):
-            for tv in (0.0, 0.37 * self.spec.duration, self.spec.duration):
-                a = np.broadcast_to(np.asarray(comp(P, Q, tv), dtype=float), P.shape)
-                b = np.broadcast_to(
-                    np.asarray(comp(P, Q + circ, tv), dtype=float), P.shape
-                )
-                gap = float(np.max(np.abs(a - b)))
-                if gap > tol * (1.0 + float(np.max(np.abs(a)))):
-                    raise ValidationError(
-                        "vector field is not periodic in q on the cylinder "
-                        f"(component {label} jumps by {gap:.3e}); the flow "
-                        "would not descend to the quotient"
-                    )
+            for label, comp in (("dF/dq", xp), ("dF/dp", xq)):
+                for tv in (0.0, 0.37 * spec.duration, spec.duration):
+                    gap = q_jump(manifold, comp, tv)
+                    if gap is not None:
+                        raise ValidationError(
+                            "vector field is not periodic in q on the cylinder "
+                            f"(component {label} jumps by {gap:.3e}); the flow "
+                            "would not descend to the quotient"
+                        )
 
     # -- stepping ------------------------------------------------
 
@@ -465,12 +457,13 @@ class GroupWord:
         return GroupWord(base.letters * abs(n))
 
 
-def compose(word, generators, manifold=None):
-    """Bind a word's letters to generator maps and return the composition.
+def compose(word, generators, manifold):
+    """Bind a word's letters to generator maps and return the composition
+    on ``manifold``.
 
     ``generators`` maps names to FlowMap or TwistMap objects.  Letters are
-    applied right to left (product order).  The empty word needs either a
-    manifold argument or a nonempty generator set to infer one from.
+    applied right to left (product order); the empty word composes to the
+    identity.
     """
     factors = []
     for name, exp in reversed(word.letters):
@@ -482,15 +475,6 @@ def compose(word, generators, manifold=None):
                 f"word uses unbound generator {name!r}; known: {known}"
             ) from None
         factors.append(g if exp == 1 else g.inverse())
-    if manifold is None:
-        if factors:
-            manifold = factors[0].manifold
-        elif generators:
-            manifold = next(iter(generators.values())).manifold
-        else:
-            raise ValidationError(
-                "cannot infer a manifold for the empty word with no generators"
-            )
     return ComposedMap(factors, manifold)
 
 
@@ -515,7 +499,7 @@ class MapJet:
         return self.dpp * self.dqq - self.dpq * self.dqp
 
 
-def map_with_jacobian(m, P, Q, fd_h=1e-5):
+def map_with_jacobian(m, P, Q, fd_h=FD_H):
     """Evaluate a map and its central-difference jacobian on a batch.
 
     All five stencil copies go through one map evaluation, so flow maps

@@ -82,10 +82,6 @@ class Window:
     def q_span(self):
         return self.q_max - self.q_min
 
-    @property
-    def area(self):
-        return self.p_span * self.q_span
-
     def contains(self, p, q, slack=0.0):
         """Whether (p, q) lies in the window grown by ``slack``; elementwise
         on arrays."""
@@ -194,6 +190,21 @@ class ManifoldModel:
         return out
 
 
+def q_jump(manifold, fn, t):
+    """How far ``fn(p, q, t)`` jumps across one circumference in q on a
+    13x13 grid of the window, or None when every jump stays within
+    1e-9*(1 + max|fn|): the test that a field descends to the cylinder."""
+    P, Q = GridSpec(13, 13).mesh(manifold.window)
+    here = np.broadcast_to(np.asarray(fn(P, Q, t), dtype=float), P.shape)
+    there = np.broadcast_to(
+        np.asarray(fn(P, Q + manifold.circumference, t), dtype=float), P.shape
+    )
+    gap = float(np.max(np.abs(here - there)))
+    if gap > 1e-9 * (1.0 + float(np.max(np.abs(here)))):
+        return gap
+    return None
+
+
 def plane(window):
     return ManifoldModel("plane", window)
 
@@ -271,12 +282,9 @@ class Primitive:
                 f"(tolerance {tol:.1e}) near {bad}"
             )
         if manifold.is_cylinder:
-            c = manifold.circumference
             for label, comp in (("a_p", self.a_p), ("a_q", self.a_q)):
-                here = np.asarray(comp(P, Q, 0.0), dtype=float)
-                there = np.asarray(comp(P, Q + c, 0.0), dtype=float)
-                gap = float(np.max(np.abs(here - there)))
-                if gap > 1e-9 * (1.0 + float(np.max(np.abs(here)))):
+                gap = q_jump(manifold, comp, 0.0)
+                if gap is not None:
                     raise ValidationError(
                         f"primitive {self.name!r} is not periodic in q on the "
                         f"cylinder: component {label} jumps by {gap:.3e} "
@@ -341,13 +349,12 @@ def _refine(f, a, b, whole, tol, noise_floor, depth_left):
 
 
 def integrate_area(g, window, tol=1e-10):
-    """Iterated adaptive quadrature of a scalar field over the window."""
+    """Iterated adaptive quadrature over the window of an expression or
+    of a vectorized callable g(p, q)."""
     if isinstance(g, Expr):
         fn = g.fn
-    elif callable(g):
-        fn = lambda p, q, t=0.0: g(p, q)
     else:
-        fn = as_expr(g).fn
+        fn = lambda p, q, t=0.0: g(p, q)
     inner_tol = tol / (8.0 * window.p_span)
 
     def row(pvals):

@@ -54,6 +54,14 @@ ACCEPT_TOL = 1e-8
 DEDUP_RADIUS = 1e-6
 MAX_CANDIDATES = 200
 
+#: Quadrature tolerances of ``calabi_from_hamiltonian`` (per space
+#: integral) and of ``twist_boundary_difference``.
+CALABI_TOL = 1e-9
+TWIST_TOL = 1e-9
+#: ``flux_compare`` calls the lifted cocycle bounded when its growth rate
+#: along q stays below this.
+GROWTH_TOL = 1e-3
+
 
 class WrongNormalization(ValidationError):
     """The operation needs a differently normalized cocycle."""
@@ -64,7 +72,8 @@ class NotFixedPoint(ValidationError):
 
 
 class NoFixedPointFound(NumericalError):
-    """Raised by strict callers when a fixed-point search comes up empty.
+    """Raised by strict callers, such as the CLI's automatic choice of a
+    fixed-point pair, when a fixed-point search finds too few points.
 
     The search itself returns an empty, flagged report instead of
     raising; a coarse scan finding nothing proves nothing.
@@ -91,7 +100,7 @@ def calabi(K):
     return K.integral()
 
 
-def calabi_from_hamiltonian(spec, manifold, tol=1e-9):
+def calabi_from_hamiltonian(spec, manifold):
     """Twice the space-time integral of the generating Hamiltonian.
 
     This is the closed-form counterpart of ``calabi`` of the flow's
@@ -102,7 +111,7 @@ def calabi_from_hamiltonian(spec, manifold, tol=1e-9):
     w = manifold.window
     ff = spec.F.fn
     if spec.autonomous:
-        area = integrate_area(spec.F, w, tol=tol)
+        area = integrate_area(spec.F, w, tol=CALABI_TOL)
         return 2.0 * area * spec.duration
 
     def at_time(ts):
@@ -110,12 +119,13 @@ def calabi_from_hamiltonian(spec, manifold, tol=1e-9):
         out = np.empty(ts.shape)
         for i, tv in enumerate(ts):
             out[i] = integrate_area(
-                lambda p, q: ff(p, q, float(tv)), w, tol=tol
+                lambda p, q: ff(p, q, float(tv)), w, tol=CALABI_TOL
             )
         return out
 
     return 2.0 * quad_adaptive(
-        at_time, 0.0, spec.duration, tol=10.0 * tol, noise_floor=4.0 * tol
+        at_time, 0.0, spec.duration, tol=10.0 * CALABI_TOL,
+        noise_floor=4.0 * CALABI_TOL,
     )
 
 
@@ -159,7 +169,7 @@ def oscillation(K):
 # ============================================================
 
 
-def twist_boundary_difference(tw, alpha=None, fd_h=1e-5, tol=1e-9):
+def twist_boundary_difference(tw, alpha=None):
     """K(1, q) - K(-1, q) for a twist, by adaptive line quadrature.
 
     The cocycle of a twist depends on p alone, so the difference is the
@@ -175,9 +185,9 @@ def twist_boundary_difference(tw, alpha=None, fd_h=1e-5, tol=1e-9):
     def theta_p(ps):
         ps = np.asarray(ps, dtype=float)
         qs = np.full_like(ps, q0)
-        return _pullback_defect(tw, alpha, ps, qs, fd_h)[0]
+        return _pullback_defect(tw, alpha, ps, qs)[0]
 
-    return quad_adaptive(theta_p, -1.0, 1.0, tol=tol)
+    return quad_adaptive(theta_p, -1.0, 1.0, tol=TWIST_TOL)
 
 
 # ============================================================
@@ -198,7 +208,6 @@ class FixedPoint:
 class FixedPointReport:
     points: tuple
     degenerate_identity: bool
-    scan_shape: tuple
 
     @property
     def found(self):
@@ -384,11 +393,7 @@ def find_fixed_points(f, grid=None, alpha=None):
                 region_representative=is_region,
             )
         )
-    return FixedPointReport(
-        points=tuple(points),
-        degenerate_identity=degenerate,
-        scan_shape=(grid.n_p, grid.n_q),
-    )
+    return FixedPointReport(points=tuple(points), degenerate_identity=degenerate)
 
 
 # ============================================================
@@ -401,7 +406,7 @@ class FluxReport:
     """Flux of the isotopy against boundedness of the lifted cocycle.
 
     ``bounded`` is a finite-window diagnostic: the least-squares growth
-    rate of the lifted cocycle along q is compared with ``tol`` on the
+    rate of the lifted cocycle along q is compared with GROWTH_TOL on the
     window reported here, not on the whole cover.
     """
 
@@ -409,7 +414,6 @@ class FluxReport:
     growth_rate_of_k: float
     bounded: bool
     window: Window
-    tol: float
 
 
 def _flux_of_flow(m, n_loop=1024, n_time=64):
@@ -433,13 +437,13 @@ def _flux_of_flow(m, n_loop=1024, n_time=64):
     return total
 
 
-def flux_compare(f, alpha=None, grid=None, periods=3, tol=1e-3):
+def flux_compare(f, alpha=None, grid=None, periods=3):
     """Flux of the isotopy of f next to the growth of its lifted cocycle.
 
     On the cylinder a map with nonzero flux cannot be Hamiltonian, and
     its lifted cocycle grows linearly in q; both numbers are reported so
     the correspondence can be checked.  ``bounded`` holds when the
-    least-squares growth rate stays below ``tol``.
+    least-squares growth rate stays below GROWTH_TOL.
     """
     if not f.manifold.is_cylinder:
         raise WrongManifold("flux_compare is a cylinder diagnostic")
@@ -454,7 +458,6 @@ def flux_compare(f, alpha=None, grid=None, periods=3, tol=1e-3):
     return FluxReport(
         flux_value=float(flux),
         growth_rate_of_k=float(rate),
-        bounded=bool(abs(rate) < tol),
+        bounded=bool(abs(rate) < GROWTH_TOL),
         window=lifted_window(f.manifold, periods),
-        tol=tol,
     )

@@ -8,9 +8,10 @@ all and prints one PASS/FAIL line each; the acceptance test suite runs
 the same registry, so a green CLI and a green test run mean the same
 thing.
 
-Checks share a Workbench of lazily built flows and cocycles, keyed by
-(seed, grid, step), so running the whole registry costs little more
-than its most expensive member.
+Checks share a Workbench of lazily built flows and cocycles, one per
+seed, so running the whole registry costs little more than its most
+expensive member.  Every check runs on the gate's GATE_GRID with the
+integrator step GATE_STEP.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ SINE_PROFILE = "pi*(1 + sin(pi*min(1, max(-1, p))/2))"
 ORIGIN = (0.0, 0.0)
 FAR_CORNER = (4.0, 4.0)
 
+GATE_GRID = GridSpec(101, 101)
+GATE_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -88,10 +92,9 @@ def _signed(v, var):
 class Workbench:
     """Lazily built shared artifacts for the checks."""
 
-    def __init__(self, seed=0, grid=None, step=1e-3):
+    def __init__(self, seed):
         self.seed = int(seed)
-        self.grid = grid or GridSpec(101, 101)
-        self.step = float(step)
+        self.grid = GATE_GRID
         self.plane = plane(PLANE_WINDOW)
         self.cyl = cylinder(CYL_WINDOW)
         self.p_dq = Primitive.p_dq()
@@ -104,18 +107,19 @@ class Workbench:
 
     # -- maps -----------------------------------------------------
 
-    def flow(self, expr, duration=1.0, on_cylinder=False):
-        key = ("flow", expr, duration, on_cylinder)
+    def flow(self, expr, on_cylinder=False):
+        """The unit-time flow of ``expr``."""
+        key = ("flow", expr, on_cylinder)
         manifold = self.cyl if on_cylinder else self.plane
         return self.once(key, lambda: FlowMap(
-            HamiltonianSpec(parse(expr), duration), manifold, step=self.step
+            HamiltonianSpec(parse(expr)), manifold, step=GATE_STEP
         ))
 
-    def random_pairs(self, count=5):
+    def random_pairs(self):
         def build():
             rng = np.random.default_rng(self.seed)
             pairs = []
-            for _ in range(count):
+            for _ in range(5):
                 exprs = []
                 for _ in range(2):
                     amp = rng.uniform(0.05, 0.2)
@@ -129,7 +133,7 @@ class Workbench:
                     )
                 pairs.append(tuple(exprs))
             return pairs
-        return self.once(("pairs", count), build)
+        return self.once("pairs", build)
 
     # -- cocycles -------------------------------------------------
 
@@ -265,13 +269,13 @@ def _check_dehn_twist(bench):
 def _check_calabi_factor(bench):
     """calabi(K) against the doubled Hamiltonian integral, three scenarios."""
     cases = [
-        (HINGE_BUMP, HINGE_SUPPORT, 1.0),
-        (HINGE_BUMP_OFF, HINGE_OFF_SUPPORT, 1.0),
-        (HINGE_BUMP_DECAY, HINGE_SUPPORT, 1.0),
+        (HINGE_BUMP, HINGE_SUPPORT),
+        (HINGE_BUMP_OFF, HINGE_OFF_SUPPORT),
+        (HINGE_BUMP_DECAY, HINGE_SUPPORT),
     ]
     worst = 0.0
-    for expr, support, duration in cases:
-        f = bench.flow(expr, duration)
+    for expr, support in cases:
+        f = bench.flow(expr)
         K = normalize_compact(
             bench.action_cocycle(("calabi", expr), f), support
         )
@@ -359,7 +363,7 @@ def _check_cover_lifting(bench):
         ("lifted-K", COMPACT_CYL_F),
         lambda: lifted_cocycle(f, bench.p_dq, grid=bench.grid, periods=3),
     )
-    e_per = periodicity_residual(K)
+    e_per = periodicity_residual(K, bench.cyl.circumference)
     ok = e_deck < 1e-9 and e_per < 1e-4
     return ok, (
         f"deck equivariance residual {e_deck:.3e} on 100 points (tol 1e-09), "
@@ -460,25 +464,23 @@ CHECK_NAMES = tuple(CHECKS)
 _BENCHES = {}
 
 
-def _bench_for(seed, grid, step):
-    grid = grid or GridSpec(101, 101)
-    key = (int(seed), grid.n_p, grid.n_q, float(step))
-    if key not in _BENCHES:
-        _BENCHES[key] = Workbench(seed=seed, grid=grid, step=step)
-    return _BENCHES[key]
+def _bench_for(seed):
+    seed = int(seed)
+    if seed not in _BENCHES:
+        _BENCHES[seed] = Workbench(seed)
+    return _BENCHES[seed]
 
 
-def run_check(name, seed=0, grid=None, step=1e-3):
+def run_check(name, seed=0):
     """Run one named check and report the measured numbers."""
     if name not in CHECKS:
         known = ", ".join(CHECK_NAMES)
         raise KeyError(f"unknown check {name!r}; known: {known}")
-    bench = _bench_for(seed, grid, step)
+    bench = _bench_for(seed)
     passed, detail = CHECKS[name](bench)
     return CheckResult(name, bool(passed), detail)
 
 
-def run_all(names=None, seed=0, grid=None, step=1e-3):
-    """Run the whole registry (or a subset) in registration order."""
-    selected = CHECK_NAMES if names is None else tuple(names)
-    return [run_check(n, seed=seed, grid=grid, step=step) for n in selected]
+def run_all(seed=0):
+    """Run the whole registry in registration order."""
+    return [run_check(n, seed=seed) for n in CHECK_NAMES]

@@ -1,9 +1,11 @@
 """The benchmark's traced run wraps package functions by name.
 
 ``perfbench/spans.py`` lists every layer boundary as a (module, attribute)
-pair and patches three more by hand; a rename or deletion in the package
-would break the traced run only when the benchmark runs.  These tests read
-the list (without importing the benchmark) and resolve each name here.
+pair and patches three more by hand, and ``perfbench/selftest.py`` lists
+the modules that import some of them by name; a rename, deletion or moved
+import in the package would break the traced run only when the benchmark
+runs.  These tests read both lists (without importing the benchmark) and
+resolve each name here.
 """
 
 import ast
@@ -19,19 +21,22 @@ from symcocycle.exprlang import Expr, parse
 from symcocycle.geometry import Window, plane
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SELFTEST = SPANS.with_name("selftest.py")
 
 
-def _boundaries():
-    tree = ast.parse(SPANS.read_text())
+def _assigned(path, name):
+    """The literal value of a module-level assignment to ``name``."""
+    tree = ast.parse(path.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            getattr(t, "id", None) == "BOUNDARIES" for t in node.targets
+            getattr(t, "id", None) == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no BOUNDARIES in {SPANS}")
+    raise AssertionError(f"no {name} in {path}")
 
 
-BOUNDARIES = _boundaries()
+BOUNDARIES = _assigned(SPANS, "BOUNDARIES")
+IMPORT_SITES = _assigned(SELFTEST, "IMPORT_SITES")
 
 
 def test_boundary_list_is_read():
@@ -54,6 +59,18 @@ def test_boundary_resolves(home, attr):
     else:
         target = getattr(mod, attr, None)
     assert callable(target)
+
+
+@pytest.mark.parametrize("label", sorted(IMPORT_SITES))
+def test_import_sites_bind_the_same_function(label):
+    # the self-test requires the traced wrapper at every listed site, which
+    # only works while each site holds the very function object of its home
+    home, attr = label.split(".")
+    original = getattr(importlib.import_module(f"symcocycle.{home}"), attr)
+    assert callable(original)
+    for site in sorted(IMPORT_SITES[label]):
+        bound = getattr(importlib.import_module(f"symcocycle.{site}"), attr, None)
+        assert bound is original, f"symcocycle.{site}.{attr}"
 
 
 def test_march_signature():

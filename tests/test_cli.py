@@ -1,12 +1,15 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
 import pytest
 
 from symcocycle import cli
+from symcocycle.cocycle import cocycle_by_action
 from symcocycle.dynamics import FlowMap, TwistMap
 from symcocycle.errors import ValidationError
+from symcocycle.invariants import NoFixedPointFound
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PLANE_BUMP = str(SCENARIOS / "plane_bump.json")
@@ -112,6 +115,29 @@ def test_validation_exit_codes(tmp_path):
     assert cli.main(["verify", "--config", bad_bp]) == 2
 
 
+@pytest.mark.parametrize(
+    "changes, flags",
+    [
+        pytest.param({}, ["--tol", "nan"], id="tol-flag-nan"),
+        pytest.param({}, ["--tol", "inf"], id="tol-flag-inf"),
+        pytest.param({"tolerances": {"tol": math.nan}}, [], id="tol-nan"),
+        pytest.param({"tolerances": {"fd_h": 0}}, [], id="fd_h-zero"),
+        pytest.param({"basepoint": ["x", 0]}, [], id="basepoint-text"),
+    ],
+)
+def test_bad_tolerances_and_basepoint_exit_2(tmp_path, capsys, changes, flags):
+    # at 11x11 nodes and step 0.05 the two path families disagree, so the
+    # default tolerance makes osc exit 3; a NaN or infinite tolerance
+    # would switch that check off and exit 0
+    coarse = json.loads(Path(PLANE_BUMP).read_text())["manifold"]
+    coarse["resolution"] = [11, 11]
+    path = write_variant(
+        tmp_path, PLANE_BUMP, manifold=coarse, integrator={"h": 0.05}, **changes
+    )
+    assert cli.main(["osc", "--config", path, *flags]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_argparse_errors_map_to_exit_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["cocycle"]) == 2  # --config is required
@@ -170,6 +196,20 @@ def test_polterovich_auto_fixed_points(capsys):
     assert code == 0
     value = float(out.split()[1])
     assert abs(value - 0.1) < 1e-3
+
+
+def test_auto_fixed_points_needs_two_points(capsys):
+    # the constant Hamiltonian fixes the whole window: one exactly fixed
+    # region, so the search reports a single representative
+    sc = cli.load_scenario(PLANE_BUMP)
+    flat = sc.maps["flat"]
+    K = cocycle_by_action(flat, sc.primitive, grid=sc.grid)
+    with pytest.raises(NoFixedPointFound):
+        cli._auto_pair(flat, K, sc)
+    code = cli.main(["polterovich", "--config", PLANE_BUMP, "--word", "flat",
+                     "--auto-fixed-points"])
+    assert code == 3
+    assert "fewer than two fixed points" in capsys.readouterr().err
 
 
 def test_polterovich_needs_points_or_auto(capsys):
@@ -288,6 +328,17 @@ def test_distortion_table_csv(tmp_path, capsys):
         assert int(n) == expect_n
         assert int(norm) == expect_n
         assert abs(float(ratio) - float(bound) / float(norm)) < 1e-15
+
+
+def test_distortion_rejects_negative_seed(tmp_path, capsys):
+    # a negative seed would start the Halton index at or below zero and put
+    # all probes on one point, where every word matches the identity
+    path = write_variant(tmp_path, DISJOINT_PAIR, integrator={"h": 0.02})
+    code = cli.main(["distortion", "--config", path, "--word", "a b",
+                     "--method", "action", "--n-max", "2", "--seed", "-1",
+                     "--out", str(tmp_path / "table.csv")])
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_fixed_points_csv(tmp_path, capsys):

@@ -47,7 +47,7 @@ def _lin_grid():
     w = Window(0, 1, 0, 2)
     P, Q = GridSpec(11, 21).mesh(w)
     return GridFunction(
-        plane(w), w, 2.0 * P - 3.0 * Q + 0.5, Normalization.mod_constants()
+        plane(w), 2.0 * P - 3.0 * Q + 0.5, Normalization.mod_constants()
     )
 
 
@@ -73,7 +73,7 @@ def test_cubic_reproduces_cubics():
     w = Window(-1, 1, -1, 1)
     P, Q = GridSpec(15, 15).mesh(w)
     vals = P**3 - 2.0 * P * Q**2 + Q**3
-    g = GridFunction(plane(w), w, vals, Normalization.mod_constants())
+    g = GridFunction(plane(w), vals, Normalization.mod_constants())
     for p, q in [(0.33, -0.71), (-0.99, 0.02), (0.5, 0.5)]:
         want = p**3 - 2 * p * q**2 + q**3
         assert g.evaluate_cubic(p, q) == pytest.approx(want, abs=1e-12)
@@ -83,7 +83,7 @@ def test_cylinder_evaluation_wraps_q():
     w = CYL.window
     P, Q = GridSpec(9, 33).mesh(w)
     vals = np.sin(Q) * np.exp(P)
-    g = GridFunction(CYL, w, vals, Normalization.mod_constants())
+    g = GridFunction(CYL, vals, Normalization.mod_constants())
     assert g.evaluate(0.5, 1.0 + 2 * math.pi) == pytest.approx(
         g.evaluate(0.5, 1.0), abs=1e-12
     )
@@ -103,7 +103,6 @@ def test_gridfunction_arithmetic_and_osc():
     assert not g.equal_mod_constants(2.0 * g, tol=1e-4)
     other = GridFunction(
         plane(Window(0, 1, 0, 1)),
-        Window(0, 1, 0, 1),
         np.zeros((5, 5)),
         Normalization.mod_constants(),
     )
@@ -114,7 +113,7 @@ def test_gridfunction_arithmetic_and_osc():
 def test_gridfunction_integral():
     w = Window(0, 1, 0, 1)
     P, Q = GridSpec(41, 41).mesh(w)
-    g = GridFunction(plane(w), w, P * Q, Normalization.mod_constants())
+    g = GridFunction(plane(w), P * Q, Normalization.mod_constants())
     assert g.integral() == pytest.approx(0.25, abs=1e-10)
 
 
@@ -122,7 +121,7 @@ def test_fd_gradient_on_smooth_samples():
     w = Window(-2, 2, -2, 2)
     P, Q = GridSpec(81, 81).mesh(w)
     g = GridFunction(
-        plane(w), w, np.sin(P) * np.cos(Q), Normalization.mod_constants()
+        plane(w), np.sin(P) * np.cos(Q), Normalization.mod_constants()
     )
     gp, gq = g.fd_gradient()
     want_p = np.cos(P) * np.cos(Q)
@@ -134,11 +133,11 @@ def test_fd_gradient_on_smooth_samples():
 def test_gridfunction_validation():
     w = Window(0, 1, 0, 1)
     with pytest.raises(ValidationError):
-        GridFunction(plane(w), w, np.zeros((2, 5)), Normalization.mod_constants())
+        GridFunction(plane(w), np.zeros((2, 5)), Normalization.mod_constants())
     bad = np.zeros((5, 5))
     bad[2, 2] = math.nan
     with pytest.raises(ValidationError):
-        GridFunction(plane(w), w, bad, Normalization.mod_constants())
+        GridFunction(plane(w), bad, Normalization.mod_constants())
 
 
 # ------------------------------------------------------------------
@@ -381,9 +380,7 @@ def test_primitive_change():
     G_of_minus_G = (
         0.5 * yp.reshape(P.shape) * yq.reshape(P.shape) - 0.5 * P * Q
     )
-    corr = GridFunction(
-        PLANE4, PLANE4.window, G_of_minus_G, Normalization.mod_constants()
-    )
+    corr = GridFunction(PLANE4, G_of_minus_G, Normalization.mod_constants())
     assert (K_a - K_b).equal_mod_constants(corr, tol=5e-4)
 
 
@@ -408,7 +405,7 @@ def test_normalize_compact_bump():
 def test_normalize_compact_constant():
     w = Window(0, 1, 0, 1)
     K = GridFunction(
-        plane(w), w, np.full((11, 11), 3.7), Normalization.mod_constants()
+        plane(w), np.full((11, 11), 3.7), Normalization.mod_constants()
     )
     K0 = normalize_compact(K, Window(0.3, 0.7, 0.3, 0.7))
     assert K0.max_abs() < 1e-12
@@ -425,7 +422,7 @@ def test_normalize_compact_rejects_unbalanced_twist():
 
 def test_normalize_compact_needs_room():
     w = Window(0, 1, 0, 1)
-    K = GridFunction(plane(w), w, np.zeros((5, 5)), Normalization.mod_constants())
+    K = GridFunction(plane(w), np.zeros((5, 5)), Normalization.mod_constants())
     with pytest.raises(ValidationError):
         normalize_compact(K, w)
 
@@ -504,5 +501,5 @@ def test_iota_dq_on_cylinder_measures_displacement():
     P, Q = grid.mesh(CYL.window)
     yp, yq = f.apply(P.ravel(), Q.ravel())
     disp = (yq - Q.ravel()).reshape(P.shape)
-    want = GridFunction(CYL, CYL.window, disp, Normalization.mod_constants())
+    want = GridFunction(CYL, disp, Normalization.mod_constants())
     assert got.equal_mod_constants(want, tol=5e-5)

@@ -139,15 +139,17 @@ def test_lifted_cocycle_p_translation_is_linear():
     want = c * Q
     want = want - want[10, 48]  # pinned at the cover window center
     assert np.max(np.abs(K.samples - want)) < 1e-9
-    assert growth_rate(K) == pytest.approx(c, abs=1e-9)
-    assert periodicity_residual(K) == pytest.approx(c * 2 * math.pi, abs=1e-9)
+    assert growth_rate(K, CYL.circumference) == pytest.approx(c, abs=1e-9)
+    assert periodicity_residual(K, CYL.circumference) == pytest.approx(
+        c * 2 * math.pi, abs=1e-9
+    )
 
 
 def test_lifted_cocycle_hamiltonian_is_periodic():
     flow = compact_flow()
     K = lifted_cocycle(flow, PDQ, grid=GridSpec(41, 65), periods=2)
-    assert periodicity_residual(K) < 1e-4
-    assert abs(growth_rate(K)) < 1e-4
+    assert periodicity_residual(K, CYL.circumference) < 1e-4
+    assert abs(growth_rate(K, CYL.circumference)) < 1e-4
     # and the same map passes the exactness test downstairs
     assert hamiltonian_test(flow, PDQ).in_ham_hat
 
@@ -156,7 +158,7 @@ def test_periodicity_iff_exactness_fails_for_translation():
     c = 0.3
     f = FlowMap(HamiltonianSpec(parse(f"{c}*q")), CYL, step=5e-3)
     K = lifted_cocycle(f, PDQ, grid=GridSpec(21, 33), periods=2)
-    assert periodicity_residual(K) > 1.0
+    assert periodicity_residual(K, CYL.circumference) > 1.0
     assert not hamiltonian_test(f, PDQ).in_ham_hat
 
 

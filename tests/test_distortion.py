@@ -90,6 +90,8 @@ def test_probe_points_validation():
         probe_points(WIN, 0)
     with pytest.raises(ValidationError):
         probe_points(WIN, 10, inset=0.7)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        probe_points(WIN, 40, seed=-1)
 
 
 def test_fingerprint_match_tolerance():

@@ -310,12 +310,12 @@ def test_word_algebra():
 
 def test_product_order_rightmost_acts_first():
     gens = {"a": quarter_turn(), "b": down_shift()}
-    m = compose(GroupWord.from_string("a b"), gens)
+    m = compose(GroupWord.from_string("a b"), gens, PLANE)
     out = m.apply(1.0, 0.0)
     # b first: (1, -1); then the quarter turn sends (p,q) to (q, -p)
     assert out[0] == pytest.approx(-1.0, abs=1e-9)
     assert out[1] == pytest.approx(-1.0, abs=1e-9)
-    m2 = compose(GroupWord.from_string("b a"), gens)
+    m2 = compose(GroupWord.from_string("b a"), gens, PLANE)
     out2 = m2.apply(1.0, 0.0)
     assert out2[0] == pytest.approx(0.0, abs=1e-9)
     assert out2[1] == pytest.approx(-2.0, abs=1e-9)
@@ -325,10 +325,10 @@ def test_group_law():
     gens = {"a": quarter_turn(), "b": down_shift()}
     w1 = GroupWord.from_string("a")
     w2 = GroupWord.from_string("b a")
-    chained = compose(w1.then(w2), gens)
+    chained = compose(w1.then(w2), gens, PLANE)
     assert w1.then(w2).letters == w2.letters + w1.letters
-    seq_first = compose(w1, gens)
-    seq_second = compose(w2, gens)
+    seq_first = compose(w1, gens, PLANE)
+    seq_second = compose(w2, gens, PLANE)
     for seed in [(0.3, -0.7), (1.1, 0.4), (-0.9, 1.3)]:
         mid = seq_first.apply(*seed)
         want = seq_second.apply(*mid)
@@ -339,7 +339,7 @@ def test_group_law():
 
 def test_inverse_pair_cancels():
     gens = {"g": FlowMap(HamiltonianSpec(parse("p^2/2 + cos(q)")), PLANE)}
-    m = compose(GroupWord.from_string("g g^-1"), gens)
+    m = compose(GroupWord.from_string("g g^-1"), gens, PLANE)
     for seed in [(0.5, 1.2), (-1.0, 0.1), (0.0, -2.0)]:
         out = m.apply(*seed)
         assert out[0] == pytest.approx(seed[0], abs=1e-7)
@@ -348,10 +348,10 @@ def test_inverse_pair_cancels():
 
 def test_empty_word_is_identity():
     gens = {"g": down_shift()}
-    m = compose(GroupWord(()), gens)
+    m = compose(GroupWord(()), gens, PLANE)
     assert m.apply(0.4, 0.6) == (0.4, 0.6)
-    with pytest.raises(ValidationError):
-        compose(GroupWord(()), {})
+    bare = compose(GroupWord(()), {}, CYL)
+    assert bare.manifold == CYL and bare.factors == ()
     ident = IdentityMap(PLANE)
     assert ident.apply(1.0, 2.0) == (1.0, 2.0)
     assert ident.inverse() is ident
@@ -359,7 +359,7 @@ def test_empty_word_is_identity():
 
 def test_unknown_generator():
     with pytest.raises(UnknownGenerator):
-        compose(GroupWord.from_string("zz"), {"g": down_shift()})
+        compose(GroupWord.from_string("zz"), {"g": down_shift()}, PLANE)
 
 
 def test_mixed_manifolds_rejected():
@@ -379,7 +379,7 @@ def test_flow_inverse_caching_and_roundtrip():
 
 def test_composed_inverse():
     gens = {"a": quarter_turn(), "b": down_shift()}
-    m = compose(GroupWord.from_string("a b"), gens)
+    m = compose(GroupWord.from_string("a b"), gens, PLANE)
     there = m.apply(0.7, -0.2)
     back = m.inverse().apply(*there)
     assert back[0] == pytest.approx(0.7, abs=1e-8)

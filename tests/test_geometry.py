@@ -39,7 +39,7 @@ def test_window_validation():
 
 def test_window_queries():
     w = Window(-2, 2, -1, 3)
-    assert w.p_span == 4 and w.q_span == 4 and w.area == 16
+    assert w.p_span == 4 and w.q_span == 4
     assert w.contains(0, 0)
     assert not w.contains(2.5, 0)
     assert w.contains(2.5, 0, slack=1.0)

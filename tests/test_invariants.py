@@ -67,7 +67,7 @@ def qbump_flow(expr=QBUMP, duration=1.0):
 
 def test_calabi_rejects_other_normalizations():
     w = Window(0, 1, 0, 1)
-    K = GridFunction(plane(w), w, np.zeros((5, 5)), Normalization.mod_constants())
+    K = GridFunction(plane(w), np.zeros((5, 5)), Normalization.mod_constants())
     with pytest.raises(WrongNormalization):
         calabi(K)
 
@@ -76,9 +76,7 @@ def test_calabi_of_sampled_bump_matches_closed_form():
     grid = GridSpec(201, 201)
     P, Q = grid.mesh(PLANE4.window)
     e = parse(QBUMP)
-    K = GridFunction(
-        PLANE4, PLANE4.window, e(P, Q), Normalization.compact()
-    )
+    K = GridFunction(PLANE4, e(P, Q), Normalization.compact())
     assert calabi(K) == pytest.approx(QBUMP_AREA, abs=1e-7)
 
 
@@ -174,7 +172,7 @@ def test_oscillation_definition():
     s = np.zeros((5, 5))
     s[1, 2] = 3.0
     s[3, 3] = -1.0
-    K = GridFunction(plane(w), w, s, Normalization.mod_constants())
+    K = GridFunction(plane(w), s, Normalization.mod_constants())
     assert oscillation(K) == 4.0
     assert oscillation(K + 10.0) == 4.0
 

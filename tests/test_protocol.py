@@ -116,7 +116,7 @@ def test_compose_matches_letters_applied_one_at_a_time(letters):
     word = GroupWord(tuple(letters))
     ps = np.linspace(-1.5, 1.5, 5)
     qs = np.linspace(0.2, 6.0, 5)
-    got_p, got_q = compose(word, maps).apply(ps, qs)
+    got_p, got_q = compose(word, maps, CYL).apply(ps, qs)
     p, q = ps, qs
     for name, e in reversed(word.letters):  # product order: rightmost first
         p, q = (maps if e == 1 else inverses)[name].apply(p, q)
@@ -126,7 +126,7 @@ def test_compose_matches_letters_applied_one_at_a_time(letters):
 
 def test_compose_reuses_the_cached_flow_inverse():
     f = word_maps()["f"]
-    inverse_word = compose(GroupWord((("f", -1),)), word_maps())
+    inverse_word = compose(GroupWord((("f", -1),)), word_maps(), CYL)
     assert len(inverse_word.factors) == 1
     assert inverse_word.factors[0] is f.inverse()
 
