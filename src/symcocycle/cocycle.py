@@ -445,14 +445,13 @@ def _action_stream(flow, fap, faq, p0, q0):
     h = duration / n
     weights = simpson_weights(n + 1, h)
     ff = flow.spec.F.fn
-    xp, xq = flow._xp, flow._xq
+    field = flow.field.fn
     wrap = manifold.wrap_q
     acc = np.zeros(np.shape(p0))
 
     def on_node(k, t, pv, qv):
         qe = wrap(qv)
-        pdot = xp(pv, qe, t)
-        qdot = xq(pv, qe, t)
+        pdot, qdot = field(pv, qe, t)
         line = fap(pv, qe, 0.0) * pdot + faq(pv, qe, 0.0) * qdot
         # F itself is evaluated at the unwrapped representative so that
         # chart Hamiltonians with periodic fields but multivalued F (the

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .exprlang import Expr, as_expr
+from .exprlang import Expr, as_expr, fused
 from .geometry import Window, q_jump
 
 __all__ = [
@@ -187,10 +187,9 @@ class TwistMap:
             )
         self.profile = profile
         self.manifold = manifold
-        self._prof = profile.fn
 
     def apply(self, p, q):
-        shift = self._prof(p, 0.0, 0.0)
+        shift = self.profile.fn(p, 0.0, 0.0)
         return _as_float_pair(p, q, p, np.asarray(q, dtype=float) + shift)
 
     def inverse(self):
@@ -220,8 +219,8 @@ class FlowMap:
         w = manifold.window
         self._slack = 0.25 * max(w.p_span, w.q_span)
         xp, xq = spec.vector_field()
-        self._xp = xp.fn
-        self._xq = xq.fn
+        # both components from one function, shared subexpressions once
+        self.field = fused(xp, xq)
         self._inverse = None
         if manifold.is_cylinder:
             for label, comp in (("dF/dq", xp), ("dF/dp", xq)):
@@ -237,23 +236,12 @@ class FlowMap:
     # -- stepping ------------------------------------------------
 
     def _step_rk4(self, p, q, t, h):
-        xp, xq, w = self._xp, self._xq, self.manifold.wrap_q
-        k1p = xp(p, w(q), t)
-        k1q = xq(p, w(q), t)
-        p2 = p + 0.5 * h * k1p
-        q2 = q + 0.5 * h * k1q
+        field, w = self.field.fn, self.manifold.wrap_q
+        k1p, k1q = field(p, w(q), t)
         tm = t + 0.5 * h
-        k2p = xp(p2, w(q2), tm)
-        k2q = xq(p2, w(q2), tm)
-        p3 = p + 0.5 * h * k2p
-        q3 = q + 0.5 * h * k2q
-        k3p = xp(p3, w(q3), tm)
-        k3q = xq(p3, w(q3), tm)
-        p4 = p + h * k3p
-        q4 = q + h * k3q
-        te = t + h
-        k4p = xp(p4, w(q4), te)
-        k4q = xq(p4, w(q4), te)
+        k2p, k2q = field(p + 0.5 * h * k1p, w(q + 0.5 * h * k1q), tm)
+        k3p, k3q = field(p + 0.5 * h * k2p, w(q + 0.5 * h * k2q), tm)
+        k4p, k4q = field(p + h * k3p, w(q + h * k3q), t + h)
         sixth = h / 6.0
         return (
             p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p),

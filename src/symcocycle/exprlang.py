@@ -23,9 +23,21 @@ expressions in the language: ``abs`` differentiates to ``sign(u)*u'`` with
 first argument on ties.
 
 Evaluation accepts scalars or numpy arrays for ``p``, ``q``, ``t`` and is
-plain IEEE double arithmetic.  Division by zero, even roots of negative
-numbers and ``0`` raised to a negative power raise :class:`DomainError`
-rather than producing silent NaNs.
+plain IEEE double arithmetic.  Division by zero, the square root of a
+negative number, a negative base with a fractional exponent and ``0``
+raised to a negative power raise :class:`DomainError` rather than
+producing silent NaNs.
+
+On its first evaluation an expression is compiled into one straight-line
+Python function of numpy calls.  A subexpression that occurs more than
+once is computed once, and a domain check is made only where it can
+fire: a power with a constant nonnegative integer exponent is not checked
+(a square is computed as ``b*b``), nor is a division by a nonzero
+constant, while every other ``/``, ``^`` and ``sqrt`` is.  The branches of
+``iflte`` are functions of their own, called on the points they select.
+``fused`` compiles several expressions into one function that returns
+the tuple of their values; flows evaluate both components of their
+vector field that way.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ __all__ = [
     "ParseError",
     "UnknownIdentifierError",
     "as_expr",
+    "fused",
     "parse",
 ]
 
@@ -298,108 +311,257 @@ class _Parser:
 
 
 # ============================================================
-# Compilation to numpy closures
+# Code generation: one straight-line Python function per expression
 # ============================================================
 
 
-def _compile(node):
-    if isinstance(node, Num):
-        v = node.value
-        return lambda p, q, t: v
-    if isinstance(node, Var):
-        if node.name == "p":
-            return lambda p, q, t: p
-        if node.name == "q":
-            return lambda p, q, t: q
-        return lambda p, q, t: t
-    if isinstance(node, Neg):
-        f = _compile(node.arg)
-        return lambda p, q, t: -f(p, q, t)
+class _Pair:
+    """Root of a fused expression: its value is the tuple of the values of
+    its parts.  Only the code generator accepts it.  (A plain class: a
+    dataclass would add about 1 ms to every import of the package.)"""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
+
+
+def _checked_div(num, den):
+    if np.any(np.equal(den, 0.0)):
+        raise DomainError("division by zero")
+    return num / den
+
+
+def _checked_pow(base, expo):
+    b = np.asarray(base, dtype=float)
+    e = np.asarray(expo, dtype=float)
+    fractional = np.not_equal(e, np.floor(e))
+    bad = ((b < 0.0) & fractional) | ((b == 0.0) & (e < 0.0))
+    if np.any(bad):
+        raise DomainError(
+            "invalid power: negative base with fractional exponent "
+            "or zero base with negative exponent"
+        )
+    return np.power(base, expo)
+
+
+def _checked_sqrt(u):
+    if np.any(np.less(u, 0.0)):
+        raise DomainError("sqrt of a negative number")
+    return np.sqrt(u)
+
+
+def _select(mask, v, shape):
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        v = np.broadcast_to(v, shape)
+    return v[mask]
+
+
+def _iflte(a, b, then, then_args, other, other_args):
+    """``then(*then_args)`` where ``a <= b`` and ``other(*other_args)``
+    elsewhere; a branch function takes the variables it reads and is
+    called on the points it selects only."""
+    cond = np.less_equal(a, b)
+    if cond.ndim == 0:
+        return then(*then_args) if cond else other(*other_args)
+    shape = cond.shape
+    out = np.empty(shape, dtype=float)
+    selected = np.count_nonzero(cond)
+    if selected:
+        out[cond] = then(*(_select(cond, v, shape) for v in then_args))
+    if selected < cond.size:
+        rest = ~cond
+        out[rest] = other(*(_select(rest, v, shape) for v in other_args))
+    return out
+
+
+# the names generated code calls; checked operations go through the
+# helpers above, everything else straight to numpy
+_RUNTIME = {
+    "div": _checked_div,
+    "pow": _checked_pow,
+    "sqrt": _checked_sqrt,
+    "iflte": _iflte,
+    "power": np.power,
+    "square": np.square,
+    "min": np.minimum,
+    "max": np.maximum,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "tanh": np.tanh,
+    "abs": np.abs,
+    "sign": np.sign,
+}
+
+# inline nesting after which a value gets its own line (Python's parser
+# refuses more than 200 nested parentheses)
+_MAX_NESTING = 40
+
+
+def _can_raise(node):
+    """Whether evaluating the node itself may raise DomainError.
+
+    A power with a constant nonnegative integer exponent and a division
+    by a nonzero constant cannot; ``iflte`` can through its branches.
+    """
     if isinstance(node, Bin):
-        fa = _compile(node.lhs)
-        fb = _compile(node.rhs)
-        op = node.op
-        if op == "+":
-            return lambda p, q, t: fa(p, q, t) + fb(p, q, t)
-        if op == "-":
-            return lambda p, q, t: fa(p, q, t) - fb(p, q, t)
-        if op == "*":
-            return lambda p, q, t: fa(p, q, t) * fb(p, q, t)
-        if op == "/":
-
-            def _div(p, q, t):
-                num = fa(p, q, t)
-                den = fb(p, q, t)
-                if np.any(np.equal(den, 0.0)):
-                    raise DomainError("division by zero")
-                return num / den
-
-            return _div
-
-        def _pow(p, q, t):
-            base = fa(p, q, t)
-            expo = fb(p, q, t)
-            b = np.asarray(base, dtype=float)
-            e = np.asarray(expo, dtype=float)
-            fractional = np.not_equal(e, np.floor(e))
-            bad = ((b < 0.0) & fractional) | ((b == 0.0) & (e < 0.0))
-            if np.any(bad):
-                raise DomainError(
-                    "invalid power: negative base with fractional exponent "
-                    "or zero base with negative exponent"
-                )
-            return np.power(base, expo)
-
-        return _pow
-    return _compile_call(node)
+        e = node.rhs
+        if node.op == "/":
+            return not (isinstance(e, Num) and e.value != 0.0)
+        if node.op == "^":
+            return not (
+                isinstance(e, Num)
+                and math.isfinite(e.value)
+                and e.value >= 0.0
+                and e.value == math.floor(e.value)
+            )
+        return False
+    return isinstance(node, Call) and node.fn in ("sqrt", "iflte")
 
 
-def _compile_call(node):
-    fn = node.fn
-    if fn == "iflte":
-        ca, cb, cu, cv = (_compile(a) for a in node.args)
+def _operands(node):
+    """The children evaluated in the node's own function: all of them
+    except the two branches of ``iflte``."""
+    if isinstance(node, (Num, Var)):
+        return ()
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Bin):
+        return (node.lhs, node.rhs)
+    if isinstance(node, _Pair):
+        return node.parts
+    return node.args[:2] if node.fn == "iflte" else node.args
 
-        def _iflte(p, q, t):
-            cond = np.less_equal(ca(p, q, t), cb(p, q, t))
-            if np.ndim(cond) == 0:
-                return cu(p, q, t) if cond else cv(p, q, t)
-            shape = cond.shape
-            pb = np.broadcast_to(np.asarray(p, dtype=float), shape)
-            qb = np.broadcast_to(np.asarray(q, dtype=float), shape)
-            tb = np.broadcast_to(np.asarray(t, dtype=float), shape)
-            out = np.empty(shape, dtype=float)
-            if cond.any():
-                out[cond] = cu(pb[cond], qb[cond], tb[cond])
-            rest = ~cond
-            if rest.any():
-                out[rest] = cv(pb[rest], qb[rest], tb[rest])
-            return out
 
-        return _iflte
-    if fn in ("min", "max"):
-        ca, cb = (_compile(a) for a in node.args)
-        ufunc = np.minimum if fn == "min" else np.maximum
-        return lambda p, q, t: ufunc(ca(p, q, t), cb(p, q, t))
-    (arg,) = node.args
-    cu = _compile(arg)
-    if fn == "sqrt":
+class _Codegen:
+    """Python source of straight-line functions ``(p, q, t) -> value``.
 
-        def _sqrt(p, q, t):
-            u = cu(p, q, t)
-            if np.any(np.less(u, 0.0)):
-                raise DomainError("sqrt of a negative number")
-            return np.sqrt(u)
+    Nodes are numbered by structure, constants by their bits (so ``0.0``
+    and ``-0.0`` differ), and within one function each number is computed
+    once.  A value used more than once, one whose evaluation may raise,
+    and one nested too deeply gets its own line, in the order the
+    expression tree evaluates it; every other value, and the root, is
+    written inline where it is used.  A temporary is deleted right after
+    its last use.  Constants and branch functions are globals in
+    ``namespace``.
+    """
 
-        return _sqrt
-    ufunc = {
-        "sin": np.sin,
-        "cos": np.cos,
-        "exp": np.exp,
-        "tanh": np.tanh,
-        "abs": np.abs,
-        "sign": np.sign,
-    }[fn]
-    return lambda p, q, t: ufunc(cu(p, q, t))
+    def __init__(self):
+        self.numbers = {}  # structural key -> number
+        self.memo = {}  # id(node) -> number
+        self.namespace = dict(_RUNTIME)
+        self.blocks = []  # source of each function, branches first
+
+    def number(self, node):
+        got = self.memo.get(id(node))
+        if got is None:
+            if isinstance(node, Num):
+                key = ("num", float(node.value).hex())
+            elif isinstance(node, Var):
+                key = ("var", node.name)
+            elif isinstance(node, Neg):
+                key = ("neg", self.number(node.arg))
+            elif isinstance(node, Bin):
+                key = (node.op, self.number(node.lhs), self.number(node.rhs))
+            elif isinstance(node, _Pair):
+                key = ("pair",) + tuple(map(self.number, node.parts))
+            else:
+                key = (node.fn,) + tuple(map(self.number, node.args))
+            got = self.numbers.setdefault(key, len(self.numbers))
+            self.memo[id(node)] = got
+        return got
+
+    def function(self, root, name, params="p, q, t"):
+        """Emit ``def name(params)`` returning the value of ``root``."""
+        order, nodes, uses = [], {}, {}
+
+        def visit(node):
+            n = self.number(node)
+            uses[n] = uses.get(n, 0) + 1
+            if n not in nodes:
+                nodes[n] = node
+                for arg in _operands(node):
+                    visit(arg)
+                order.append(n)
+
+        visit(root)
+        lines = [f"def {name}({params}):"]
+        code = {}  # number -> (text, temporaries it reads, nesting)
+        unread = {}  # temporary -> reads still to come
+        root_n = order[-1]
+        for n in order:
+            node = nodes[n]
+            if isinstance(node, Var):
+                code[n] = (node.name, (), 0)
+                continue
+            if isinstance(node, Num):
+                self.namespace[f"c{n}"] = node.value
+                code[n] = (f"c{n}", (), 0)
+                continue
+            args = [code[self.number(a)] for a in _operands(node)]
+            text = self.render(node, n, [a[0] for a in args])
+            reads = tuple(r for a in args for r in a[1])
+            depth = 1 + max(a[2] for a in args)
+            # the root is evaluated last, so its return line keeps the order
+            if n == root_n or (
+                uses[n] == 1 and not _can_raise(node) and depth <= _MAX_NESTING
+            ):
+                code[n] = (text, reads, depth)
+                continue
+            lines.append(f"    v{n} = {text}")
+            for r in reads:
+                unread[r] -= 1
+                if not unread[r]:
+                    lines.append(f"    del v{r}")
+            unread[n] = uses[n]
+            code[n] = (f"v{n}", (n,), 0)
+        lines.append(f"    return {code[root_n][0]}")
+        self.blocks.append("\n".join(lines))
+
+    def render(self, node, n, a):
+        if isinstance(node, Neg):
+            return f"(-{a[0]})"
+        if isinstance(node, _Pair):
+            return "(" + ", ".join(a) + ",)"
+        if isinstance(node, Bin):
+            if node.op == "/":
+                if _can_raise(node):
+                    return f"div({a[0]}, {a[1]})"
+                return f"({a[0]} / {a[1]})"
+            if node.op == "^":
+                if _can_raise(node):
+                    return f"pow({a[0]}, {a[1]})"
+                # np.square(b) is b*b, bitwise equal to np.power(b, 2.0)
+                if node.rhs.value == 2.0:
+                    return f"square({a[0]})"
+                return f"power({a[0]}, {a[1]})"
+            return f"({a[0]} {node.op} {a[1]})"
+        if node.fn == "iflte":
+            branches = []
+            for branch, suffix in zip(node.args[2:], "uv"):
+                name = f"f{n}{suffix}"
+                reads = ", ".join(v for v in VARIABLES if v in _free_vars(branch))
+                if name not in self.namespace:
+                    self.namespace[name] = None  # claimed; bound by exec
+                    self.function(branch, name, reads)
+                branches.append(f"{name}, ({reads}{',' if reads else ''})")
+            return f"iflte({a[0]}, {a[1]}, {', '.join(branches)})"
+        return f"{node.fn}({', '.join(a)})"
+
+
+def _source(root):
+    """The generated module for ``root``: its source and its globals."""
+    gen = _Codegen()
+    gen.function(root, "fn")
+    return "\n\n".join(gen.blocks) + "\n", gen.namespace
+
+
+def _generate(root):
+    source, namespace = _source(root)
+    exec(compile(source, "<exprlang>", "exec"), namespace)
+    return namespace["fn"]
 
 
 # ============================================================
@@ -466,10 +628,11 @@ def _pow_node(a, b):
         return _ONE
     if _is_num(a) and _is_num(b):
         try:
-            v = float(a.value**b.value)
-        except (OverflowError, ValueError, ZeroDivisionError):
+            v = a.value**b.value
+        except (OverflowError, ZeroDivisionError):
             return Bin("^", a, b)
-        if math.isfinite(v) and not isinstance(v, complex):
+        # a negative base with a fractional exponent gives a complex number
+        if isinstance(v, float) and math.isfinite(v):
             return Num(v)
     return Bin("^", a, b)
 
@@ -629,10 +792,11 @@ class Expr:
 
     @property
     def fn(self):
-        """Raw compiled closure ``(p, q, t) -> value`` without the errstate
-        guard; hot loops use this directly."""
+        """Generated function ``(p, q, t) -> value`` without the errstate
+        guard; hot loops use this directly.  The code is generated on the
+        first access."""
         if self._fn is None:
-            self._fn = _compile(self.root)
+            self._fn = _generate(self.root)
         return self._fn
 
     def __call__(self, p, q, t=0.0):
@@ -700,6 +864,16 @@ def parse(src):
     if not isinstance(src, str):
         raise ValidationError(f"expected an expression string, got {type(src)!r}")
     return Expr(_Parser(src).parse())
+
+
+def fused(*exprs):
+    """One expression whose value is the tuple of the values of ``exprs``.
+
+    Its function computes a subexpression shared by the parts once.  It
+    can only be evaluated: printing, differentiating or substituting it
+    is not defined.
+    """
+    return Expr(_Pair(tuple(as_expr(e).root for e in exprs)))
 
 
 def as_expr(x):

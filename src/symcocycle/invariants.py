@@ -424,14 +424,14 @@ def _flux_of_flow(m, n_loop=1024, n_time=64):
     qs = w.q_min + mani.circumference * np.arange(n_loop) / n_loop
     ps = np.full_like(qs, p0)
     duration = m.spec.duration
-    xp = m._xp
+    field = m.field.fn
     ts = np.linspace(0.0, duration, n_time + 1)
     wts = simpson_weights(n_time + 1, duration / n_time)
     total = 0.0
     for t, wt in zip(ts, wts):
         # loop integral of the dq component by the periodic trapezoid
         vals = np.broadcast_to(
-            np.asarray(xp(ps, qs, float(t)), float), qs.shape
+            np.asarray(field(ps, qs, float(t))[0], float), qs.shape
         )
         total += wt * float(np.mean(vals)) * mani.circumference
     return total

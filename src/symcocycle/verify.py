@@ -20,6 +20,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .geometry import GridSpec, Primitive, Window, cylinder, plane
 from .exprlang import parse
 from .dynamics import ComposedMap, FlowMap, GroupWord, HamiltonianSpec, TwistMap
@@ -94,6 +95,9 @@ class Workbench:
 
     def __init__(self, seed):
         self.seed = int(seed)
+        if self.seed < 0:
+            # np.random.default_rng would raise a bare ValueError mid-run
+            raise ValidationError(f"the seed must be nonnegative, got {seed}")
         self.grid = GATE_GRID
         self.plane = plane(PLANE_WINDOW)
         self.cyl = cylinder(CYL_WINDOW)

@@ -13,12 +13,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from symcocycle.cocycle import action_values
 from symcocycle.distortion import Fingerprint
 from symcocycle.dynamics import FlowMap, HamiltonianSpec
 from symcocycle.exprlang import Expr, parse
-from symcocycle.geometry import Window, plane
+from symcocycle.geometry import Primitive, Window, plane
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SELFTEST = SPANS.with_name("selftest.py")
@@ -89,3 +91,33 @@ def test_fingerprint_init_and_key():
 
 def test_expr_fn_is_a_property():
     assert isinstance(vars(Expr)["fn"], property)
+
+
+def test_flow_field_is_one_traced_call_per_rk4_stage(monkeypatch):
+    # the benchmark sees field time only through functions handed out by
+    # Expr.fn, so a flow must fetch its fused field there, once per stage
+    raw = vars(Expr)["fn"]
+    sizes = []
+
+    def counting(expr):
+        fn = raw.fget(expr)
+
+        def counted(p, q, t):
+            sizes.append(max(np.size(p), np.size(q)))
+            return fn(p, q, t)
+
+        return counted
+
+    monkeypatch.setattr(Expr, "fn", property(counting))
+    spec = HamiltonianSpec(parse("0.2*exp(-0.6*(p^2 + q^2))"))
+    flow = FlowMap(spec, plane(Window(-4, 4, -4, 4)), step=0.1)
+    n = flow.n_steps()
+    ps, qs = np.linspace(-1.0, 1.0, 7), np.zeros(7)
+    flow.apply(ps, qs)
+    assert len(sizes) == 4 * n
+    assert set(sizes) == {7}
+    # the action route adds, per time node, one field call and one call
+    # each for F and the two form components
+    sizes.clear()
+    action_values(flow, Primitive.p_dq(), ps, qs)
+    assert len(sizes) == 4 * n + 4 * (n + 1)

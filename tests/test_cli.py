@@ -341,6 +341,13 @@ def test_distortion_rejects_negative_seed(tmp_path, capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_seed(capsys):
+    # the check workbench refuses the seed before any check runs, so the
+    # command fails as invalid input rather than as a failed check
+    assert cli.main(["verify", "--config", PLANE_BUMP, "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_fixed_points_csv(tmp_path, capsys):
     out = tmp_path / "fp.csv"
     code = cli.main(["fixed-points", "--config", PLANE_BUMP,

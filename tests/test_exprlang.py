@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import closure_oracle
+from symcocycle import exprlang
 from symcocycle.exprlang import (
     DomainError,
+    Expr,
     NotDifferentiable,
     ParseError,
     UnknownIdentifierError,
     as_expr,
+    fused,
     parse,
 )
 
@@ -140,11 +144,23 @@ def test_wrong_arity():
 
 @pytest.mark.parametrize(
     "src",
-    ["1/0", "1/(p - p)", "sqrt(-1)", "sqrt(p - 1)", "0^-1", "(-2)^0.5"],
+    [
+        "1/0", "1/(p - p)", "sqrt(-1)", "sqrt(p - 1)", "0^-1", "(-2)^0.5",
+        "p^-2", "(p - 1)^0.5", "p/(q - q)",
+    ],
 )
 def test_domain_errors(src):
     with pytest.raises(DomainError):
         parse(src)(0.0, 0.0)
+
+
+def test_zero_to_a_variable_negative_power():
+    e = parse("p^q")
+    with pytest.raises(DomainError):
+        e(0.0, -1.0)
+    with pytest.raises(DomainError):
+        e(np.array([1.0, 0.0]), np.array([2.0, -0.5]))
+    assert e(0.0, 2.0) == 0.0
 
 
 def test_domain_error_on_any_array_element():
@@ -228,6 +244,16 @@ def test_diff_variable_exponent_raises():
         parse("2^p").diff("p")
     # but differentiating in an unrelated variable is fine
     assert parse("2^p").diff("q")(1.0, 1.0) == 0.0
+
+
+def test_diff_keeps_a_complex_constant_power_unfolded():
+    # (-2)^-0.5 is complex in Python; the derivative keeps the power, and
+    # evaluating it is a domain error, not a TypeError while folding
+    d = parse("t^0.5").substitute({"t": -2}).diff("p")
+    assert d(1.0, 0.0) == 0.0
+    d = parse("t^0.5*p").substitute({"t": -2}).diff("p")
+    with pytest.raises(DomainError):
+        d(1.0, 0.0)
 
 
 def test_diff_abs_uses_sign_convention():
@@ -387,3 +413,162 @@ def test_operator_helpers():
     e = as_expr("p") + as_expr("q") * 2 - 1
     assert e(3.0, 4.0) == 10.0
     assert (-as_expr("p"))(5.0, 0.0) == -5.0
+
+
+# ------------------------------------------------------------------
+# generated code against the closure-tree oracle
+# ------------------------------------------------------------------
+
+# "t" becomes a negative constant exponent when a number is substituted
+EXPONENTS = ["0", "1", "2", "3", "4", "-1", "-2", "-3", "0.5", "1.5", "(1/3)", "-0.5", "t"]
+
+
+@st.composite
+def full_exprs(draw, depth=0):
+    """Source text over the whole grammar, domain hazards included."""
+    if depth > 3:
+        choice = draw(st.integers(0, 1))
+    else:
+        choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return repr(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.25, 3.7])))
+    if choice == 1:
+        return draw(st.sampled_from(["p", "q", "t"]))
+    a = draw(full_exprs(depth=depth + 1))
+    if choice == 2:
+        b = draw(full_exprs(depth=depth + 1))
+        op = draw(st.sampled_from([" + ", " - ", "*", "/"]))
+        return f"({a}){op}({b})"
+    if choice == 3:
+        if draw(st.booleans()):
+            return f"({a})^{draw(st.sampled_from(EXPONENTS))}"
+        return f"({a})^({draw(full_exprs(depth=depth + 1))})"
+    if choice == 4:
+        fn = draw(st.sampled_from(["sin", "cos", "tanh", "abs", "exp", "sqrt", "sign"]))
+        return f"{fn}({a})"
+    if choice == 5:
+        return f"-({a})"
+    if choice in (6, 7):
+        rest = draw(st.lists(full_exprs(depth=depth + 1), min_size=1, max_size=2))
+        return f"{draw(st.sampled_from(['min', 'max']))}({', '.join([a] + rest)})"
+    if choice == 8:
+        # the same subexpression twice, for the shared-value path
+        return f"({a})*({a}) + sin({a})"
+    b, u, v = (draw(full_exprs(depth=depth + 1)) for _ in range(3))
+    return f"iflte({a}, {b}, {u}, {v})"
+
+
+POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
+ARRAY_P = np.array([-2.0, -1.0, -0.0, 0.0, 0.25, 1.0, 2.5])
+ARRAY_Q = np.array([1.0, 0.0, -1.5, 2.0, -0.0, 0.75, -3.0])
+
+
+def _outcome(fn, p, q, t):
+    """What an evaluation produced: the DomainError message, or the type,
+    shape and bytes of every returned value."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(p, q, t)
+        except DomainError as e:
+            return "DomainError", str(e)
+    values = out if isinstance(out, tuple) else (out,)
+    return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+@given(
+    full_exprs(),
+    st.sampled_from([None, "p", "q"]),
+    st.sampled_from([None, -2.0, -1.0, 0.0, 2.0]),
+    POINTS, POINTS, POINTS,
+)
+@settings(max_examples=400, deadline=None)
+@example("(p)^t", None, -2.0, 0.0, 0.0, 0.0)
+@example("(p - 1)^t", "p", 0.5, 1.0, 0.0, 0.0)
+def test_generated_code_matches_closure_oracle(src, var, t_value, p, q, t):
+    # substitution and derivatives make constants the parser never does:
+    # negative numbers (also as exponents) and -0.0
+    e = parse(src)
+    if t_value is not None:
+        e = e.substitute({"t": t_value})
+    if var is not None:
+        try:
+            e = e.diff(var)
+        except NotDifferentiable:
+            pass
+    root = e.root
+    oracle = closure_oracle._compile(root)
+    generated = Expr(root).fn
+    for args in [(p, q, t), (ARRAY_P, ARRAY_Q, t), (ARRAY_P, q, ARRAY_Q)]:
+        assert _outcome(generated, *args) == _outcome(oracle, *args), args
+
+
+HAMILTONIANS = [
+    "0.2*exp(-0.6*(p^2 + q^2))",
+    "0.1*max(0, 1 - ((p + 2)^2 + q^2)/2.25)^4",
+    "0.05*max(0, 1 - (p^2 + q^2)/6)^4",
+    "0.1*exp(-0.8*p^2)*(1 - cos(q))",
+    "p^2/2 + q^2/2 + t*sin(p*q)",
+    "sqrt(1 + p^2)*abs(q) + min(p, q, t)",
+    "tanh(p - q)/(2 + cos(q)) + p^-2",
+]
+
+
+@pytest.mark.parametrize("src", HAMILTONIANS)
+def test_fused_field_equals_its_components(src):
+    F = parse(src)
+    xp, xq = F.diff("q"), -F.diff("p")
+    field = fused(xp, xq).fn
+    P, Q = np.meshgrid(np.linspace(-3, 3, 17), np.linspace(-3, 3, 19), indexing="ij")
+    oracle = [closure_oracle._compile(c.root) for c in (xp, xq)]
+    for args in [(P, Q, 0.3), (0.7, -1.1, 0.0), (P[:, :1], Q[:1, :], 1.0)]:
+        want = _in_turn(_outcome(xp.fn, *args), _outcome(xq.fn, *args))
+        assert _outcome(field, *args) == want
+        assert _in_turn(*(_outcome(f, *args) for f in oracle)) == want
+
+
+def _in_turn(first, second):
+    """Outcome of evaluating two expressions one after the other."""
+    for outcome in (first, second):
+        if outcome[0] == "DomainError":
+            return outcome
+    return first + second
+
+
+def test_fused_field_raises_where_a_component_does():
+    # p^-2 differentiates to a power that the check rejects at p = 0
+    F = parse("q + p^-2")
+    field = fused(F.diff("q"), -F.diff("p"))
+    with pytest.raises(DomainError):
+        field(np.array([1.0, 0.0]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "src, checked",
+    [
+        ("p^2 + p^3 + p^0 + p/2.25", False),
+        ("(p - 1)^0.5", True),
+        ("p^-2", True),
+        ("p^q", True),
+        ("p/(q - q)", True),
+        ("p/0", True),
+        ("sqrt(p^2 + 1)", True),
+    ],
+)
+def test_checks_only_where_they_can_fire(src, checked):
+    source, _ = exprlang._source(parse(src).root)
+    assert any(f"{name}(" in source for name in ("div", "pow", "sqrt")) == checked
+
+
+def test_deep_nesting_compiles():
+    # a 300-term sum nests deeper than Python's parser allows in one line
+    e = parse(" + ".join(f"{k}*p" for k in range(300)))
+    x = np.linspace(-1.0, 1.0, 5)
+    oracle = closure_oracle._compile(e.root)
+    assert _outcome(e.fn, x, x, 0.0) == _outcome(oracle, x, x, 0.0)
+
+
+def test_shared_subexpression_is_computed_once():
+    # the bump's exp appears in both field components
+    F = parse("0.2*exp(-0.6*(p^2 + q^2))")
+    source, _ = exprlang._source(fused(F.diff("q"), -F.diff("p")).root)
+    assert source.count("exp(") == 1
