@@ -26,7 +26,6 @@ from .errors import NumericalError, ValidationError
 from .exprlang import parse as parse_expr
 from .geometry import GridSpec, Primitive, Window, cylinder, plane
 from .dynamics import (
-    FD_H,
     FlowMap,
     GroupWord,
     HamiltonianSpec,
@@ -64,7 +63,6 @@ class Scenario:
     maps: dict
     generator_names: tuple
     tol: float
-    fd_h: float
     basepoint: tuple | None
 
 
@@ -176,7 +174,10 @@ def load_scenario(path):
     tols = raw.get("tolerances", {})
     _require_keys(tols, ("tol", "fd_h"), (), "tolerances")
     tol = _positive(_number(tols, "tol", "tolerances", PATH_TOL), "tolerances.tol")
-    fd_h = _positive(_number(tols, "fd_h", "tolerances", FD_H), "tolerances.fd_h")
+    if "fd_h" in tols:
+        # the finite-difference step of earlier versions; jacobians are now
+        # exact, so the key is checked and otherwise ignored
+        _positive(_number(tols, "fd_h", "tolerances"), "tolerances.fd_h")
 
     maps = {}
     hams = raw.get("hamiltonians", {})
@@ -236,7 +237,7 @@ def load_scenario(path):
 
     return Scenario(
         manifold=manifold, grid=grid, primitive=primitive, maps=maps,
-        generator_names=tuple(gen_names), tol=tol, fd_h=fd_h,
+        generator_names=tuple(gen_names), tol=tol,
         basepoint=basepoint,
     )
 
@@ -278,8 +279,7 @@ def _word_cocycle(args, sc, m):
     if getattr(args, "method", "path") == "action":
         return cocycle_by_action(m, sc.primitive, grid=sc.grid)
     return cocycle_by_path(
-        m, sc.primitive, basepoint=sc.basepoint, grid=sc.grid,
-        fd_h=sc.fd_h, tol=sc.tol,
+        m, sc.primitive, basepoint=sc.basepoint, grid=sc.grid, tol=sc.tol,
     )
 
 
@@ -437,7 +437,7 @@ def _cmd_lift(args):
     _, m = _realized(args, sc)
     K = lifted_cocycle(
         m, sc.primitive, grid=sc.grid, periods=args.periods,
-        basepoint=sc.basepoint, fd_h=sc.fd_h, tol=sc.tol,
+        basepoint=sc.basepoint, tol=sc.tol,
     )
     path = _out_path(args, "lift")
     _write_csv(path, "p,q,value", _grid_rows(K))
@@ -470,7 +470,7 @@ def _cmd_distortion(args):
     gens = GeneratorSet(
         {n: sc.maps[n] for n in sc.generator_names},
         alpha=sc.primitive, grid=sc.grid, basepoint=sc.basepoint,
-        fd_h=sc.fd_h, tol=sc.tol, method=args.method,
+        tol=sc.tol, method=args.method,
     )
     word = _word_of(args, sc)
     m = gens.realize(word)

@@ -6,8 +6,9 @@ cocycle K(f) is the potential of that defect, a function determined up to
 an additive constant.  This module computes K two independent ways:
 
 * ``cocycle_by_path`` integrates f*alpha - alpha from a basepoint along
-  axis-aligned two-segment grid paths, with the pullback built from a
-  finite-difference jacobian of f.
+  axis-aligned two-segment grid paths, with the pullback built from the
+  exact jacobian of the computed map (flows carry their tangent by RK4
+  on the variational equation, twists by their closed form).
 
 * ``cocycle_by_action`` uses the Hamiltonian action: for the time-duration
   map of F, the value at x is the line integral of alpha along the orbit
@@ -24,13 +25,14 @@ difference; no canonical constant is ever chosen silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import as_expr
-from .dynamics import FD_H, FlowMap, isotopy, map_with_jacobian
+from .dynamics import FlowMap, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -40,6 +42,7 @@ from .geometry import (
 
 __all__ = [
     "GridFunction",
+    "GridTooCoarse",
     "HamHatReport",
     "NonExactForm",
     "Normalization",
@@ -60,11 +63,31 @@ PATH_TOL = 1e-6
 COMPACT_TOL = 1e-4
 #: Largest core-loop period that ``hamiltonian_test`` counts as zero.
 PERIOD_TOL = 1e-6
+#: Least order at which a path disagreement must shrink from the grid of
+#: every other node to count as truncation: half the quadrature's fourth
+#: order, which the kinks of piecewise-polynomial Hamiltonians lower.
+TRUNCATION_ORDER = 2.0
+#: Formal order of ``cumulative_integral``, the most a finer grid's
+#: estimate assumes.
+QUADRATURE_ORDER = 4.0
+#: Roache's factor of safety on a Richardson error estimate.
+RICHARDSON_SAFETY = 1.25
 
 
 class NonExactForm(NumericalError):
     """The pullback defect has a detectable period; no single-valued
     potential exists on the region."""
+
+
+class GridTooCoarse(NumericalError):
+    """The two path families disagree by quadrature truncation: the
+    disagreement shrinks with the grid spacing at TRUNCATION_ORDER or
+    faster.  ``needed`` is the (n_p, n_q) grid that the Richardson
+    estimate says brings it under the threshold."""
+
+    def __init__(self, message, needed):
+        super().__init__(message)
+        self.needed = needed
 
 
 class NotConstantOutsideSupport(NumericalError):
@@ -317,16 +340,15 @@ def _form_components(form):
     return as_expr(a_p), as_expr(a_q)
 
 
-def _pullback_defect(f, form, ps, qs, fd_h=FD_H):
+def _pullback_defect(f, form, ps, qs):
     """Components (theta_p, theta_q) of f*(form) - form at the points.
 
-    The pullback uses the finite-difference jacobian of f; all five
-    stencil shifts ride through a single map evaluation.  Images are
-    wrapped on the cylinder before the form is evaluated there.
+    The pullback uses the exact jacobian of f from ``map_with_jacobian``.
+    Images are wrapped on the cylinder before the form is evaluated there.
     """
     a_p, a_q = _form_components(form)
     fp, fq = a_p.fn, a_q.fn
-    jet = map_with_jacobian(f, ps, qs, fd_h=fd_h)
+    jet = map_with_jacobian(f, ps, qs)
     yq = f.manifold.wrap_q(jet.yq)
     shape = jet.yp.shape
     ap_f = np.broadcast_to(np.asarray(fp(jet.yp, yq, 0.0), float), shape)
@@ -338,15 +360,66 @@ def _pullback_defect(f, form, ps, qs, fd_h=FD_H):
     return theta_p, theta_q
 
 
-def pullback_difference(f, form, grid=None, fd_h=FD_H):
+def pullback_difference(f, form, grid=None):
     """Components of f*(form) - form at the grid nodes of f's window.
 
     Returns (P, Q, theta_p, theta_q).
     """
     grid = grid or GridSpec()
     P, Q = grid.mesh(f.manifold.window)
-    theta_p, theta_q = _pullback_defect(f, form, P, Q, fd_h)
+    theta_p, theta_q = _pullback_defect(f, form, P, Q)
     return P, Q, theta_p, theta_q
+
+
+def _path_families(theta_p, theta_q, dp, dq, i0, j0):
+    """Potentials from node (i0, j0) along the two axis-aligned
+    two-segment path families: q-leg first, and p-leg first."""
+    ip = cumulative_integral(theta_p, dp, axis=0)
+    iq = cumulative_integral(theta_q, dq, axis=1)
+    # route 1: q-leg along the basepoint row, then the p-leg
+    k_qfirst = (iq[i0, :] - iq[i0, j0])[None, :] + (ip - ip[i0, :][None, :])
+    # route 2: p-leg along the basepoint column, then the q-leg
+    k_pfirst = (ip[:, j0] - ip[i0, j0])[:, None] + (iq - iq[:, j0][:, None])
+    return k_qfirst, k_pfirst
+
+
+def _disagreement_error(theta_p, theta_q, dp, dq, i0, j0, disagreement, threshold):
+    """The error for a path disagreement past the threshold.
+
+    The same cross-check on the grid of every other node through the
+    basepoint tells truncation from an obstruction (Richardson; Roache's
+    grid-convergence index): a disagreement that shrinks at
+    TRUNCATION_ORDER or faster on the finer grid gives GridTooCoarse,
+    naming the grid the observed order says is needed; any other gives
+    NonExactForm.
+    """
+    text = (
+        f"axis-aligned paths to the same point disagree by "
+        f"{disagreement:.3e} (threshold {threshold:.1e})"
+    )
+    sub_p = theta_p[i0 % 2::2, j0 % 2::2]
+    sub_q = theta_q[i0 % 2::2, j0 % 2::2]
+    if min(sub_p.shape) < 3:
+        return NonExactForm(f"{text}; the defect form is not exact on the window")
+    k_qfirst, k_pfirst = _path_families(
+        sub_p, sub_q, 2.0 * dp, 2.0 * dq, i0 // 2, j0 // 2
+    )
+    coarse = float(np.max(np.abs(k_qfirst - k_pfirst)))
+    order = math.log2(coarse / disagreement) if coarse > 0.0 else -math.inf
+    if order < TRUNCATION_ORDER:
+        return NonExactForm(
+            f"{text} and by {coarse:.3e} on the grid of every other node; "
+            "the defect form is not exact on the window"
+        )
+    excess = RICHARDSON_SAFETY * disagreement / threshold
+    scale = excess ** (1.0 / min(order, QUADRATURE_ORDER))
+    needed = tuple(math.ceil((n - 1) * scale) + 1 for n in theta_p.shape)
+    return GridTooCoarse(
+        f"{text}, {coarse:.3e} on the grid of every other node: quadrature "
+        f"truncation falling at order {order:.1f}, not an obstruction; a "
+        f"grid of about {needed[0]}x{needed[1]} nodes would resolve it",
+        needed,
+    )
 
 
 def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
@@ -355,7 +428,9 @@ def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
 
     Integrates along both axis-aligned two-segment path families and
     cross-checks them; on the cylinder additionally checks the loop
-    periods row by row.  Raises NonExactForm past 100*tol.
+    periods row by row.  Past 100*tol, a loop period or a disagreement
+    that does not shrink with the grid raises NonExactForm, and one that
+    does raises GridTooCoarse.
     """
     window = manifold.window
     n_p, n_q = theta_p.shape
@@ -374,24 +449,15 @@ def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
                 "kernel of the period cocycle on this window"
             )
 
-    ip = cumulative_integral(theta_p, dp, axis=0)
-    iq = cumulative_integral(theta_q, dq, axis=1)
-
     bp, bq = basepoint
     i0 = int(round((bp - window.p_min) / dp))
     j0 = int(round((bq - window.q_min) / dq))
-
-    # route 1: q-leg along the basepoint row, then the p-leg
-    k_qfirst = (iq[i0, :] - iq[i0, j0])[None, :] + (ip - ip[i0, :][None, :])
-    # route 2: p-leg along the basepoint column, then the q-leg
-    k_pfirst = (ip[:, j0] - ip[i0, j0])[:, None] + (iq - iq[:, j0][:, None])
+    k_qfirst, k_pfirst = _path_families(theta_p, theta_q, dp, dq, i0, j0)
 
     disagreement = float(np.max(np.abs(k_qfirst - k_pfirst)))
     if disagreement > 100.0 * tol:
-        raise NonExactForm(
-            f"axis-aligned paths to the same point disagree by "
-            f"{disagreement:.3e} (threshold {100.0 * tol:.1e}); "
-            "the defect form is not exact on the window"
+        raise _disagreement_error(
+            theta_p, theta_q, dp, dq, i0, j0, disagreement, 100.0 * tol
         )
 
     samples = 0.5 * (k_qfirst + k_pfirst)
@@ -403,22 +469,24 @@ def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
     return out
 
 
-def cocycle_by_path(f, alpha, basepoint=None, grid=None, fd_h=FD_H, tol=PATH_TOL):
+def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
     """Cocycle of a map by path integration of its pullback defect.
 
     The result is pinned to zero at the basepoint (window center by
     default).  Raises NonExactForm when path cross-checks or cylinder
-    loop periods detect an obstruction beyond 100*tol.
+    loop periods detect an obstruction beyond 100*tol, and GridTooCoarse
+    when the path disagreement is truncation that a finer grid resolves.
+    A map without isotopy data is rejected with ValidationError.
     """
     manifold = f.manifold
     w = manifold.window
     if basepoint is None:
         basepoint = (0.5 * (w.p_min + w.p_max), 0.5 * (w.q_min + w.q_max))
     bp, bq = float(basepoint[0]), float(basepoint[1])
-    # checked before the jet, which marches five copies of the grid
+    # checked before the jet, which marches the whole grid
     if not w.contains(bp, bq, slack=1e-12):
         raise ValidationError(f"basepoint ({bp}, {bq}) is outside the window")
-    P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid, fd_h)
+    P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid)
     return _integrate_exact_defect(manifold, theta_p, theta_q, (bp, bq), tol)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonconvergenceError, ValidationError
 from .geometry import GridSpec, Window, WrongManifold, plane
-from .dynamics import FD_H, FlowMap, isotopy
+from .dynamics import FlowMap, isotopy
 from .cocycle import PATH_TOL, cocycle_by_path
 
 
@@ -77,9 +77,10 @@ def deck_stride(K, circumference):
 # ============================================================
 
 
-def _march_watching_gaps(flow, p, q):
-    """March a flow over its duration, raising TrajectoryGap when q jumps
-    by more than half the circumference in one step."""
+def _march_watching_gaps(flow, p, q, tangent=None):
+    """March a flow over its duration, carrying ``tangent`` along when one
+    is given, and raise TrajectoryGap when q jumps by more than half the
+    circumference in one step."""
     half = 0.5 * flow.manifold.circumference
     prev = None
     worst = 0.0
@@ -90,7 +91,10 @@ def _march_watching_gaps(flow, p, q):
             worst = max(worst, float(np.max(np.abs(np.asarray(qv) - prev))))
         prev = np.asarray(qv, dtype=float)
 
-    out = flow._march(p, q, 0.0, flow.spec.duration, on_node=on_node)
+    if tangent is None:
+        out = flow._march(p, q, 0.0, flow.spec.duration, on_node=on_node)
+    else:
+        out = flow.carry(p, q, tangent, on_node=on_node)
     if worst > half:
         raise TrajectoryGap(
             f"trajectory q jumped by {worst:.3e} in one step, "
@@ -131,6 +135,16 @@ class LiftedMap:
             return float(cp), float(cq)
         return cp, cq
 
+    def carry(self, p, q, tangent):
+        """Images of float arrays and the tangent pushed forward, piece by
+        piece as in ``apply``: the jet protocol of ``map_with_jacobian``."""
+        for piece in self._pieces:
+            if isinstance(piece, FlowMap):
+                p, q, tangent = _march_watching_gaps(piece, p, q, tangent)
+            else:
+                p, q, tangent = piece.carry(p, q, tangent)
+        return p, q, tangent
+
 
 # ============================================================
 # Equivariance diagnostics
@@ -165,7 +179,7 @@ def projection_residual(lifted, ps, qs):
 
 
 def lifted_cocycle(
-    f, alpha, grid=None, periods=2, basepoint=None, fd_h=FD_H, tol=PATH_TOL
+    f, alpha, grid=None, periods=2, basepoint=None, tol=PATH_TOL
 ):
     """Path-route cocycle of the lifted map on the cover window.
 
@@ -177,7 +191,7 @@ def lifted_cocycle(
     grid = grid or GridSpec()
     return cocycle_by_path(
         lm, alpha, basepoint=basepoint,
-        grid=lifted_grid(grid, lm.periods), fd_h=fd_h, tol=tol,
+        grid=lifted_grid(grid, lm.periods), tol=tol,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import Primitive
-from .dynamics import FD_H, GroupWord, compose
+from .dynamics import GroupWord, compose
 from .cocycle import PATH_TOL, cocycle_by_action, cocycle_by_path
 from .invariants import polterovich
 
@@ -168,7 +168,7 @@ class GeneratorSet:
     """
 
     def __init__(self, named_maps, alpha=None, grid=None, basepoint=None,
-                 fd_h=FD_H, tol=PATH_TOL, method="path"):
+                 tol=PATH_TOL, method="path"):
         items = list(
             named_maps.items() if hasattr(named_maps, "items") else named_maps
         )
@@ -189,7 +189,6 @@ class GeneratorSet:
         self.alpha = Primitive.p_dq() if alpha is None else alpha
         self.grid = grid
         self.basepoint = basepoint
-        self.fd_h = float(fd_h)
         self.tol = float(tol)
         if method not in ("path", "action"):
             raise ValidationError(
@@ -211,7 +210,7 @@ class GeneratorSet:
             return cocycle_by_action(m, self.alpha, grid=self.grid)
         return cocycle_by_path(
             m, self.alpha, basepoint=self.basepoint, grid=self.grid,
-            fd_h=self.fd_h, tol=self.tol,
+            tol=self.tol,
         )
 
     def realize(self, word):

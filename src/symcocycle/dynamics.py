@@ -22,6 +22,8 @@ the flat tuple of its atomic isotopy pieces in application order.  Flows
 and twists are their own single piece, the identity has none, and a
 composition lists the pieces of its factors, flattened when it is built.
 ``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
+An atomic piece also answers ``carry``, which pushes a tangent forward
+with the points; ``map_with_jacobian`` chains it through the pieces.
 
 All map objects work in unwrapped cylinder coordinates: outputs continue
 the input representative continuously, which is what lifting to the
@@ -56,10 +58,6 @@ __all__ = [
     "isotopy",
     "map_with_jacobian",
 ]
-
-
-#: Step of the central-difference jacobian in ``map_with_jacobian``.
-FD_H = 1e-5
 
 
 class EscapedWindowWarning(UserWarning):
@@ -150,6 +148,11 @@ class HamiltonianSpec:
 # ============================================================
 
 
+def _linearized(u, v, s, dP, dQ):
+    """The linearized field [[u, v], [s, -u]] applied to a tangent."""
+    return u * dP + v * dQ, s * dP - u * dQ
+
+
 def _as_float_pair(p, q, out_p, out_q):
     if np.ndim(out_p) == 0 and np.ndim(p) == 0:
         return float(out_p), float(out_q)
@@ -187,10 +190,20 @@ class TwistMap:
             )
         self.profile = profile
         self.manifold = manifold
+        self._slope = None  # t', differentiated on the first jet
 
     def apply(self, p, q):
         shift = self.profile.fn(p, 0.0, 0.0)
         return _as_float_pair(p, q, p, np.asarray(q, dtype=float) + shift)
+
+    def carry(self, p, q, tangent):
+        """Images of float arrays and the tangent ``(dP, dQ)`` pushed
+        forward by the closed-form jacobian [[1, 0], [t'(p), 1]]."""
+        if self._slope is None:
+            self._slope = self.profile.diff("p")
+        dP, dQ = tangent
+        yp, yq = self.apply(p, q)
+        return yp, yq, (dP, dQ + self._slope.fn(p, 0.0, 0.0) * dP)
 
     def inverse(self):
         return TwistMap(-self.profile, self.manifold)
@@ -218,20 +231,32 @@ class FlowMap:
         self.step = float(step)
         w = manifold.window
         self._slack = 0.25 * max(w.p_span, w.q_span)
-        xp, xq = spec.vector_field()
         # both components from one function, shared subexpressions once
-        self.field = fused(xp, xq)
+        self.field = fused(*spec.vector_field())
+        self._tangent_field = None
         self._inverse = None
         if manifold.is_cylinder:
-            for label, comp in (("dF/dq", xp), ("dF/dp", xq)):
-                for tv in (0.0, 0.37 * spec.duration, spec.duration):
-                    gap = q_jump(manifold, comp, tv)
-                    if gap is not None:
-                        raise ValidationError(
-                            "vector field is not periodic in q on the cylinder "
-                            f"(component {label} jumps by {gap:.3e}); the flow "
-                            "would not descend to the quotient"
-                        )
+            # checked on the function the march calls, generated here once
+            for tv in (0.0, 0.37 * spec.duration, spec.duration):
+                gap = q_jump(manifold, self.field.fn, tv)
+                if gap is not None:
+                    raise ValidationError(
+                        "vector field is not periodic in q on the cylinder "
+                        f"(a component jumps by {gap:.3e}); the flow "
+                        "would not descend to the quotient"
+                    )
+
+    @property
+    def tangent_field(self):
+        """The field and its derivatives ``(xp, xq, dxp/dp, dxp/dq, dxq/dp)``
+        as one expression, built on the first jet.  ``dxq/dq`` is
+        ``-dxp/dp``: a Hamiltonian field is trace-free."""
+        if self._tangent_field is None:
+            xp, xq = self.spec.vector_field()
+            self._tangent_field = fused(
+                xp, xq, xp.diff("p"), xp.diff("q"), xq.diff("p")
+            )
+        return self._tangent_field
 
     # -- stepping ------------------------------------------------
 
@@ -248,7 +273,34 @@ class FlowMap:
             q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q),
         )
 
-    def _march(self, p, q, t0, t1, on_node=None):
+    def _step_tangent(self, p, q, dP, dQ, t, h):
+        """``_step_rk4`` with the tangent: the same RK4 stages applied to
+        the variational equation, so the tangent moves by the exact
+        derivative of the step's map.  The position arithmetic is
+        ``_step_rk4``'s, term for term."""
+        field, w = self.tangent_field.fn, self.manifold.wrap_q
+        k1p, k1q, u, v, s = field(p, w(q), t)
+        k1P, k1Q = _linearized(u, v, s, dP, dQ)
+        tm = t + 0.5 * h
+        k2p, k2q, u, v, s = field(p + 0.5 * h * k1p, w(q + 0.5 * h * k1q), tm)
+        k2P, k2Q = _linearized(u, v, s, dP + 0.5 * h * k1P, dQ + 0.5 * h * k1Q)
+        k3p, k3q, u, v, s = field(p + 0.5 * h * k2p, w(q + 0.5 * h * k2q), tm)
+        k3P, k3Q = _linearized(u, v, s, dP + 0.5 * h * k2P, dQ + 0.5 * h * k2Q)
+        k4p, k4q, u, v, s = field(p + h * k3p, w(q + h * k3q), t + h)
+        k4P, k4Q = _linearized(u, v, s, dP + h * k3P, dQ + h * k3Q)
+        sixth = h / 6.0
+        return (
+            p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p),
+            q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q),
+            dP + sixth * (k1P + 2.0 * (k2P + k3P) + k4P),
+            dQ + sixth * (k1Q + 2.0 * (k2Q + k3Q) + k4Q),
+        )
+
+    def _run(self, step, state, t0, t1, on_node):
+        """The march loop: ``state`` is (p, q) or (p, q, dP, dQ), advanced
+        by ``step(*state, t, h)``; ``on_node(k, t, p, q)`` sees every time
+        node.  One EscapedWindowWarning per call; NumericalError when an
+        end point or its tangent is not finite."""
         span = t1 - t0
         n = max(1, math.ceil(abs(span) / self.step))
         h = span / n
@@ -258,20 +310,24 @@ class FlowMap:
         # finiteness check after the last step reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if on_node is not None:
-                on_node(0, t0, p, q)
+                on_node(0, t0, state[0], state[1])
             for k in range(n):
-                t = t0 + k * h
-                p, q = self._step_rk4(p, q, t, h)
+                state = step(*state, t0 + k * h, h)
+                p, q = state[0], state[1]
                 if not escaped:
                     escaped = not np.all(
                         mani.window.contains(p, mani.wrap_q(q), slack=self._slack)
                     )
                 if on_node is not None:
                     on_node(k + 1, t0 + (k + 1) * h, p, q)
-        lost = np.size(p) - np.count_nonzero(np.isfinite(p) & np.isfinite(q))
+        finite = np.isfinite(state[0]) & np.isfinite(state[1])
+        for x in state[2:]:
+            # dP and dQ hold their two input directions on a leading axis
+            finite = finite & np.isfinite(x).all(axis=0)
+        lost = finite.size - np.count_nonzero(finite)
         if lost:
             raise NumericalError(
-                f"the flow overflowed: {lost} of {np.size(p)} trajectories end "
+                f"the flow overflowed: {lost} of {finite.size} trajectories end "
                 "at non-finite points; shrink the window or the step, or tame "
                 "the Hamiltonian"
             )
@@ -281,9 +337,12 @@ class FlowMap:
                     "a trajectory left the window plus slack; consider "
                     "enlarging the window of interest"
                 ),
-                stacklevel=3,
+                stacklevel=4,
             )
-        return p, q
+        return state
+
+    def _march(self, p, q, t0, t1, on_node=None):
+        return self._run(self._step_rk4, (p, q), t0, t1, on_node)
 
     # -- public surface ------------------------------------------
 
@@ -291,6 +350,16 @@ class FlowMap:
         out = self._march(np.asarray(p, dtype=float), np.asarray(q, dtype=float),
                           0.0, self.spec.duration)
         return _as_float_pair(p, q, out[0], out[1])
+
+    def carry(self, p, q, tangent, on_node=None):
+        """Images of float arrays, bitwise equal to ``apply``'s, and the
+        tangent ``(dP, dQ)`` pushed forward by the exact derivative of
+        the numerical flow; ``on_node`` as for ``_march``."""
+        p, q, dP, dQ = self._run(
+            self._step_tangent, (p, q) + tuple(tangent), 0.0,
+            self.spec.duration, on_node,
+        )
+        return p, q, (dP, dQ)
 
     def inverse(self):
         if self._inverse is None:
@@ -467,7 +536,7 @@ def compose(word, generators, manifold):
 
 
 # ============================================================
-# Jacobians by finite differences
+# Exact jacobians
 # ============================================================
 
 
@@ -487,29 +556,29 @@ class MapJet:
         return self.dpp * self.dqq - self.dpq * self.dqp
 
 
-def map_with_jacobian(m, P, Q, fd_h=FD_H):
-    """Evaluate a map and its central-difference jacobian on a batch.
+def map_with_jacobian(m, P, Q):
+    """Evaluate a map and its jacobian on a batch.
 
-    All five stencil copies go through one map evaluation, so flow maps
-    integrate a single stacked system instead of five.
+    The jacobian is exact for the map as computed: a tangent, the
+    identity at first, is carried through the map's isotopy pieces in
+    application order.  Flows march it by RK4 on the variational
+    equation, twists apply their closed form, so the jet of a
+    composition is one march per piece.  A map that carries a tangent
+    itself (a lifted map, whose flows stay under its gap monitor) is its
+    own single piece; any other map without isotopy data is rejected.
+    The images are bitwise equal to ``m.apply``'s.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     shape = np.broadcast(P, Q).shape
-    Pf = np.broadcast_to(P, shape).ravel()
-    Qf = np.broadcast_to(Q, shape).ravel()
-    h = float(fd_h)
-    stack_p = np.concatenate([Pf, Pf + h, Pf - h, Pf, Pf])
-    stack_q = np.concatenate([Qf, Qf, Qf, Qf + h, Qf - h])
-    yp, yq = m.apply(stack_p, stack_q)
-    yp = np.asarray(yp).reshape(5, -1)
-    yq = np.asarray(yq).reshape(5, -1)
-    inv2h = 0.5 / h
-    return MapJet(
-        yp=yp[0].reshape(shape),
-        yq=yq[0].reshape(shape),
-        dpp=((yp[1] - yp[2]) * inv2h).reshape(shape),
-        dqp=((yq[1] - yq[2]) * inv2h).reshape(shape),
-        dpq=((yp[3] - yp[4]) * inv2h).reshape(shape),
-        dqq=((yq[3] - yq[4]) * inv2h).reshape(shape),
-    )
+    p = np.broadcast_to(P, shape).copy()
+    q = np.broadcast_to(Q, shape).copy()
+    # dP[j] and dQ[j] differentiate the p and q images in the j-th input
+    dP = np.zeros((2,) + shape)
+    dQ = np.zeros((2,) + shape)
+    dP[0] = dQ[1] = 1.0
+    tangent = (dP, dQ)
+    for piece in (m,) if hasattr(m, "carry") else isotopy(m):
+        p, q, tangent = piece.carry(p, q, tangent)
+    dP, dQ = tangent
+    return MapJet(yp=p, yq=q, dpp=dP[0], dpq=dP[1], dqp=dQ[0], dqq=dQ[1])

@@ -191,18 +191,24 @@ class ManifoldModel:
 
 
 def q_jump(manifold, fn, t):
-    """How far ``fn(p, q, t)`` jumps across one circumference in q on a
-    13x13 grid of the window, or None when every jump stays within
-    1e-9*(1 + max|fn|): the test that a field descends to the cylinder."""
+    """How far ``fn(p, q, t)``, or a component of the tuple it returns,
+    jumps across one circumference in q on a 13x13 grid of the window, or
+    None when every component's jumps stay within 1e-9*(1 + max|value|):
+    the test that a field descends to the cylinder."""
     P, Q = GridSpec(13, 13).mesh(manifold.window)
-    here = np.broadcast_to(np.asarray(fn(P, Q, t), dtype=float), P.shape)
-    there = np.broadcast_to(
-        np.asarray(fn(P, Q + manifold.circumference, t), dtype=float), P.shape
-    )
-    gap = float(np.max(np.abs(here - there)))
-    if gap > 1e-9 * (1.0 + float(np.max(np.abs(here)))):
-        return gap
-    return None
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        here = fn(P, Q, t)
+        there = fn(P, Q + manifold.circumference, t)
+    if not isinstance(here, tuple):
+        here, there = (here,), (there,)
+    worst = None
+    for a, b in zip(here, there):
+        a = np.broadcast_to(np.asarray(a, dtype=float), P.shape)
+        b = np.broadcast_to(np.asarray(b, dtype=float), P.shape)
+        gap = float(np.max(np.abs(a - b)))
+        if gap > 1e-9 * (1.0 + float(np.max(np.abs(a)))):
+            worst = gap if worst is None else max(worst, gap)
+    return worst
 
 
 def plane(window):

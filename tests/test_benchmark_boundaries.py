@@ -11,16 +11,18 @@ resolve each name here.
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symcocycle.cocycle import action_values
+from symcocycle.cocycle import action_values, cocycle_by_path, hamiltonian_test
 from symcocycle.distortion import Fingerprint
-from symcocycle.dynamics import FlowMap, HamiltonianSpec
+from symcocycle.dynamics import FlowMap, HamiltonianSpec, TwistMap, map_with_jacobian
 from symcocycle.exprlang import Expr, parse
-from symcocycle.geometry import Primitive, Window, plane
+from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
+from symcocycle.invariants import _newton_refine, twist_boundary_difference
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SELFTEST = SPANS.with_name("selftest.py")
@@ -121,3 +123,56 @@ def test_flow_field_is_one_traced_call_per_rk4_stage(monkeypatch):
     sizes.clear()
     action_values(flow, Primitive.p_dq(), ps, qs)
     assert len(sizes) == 4 * n + 4 * (n + 1)
+
+
+def test_flow_jet_is_one_traced_call_per_rk4_stage(monkeypatch):
+    # the jet bypasses _march, so the benchmark sees its field time only
+    # through the one function Expr.fn hands out for field and derivatives
+    raw = vars(Expr)["fn"]
+    calls = []
+
+    def counting(expr):
+        fn = raw.fget(expr)
+
+        def counted(p, q, t):
+            calls.append((fn, max(np.size(p), np.size(q))))
+            return fn(p, q, t)
+
+        return counted
+
+    monkeypatch.setattr(Expr, "fn", property(counting))
+    spec = HamiltonianSpec(parse("0.2*exp(-0.6*(p^2 + q^2))"))
+    flow = FlowMap(spec, plane(Window(-4, 4, -4, 4)), step=0.1)
+    map_with_jacobian(flow, np.linspace(-1.0, 1.0, 7), np.zeros(7))
+    assert len(calls) == 4 * flow.n_steps()
+    assert len({id(fn) for fn, _ in calls}) == 1
+    assert {size for _, size in calls} == {7}
+
+
+def test_jet_span_covers_every_jet(monkeypatch):
+    # the benchmark's dynamics.jet span replaces map_with_jacobian at every
+    # module binding; each jet user must reach the jet through one of them
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return map_with_jacobian(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("symcocycle") and getattr(mod, "map_with_jacobian", None) is map_with_jacobian:
+            monkeypatch.setattr(mod, "map_with_jacobian", counting)
+    pl = plane(Window(-4, 4, -4, 4))
+    cyl = cylinder(Window(-2, 2, 0, 2 * np.pi))
+    bump = FlowMap(HamiltonianSpec(parse("0.2*exp(-0.6*(p^2 + q^2))")), pl, step=0.1)
+    drift = FlowMap(HamiltonianSpec(parse("0.3*q")), cyl, step=0.1)
+    twist = TwistMap(parse("0.5*p^2"), cyl)
+    cases = {
+        "cocycle_by_path": lambda: cocycle_by_path(bump, Primitive.p_dq(), grid=GridSpec(61, 61)),
+        "hamiltonian_test": lambda: hamiltonian_test(drift, Primitive.p_dq()),
+        "twist_boundary_difference": lambda: twist_boundary_difference(twist),
+        "_newton_refine": lambda: _newton_refine(bump, 0.05, 0.02),
+    }
+    for name, run in cases.items():
+        calls.clear()
+        run()
+        assert calls, name

@@ -283,6 +283,16 @@ def test_cocycle_nonexact_path_route_exits_3(tmp_path, capsys):
     assert "numerical error" in err
 
 
+def test_distortion_path_route_names_the_grid_it_needs(capsys):
+    # on the plane every closed form is exact: the shipped 41x41 grid is too
+    # coarse for the hinge bumps, and the error says so
+    code = cli.main(["distortion", "--config", DISJOINT_PAIR, "--word", "a b",
+                     "--n-max", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "not an obstruction" in err and "nodes would resolve it" in err
+
+
 @pytest.mark.parametrize("method", ["path", "action"])
 def test_overflowing_flow_exits_3(tmp_path, capsys, method):
     path = write_variant(

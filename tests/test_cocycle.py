@@ -14,6 +14,7 @@ from symcocycle.dynamics import (
 )
 from symcocycle.cocycle import (
     GridFunction,
+    GridTooCoarse,
     NonExactForm,
     Normalization,
     NotConstantOutsideSupport,
@@ -221,15 +222,39 @@ def test_gradient_matches_defect_form():
     assert np.max(np.abs(gq - tq)[2:-2, 2:-2]) < 1e-8
 
 
+class Doubler:
+    """(p, q) -> (2p, q): not area preserving.  It has no isotopy data, so
+    it carries its tangent itself, as a lifted map does."""
+
+    manifold = PLANE4
+
+    def apply(self, p, q):
+        return 2.0 * np.asarray(p, float), np.asarray(q, float)
+
+    def carry(self, p, q, tangent):
+        dP, dQ = tangent
+        return 2.0 * p, q, (2.0 * dP, dQ)
+
+
 def test_nonexact_form_detected_for_nonsymplectic_map():
-    class Doubler:
-        manifold = PLANE4
-
-        def apply(self, p, q):
-            return 2.0 * np.asarray(p, float), np.asarray(q, float)
-
-    with pytest.raises(NonExactForm):
+    # the defect p dq of the doubler has curl 1: the two path families
+    # differ by rectangle areas, which no grid refinement removes
+    with pytest.raises(NonExactForm, match="every other node"):
         cocycle_by_path(Doubler(), (parse("0"), parse("p")), grid=GridSpec(21, 21))
+
+
+def test_truncation_disagreement_names_the_grid_needed():
+    # the hinge bump is only C^3 across its rim, so at 41x41 the two path
+    # families disagree by quadrature truncation, about 7.4 times less
+    # than on the grid of every other node (order 2.9)
+    hinge = bump_flow("0.1*max(0, 1 - ((p + 2)^2 + q^2)/2.25)^4", step=0.05)
+    with pytest.raises(GridTooCoarse, match="order 2.9") as err:
+        cocycle_by_path(hinge, PDQ, basepoint=(0.0, 0.0), grid=GridSpec(41, 41))
+    n_p, n_q = err.value.needed
+    assert n_p == n_q and 41 < n_p < 41 * 8
+    # the grid the estimate names does resolve it
+    K = cocycle_by_path(hinge, PDQ, basepoint=(0.0, 0.0), grid=GridSpec(n_p, n_q))
+    assert K.samples.shape == (n_p, n_q)
 
 
 @pytest.mark.parametrize("form", [3.0, ("p",), ("0", "p", "q")])

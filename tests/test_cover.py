@@ -119,6 +119,9 @@ def test_trajectory_gap_on_coarse_step():
     f = FlowMap(HamiltonianSpec(parse("4*p")), CYL, step=2.0)
     with pytest.raises(TrajectoryGap):
         LiftedMap(f).apply(0.5, 0.0)
+    # the lifted jet marches its flows under the same monitor
+    with pytest.raises(TrajectoryGap):
+        lifted_cocycle(f, PDQ, grid=GridSpec(11, 11))
 
 
 # ------------------------------------------------------------------

@@ -26,8 +26,9 @@ from symcocycle.dynamics import (
     TwistMap,
     compose,
     isotopy,
+    map_with_jacobian,
 )
-from symcocycle.cocycle import cocycle_by_action
+from symcocycle.cocycle import cocycle_by_action, cocycle_by_path
 from symcocycle.cover import LiftedMap
 from symcocycle.invariants import flux_compare
 
@@ -95,6 +96,10 @@ def test_opaque_map_rejected_by_every_consumer(wrap):
         LiftedMap(m)
     with pytest.raises(ValidationError, match="no isotopy data"):
         flux_compare(m, grid=GRID)
+    with pytest.raises(ValidationError, match="no isotopy data"):
+        cocycle_by_path(m, Primitive.p_dq(), grid=GRID)
+    with pytest.raises(ValidationError, match="no isotopy data"):
+        map_with_jacobian(m, np.zeros(3), np.zeros(3))
 
 
 def test_action_route_rejects_twists():
