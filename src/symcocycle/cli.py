@@ -31,7 +31,7 @@ from .dynamics import (
     HamiltonianSpec,
     TwistMap,
     compose,
-    isotopy,
+    flow_pieces,
 )
 from .cocycle import PATH_TOL, cocycle_by_action, cocycle_by_path
 from .invariants import (
@@ -374,13 +374,9 @@ def _cmd_cocycle(args):
 def _cmd_calabi(args):
     sc = _scenario(args)
     _, m = _realized(args, sc)
-    total = 0.0
-    for factor in isotopy(m):
-        if not isinstance(factor, FlowMap):
-            raise ValidationError(
-                "calabi: every word letter must be a hamiltonian flow"
-            )
-        total += calabi_from_hamiltonian(factor.spec, sc.manifold)
+    total = sum(
+        calabi_from_hamiltonian(flow.spec, sc.manifold) for flow in flow_pieces(m)
+    )
     _emit_scalar(args, f"calabi {total:.8g}")
     return 0
 

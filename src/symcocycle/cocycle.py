@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import as_expr
-from .dynamics import FlowMap, isotopy, map_with_jacobian
+from .dynamics import flow_pieces, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -122,19 +122,18 @@ class GridFunction:
     """Real samples on a uniform grid over the manifold's window, with
     interpolation.
 
-    Default evaluation is bilinear; ``evaluate_cubic`` interpolates with a
-    four-point Lagrange stencil per axis for fourth-order accuracy where
-    composition precision matters.  On the cylinder evaluation wraps q;
-    grids on the universal cover live on a plane model and never wrap.
-    Coordinates outside the window clamp to the edge, which continues
-    boundary values constantly.
+    ``evaluate_cubic`` interpolates with a four-point Lagrange stencil per
+    axis, fourth-order accurate, so every grid has at least 4 nodes per
+    axis.  On the cylinder evaluation wraps q; grids on the universal
+    cover live on a plane model and never wrap.  Coordinates outside the
+    window clamp to the edge, which continues boundary values constantly.
     """
 
     def __init__(self, manifold, samples, normalization):
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] < 3 or samples.shape[1] < 3:
+        if samples.ndim != 2 or samples.shape[0] < 4 or samples.shape[1] < 4:
             raise ValidationError(
-                f"samples must be a matrix with at least 3x3 entries, got "
+                f"samples must be a matrix with at least 4x4 entries, got "
                 f"shape {samples.shape}"
             )
         if not np.all(np.isfinite(samples)):
@@ -143,7 +142,6 @@ class GridFunction:
         self.window = window = manifold.window
         self.samples = samples
         self.normalization = normalization
-        self._wraps = manifold.is_cylinder
         self.n_p, self.n_q = samples.shape
         self.p_nodes = np.linspace(window.p_min, window.p_max, self.n_p)
         self.q_nodes = np.linspace(window.q_min, window.q_max, self.n_q)
@@ -223,32 +221,10 @@ class GridFunction:
 
     def _coords(self, p, q):
         p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if self._wraps:
-            q = self.window.q_min + np.mod(
-                q - self.window.q_min, self.manifold.circumference
-            )
+        q = self.manifold.wrap_q(np.asarray(q, dtype=float))
         x = np.clip((p - self.window.p_min) / self.dp, 0.0, self.n_p - 1.0)
         y = np.clip((q - self.window.q_min) / self.dq, 0.0, self.n_q - 1.0)
         return x, y
-
-    def evaluate(self, p, q):
-        """Bilinear interpolation; scalar in, float out."""
-        x, y = self._coords(p, q)
-        i = np.clip(np.floor(x).astype(int), 0, self.n_p - 2)
-        j = np.clip(np.floor(y).astype(int), 0, self.n_q - 2)
-        u = x - i
-        v = y - j
-        s = self.samples
-        out = (
-            (1 - u) * (1 - v) * s[i, j]
-            + u * (1 - v) * s[i + 1, j]
-            + (1 - u) * v * s[i, j + 1]
-            + u * v * s[i + 1, j + 1]
-        )
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
 
     @staticmethod
     def _lagrange4(s):
@@ -264,16 +240,13 @@ class GridFunction:
         )
 
     def evaluate_cubic(self, p, q):
-        """Four-point Lagrange interpolation per axis."""
-        if self.n_p < 4 or self.n_q < 4:
-            raise ValidationError(
-                "cubic interpolation needs at least 4 nodes per axis"
-            )
+        """Four-point Lagrange interpolation per axis; scalar in, float
+        out."""
         x, y = self._coords(p, q)
         i0 = np.clip(np.floor(x).astype(int) - 1, 0, self.n_p - 4)
         wx = self._lagrange4(x - i0)
         s = self.samples
-        if self._wraps:
+        if self.manifold.is_cylinder:
             # wrap the q stencil over the unique columns (the seam column
             # repeats the first one)
             uniq = self.n_q - 1
@@ -463,7 +436,7 @@ def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
     samples = 0.5 * (k_qfirst + k_pfirst)
     out = GridFunction(manifold, samples, Normalization.pinned((bp, bq)))
     # pin at the true basepoint, not just its nearest node
-    off = out.evaluate(bp, bq)
+    off = out.evaluate_cubic(bp, bq)
     if off != 0.0:
         out = out.with_samples(samples - off)
     return out
@@ -538,17 +511,6 @@ def _action_stream(flow, fap, faq, p0, q0):
     return acc, end_p, end_q
 
 
-def _flows_of(m):
-    """The isotopy pieces of ``m``, all of which must be flows."""
-    flows = isotopy(m)
-    if not all(isinstance(factor, FlowMap) for factor in flows):
-        raise ValidationError(
-            "the action route needs generating Hamiltonian data: a flow, the "
-            "identity, or a composition of flows"
-        )
-    return flows
-
-
 def action_values(flow, alpha, ps, qs):
     """Action-route cocycle values at arbitrary points.
 
@@ -558,7 +520,7 @@ def action_values(flow, alpha, ps, qs):
     """
     a_p, a_q = _form_components(alpha)
     fap, faq = a_p.fn, a_q.fn
-    flows = _flows_of(flow)
+    flows = flow_pieces(flow)
     p = np.asarray(ps, dtype=float).copy()
     q = np.asarray(qs, dtype=float).copy()
     total = np.zeros(p.shape)
@@ -583,7 +545,7 @@ def cocycle_by_action(flow, alpha, grid=None):
     """
     # anything else (a bare Hamiltonian specification, a twist) is
     # rejected before its manifold is read
-    _flows_of(flow)
+    flow_pieces(flow)
     manifold = flow.manifold
     grid = grid or GridSpec()
     P, Q = grid.mesh(manifold.window)

@@ -181,13 +181,14 @@ def projection_residual(lifted, ps, qs):
 def lifted_cocycle(
     f, alpha, grid=None, periods=2, basepoint=None, tol=PATH_TOL
 ):
-    """Path-route cocycle of the lifted map on the cover window.
+    """Path-route cocycle of the lift of the cylinder map ``f`` on the
+    cover window.
 
     ``grid`` is the BASE cylinder grid; the cover grid repeats its q
     spacing across ``periods`` fundamental domains so deck translates
     stay on nodes.
     """
-    lm = f if isinstance(f, LiftedMap) else LiftedMap(f, periods)
+    lm = LiftedMap(f, periods)
     grid = grid or GridSpec()
     return cocycle_by_path(
         lm, alpha, basepoint=basepoint,

@@ -334,8 +334,8 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
                         gens, held_word, new_word, sec_ps, sec_qs
                     ):
                         warnings.warn(
-                            f"words {_word_text(held_word)} (length "
-                            f"{held_length}) and {_word_text(new_word)} "
+                            f"words {GroupWord(held_word[::-1])} (length "
+                            f"{held_length}) and {GroupWord(new_word[::-1])} "
                             f"(length {length}) share a fingerprint but "
                             "differ on the secondary probes",
                             FingerprintCollisionWarning,
@@ -346,12 +346,6 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
                 next_frontier.append((new_word, new_fp))
         frontier = next_frontier
     return None
-
-
-def _word_text(letters):
-    if not letters:
-        return "<empty>"
-    return " ".join(n if e == 1 else f"{n}^-1" for n, e in letters)
 
 
 # ============================================================

@@ -19,8 +19,9 @@ map x -> f(g(x)).
 
 Every map answers one protocol: ``apply``, ``inverse`` and ``factors``,
 the flat tuple of its atomic isotopy pieces in application order.  Flows
-and twists are their own single piece, the identity has none, and a
-composition lists the pieces of its factors, flattened when it is built.
+and twists are their own single piece, a composition lists the pieces
+of its factors, flattened when it is built, and the identity is the
+composition of none.
 ``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
 An atomic piece also answers ``carry``, which pushes a tangent forward
 with the points; ``map_with_jacobian`` chains it through the pieces.
@@ -55,6 +56,7 @@ __all__ = [
     "TwistMap",
     "UnknownGenerator",
     "compose",
+    "flow_pieces",
     "isotopy",
     "map_with_jacobian",
 ]
@@ -161,21 +163,6 @@ def _as_float_pair(p, q, out_p, out_q):
         np.broadcast_to(np.asarray(out_p, dtype=float), shape).copy(),
         np.broadcast_to(np.asarray(out_q, dtype=float), shape).copy(),
     )
-
-
-class IdentityMap:
-    """The do-nothing map; the empty word composes to this."""
-
-    factors = ()
-
-    def __init__(self, manifold):
-        self.manifold = manifold
-
-    def apply(self, p, q):
-        return _as_float_pair(p, q, p, q)
-
-    def inverse(self):
-        return self
 
 
 class TwistMap:
@@ -415,6 +402,16 @@ class ComposedMap:
         )
 
 
+class IdentityMap(ComposedMap):
+    """The do-nothing map: the composition of no factors."""
+
+    def __init__(self, manifold):
+        super().__init__((), manifold)
+
+    def inverse(self):
+        return self
+
+
 def isotopy(m):
     """The atomic isotopy pieces of a map, in application order.
 
@@ -428,6 +425,20 @@ def isotopy(m):
             raise ValidationError(
                 f"{type(piece).__name__} carries no isotopy data; expected a "
                 "flow, a twist, the identity or a composition of those"
+            )
+    return pieces
+
+
+def flow_pieces(m):
+    """The isotopy pieces of a map, all of which must be flows: what
+    needs a generating Hamiltonian (the action route, Calabi) accepts."""
+    pieces = isotopy(m)
+    for piece in pieces:
+        if not isinstance(piece, FlowMap):
+            raise ValidationError(
+                f"{type(piece).__name__} is not a Hamiltonian flow; this needs "
+                "generating Hamiltonian data: a flow, the identity or a "
+                "composition of flows"
             )
     return pieces
 
@@ -496,10 +507,6 @@ class GroupWord:
         return " ".join(
             name if e == 1 else f"{name}^-1" for name, e in self.letters
         )
-
-    def then(self, other):
-        """The word meaning 'this word first, then the other'."""
-        return GroupWord(other.letters + self.letters)
 
     def inverse(self):
         return GroupWord(

@@ -107,9 +107,9 @@ class GridSpec:
     n_q: int = 101
 
     def __post_init__(self):
-        if self.n_p < 3 or self.n_q < 3:
+        if self.n_p < 4 or self.n_q < 4:
             raise ValidationError(
-                f"grids need at least 3 nodes per axis, got {self.n_p} x {self.n_q}"
+                f"grids need at least 4 nodes per axis, got {self.n_p} x {self.n_q}"
             )
 
     def p_nodes(self, window):

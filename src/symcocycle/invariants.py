@@ -16,7 +16,6 @@ from .errors import NumericalError, ValidationError
 from .geometry import (
     GridSpec,
     Primitive,
-    Window,
     WrongManifold,
     integrate_area,
     quad_adaptive,
@@ -24,7 +23,7 @@ from .geometry import (
 )
 from .dynamics import FlowMap, HamiltonianSpec, isotopy, map_with_jacobian
 from .cocycle import _form_components, _pullback_defect, action_values
-from .cover import LiftedMap, growth_rate, lifted_cocycle, lifted_window
+from .cover import LiftedMap, growth_rate, lifted_cocycle
 
 __all__ = [
     "FixedPoint",
@@ -407,13 +406,13 @@ class FluxReport:
 
     ``bounded`` is a finite-window diagnostic: the least-squares growth
     rate of the lifted cocycle along q is compared with GROWTH_TOL on the
-    window reported here, not on the whole cover.
+    lifted window of ``periods`` fundamental domains, not on the whole
+    cover.
     """
 
     flux_value: float
     growth_rate_of_k: float
     bounded: bool
-    window: Window
 
 
 def _flux_of_flow(m, n_loop=1024, n_time=64):
@@ -459,5 +458,4 @@ def flux_compare(f, alpha=None, grid=None, periods=3):
         flux_value=float(flux),
         growth_rate_of_k=float(rate),
         bounded=bool(abs(rate) < GROWTH_TOL),
-        window=lifted_window(f.manifold, periods),
     )

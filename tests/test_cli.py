@@ -89,6 +89,16 @@ def test_violated_support_claim_rejected(tmp_path):
     assert cli.main(["osc", "--config", str(path)]) == 2
 
 
+def test_three_node_resolution_rejected(tmp_path, capsys):
+    manifold = json.loads(Path(PLANE_BUMP).read_text())["manifold"]
+    manifold["resolution"] = [3, 3]
+    path = write_variant(tmp_path, PLANE_BUMP, manifold=manifold)
+    with pytest.raises(ValidationError, match="at least 4 nodes"):
+        cli.load_scenario(path)
+    assert cli.main(["osc", "--config", path]) == 2
+    assert "at least 4 nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scheme", ["implicit_midpoint", "euler"])
 def test_only_rk4_integrator_accepted(tmp_path, capsys, scheme):
     path = write_variant(
@@ -177,7 +187,11 @@ def test_calabi_of_constant_hamiltonian(capsys):
 def test_calabi_rejects_twist_letters(capsys):
     code = cli.main(["calabi", "--config", CYLINDER_TWIST, "--word", "quad"])
     assert code == 2
-    capsys.readouterr()
+    # the action route rejects the twist with the same message
+    sc = cli.load_scenario(CYLINDER_TWIST)
+    with pytest.raises(ValidationError, match="TwistMap is not a Hamiltonian flow") as info:
+        cocycle_by_action(sc.maps["quad"], sc.primitive, grid=sc.grid)
+    assert capsys.readouterr().err == f"calabi: validation error: {info.value}\n"
 
 
 def test_polterovich_between_center_and_far_corner(capsys):

@@ -52,19 +52,21 @@ def _lin_grid():
     )
 
 
-def test_bilinear_reproduces_bilinear_data():
+def test_cubic_reproduces_linear_data():
     g = _lin_grid()
-    assert g.evaluate(0.37, 1.21) == pytest.approx(2 * 0.37 - 3 * 1.21 + 0.5, abs=1e-13)
+    assert g.evaluate_cubic(0.37, 1.21) == pytest.approx(
+        2 * 0.37 - 3 * 1.21 + 0.5, abs=1e-13
+    )
     pts_p = np.array([0.1, 0.52, 0.9])
     pts_q = np.array([0.0, 1.99, 0.5])
     np.testing.assert_allclose(
-        g.evaluate(pts_p, pts_q), 2 * pts_p - 3 * pts_q + 0.5, atol=1e-13
+        g.evaluate_cubic(pts_p, pts_q), 2 * pts_p - 3 * pts_q + 0.5, atol=1e-13
     )
 
 
 def test_evaluation_clamps_to_window_edge():
     g = _lin_grid()
-    assert g.evaluate(2.0, 1.0) == g.evaluate(1.0, 1.0)
+    assert g.evaluate_cubic(2.0, 1.0) == g.evaluate_cubic(1.0, 1.0)
     assert g.evaluate_cubic(-5.0, 0.4) == pytest.approx(
         g.evaluate_cubic(0.0, 0.4), abs=1e-13
     )
@@ -85,8 +87,8 @@ def test_cylinder_evaluation_wraps_q():
     P, Q = GridSpec(9, 33).mesh(w)
     vals = np.sin(Q) * np.exp(P)
     g = GridFunction(CYL, vals, Normalization.mod_constants())
-    assert g.evaluate(0.5, 1.0 + 2 * math.pi) == pytest.approx(
-        g.evaluate(0.5, 1.0), abs=1e-12
+    assert g.evaluate_cubic(0.5, 1.0 + 2 * math.pi) == pytest.approx(
+        g.evaluate_cubic(0.5, 1.0), abs=1e-12
     )
     assert g.evaluate_cubic(0.5, 1.0 - 2 * math.pi) == pytest.approx(
         g.evaluate_cubic(0.5, 1.0), abs=1e-12
@@ -99,7 +101,9 @@ def test_gridfunction_arithmetic_and_osc():
     assert d.oscillation() == 0.0
     assert d.normalization.kind == "mod_constants"
     h = 2.0 * g + 1.0
-    assert h.evaluate(0.5, 1.0) == pytest.approx(2 * g.evaluate(0.5, 1.0) + 1)
+    assert h.evaluate_cubic(0.5, 1.0) == pytest.approx(
+        2 * g.evaluate_cubic(0.5, 1.0) + 1
+    )
     assert g.equal_mod_constants(g + 17.0)
     assert not g.equal_mod_constants(2.0 * g, tol=1e-4)
     other = GridFunction(
@@ -150,6 +154,14 @@ def test_identity_gives_zero():
     K = cocycle_by_path(IdentityMap(PLANE4), PDQ, grid=GridSpec(21, 21))
     assert K.max_abs() < 1e-9
     assert K.normalization.kind == "pinned"
+
+
+def test_off_node_basepoint_is_pinned_exactly():
+    bp = (0.2, -0.3)  # between the nodes, 2/15 apart
+    K = cocycle_by_path(bump_flow(), PDQ, basepoint=bp, grid=GridSpec(61, 61))
+    assert K.normalization.basepoint == bp
+    assert abs(K.evaluate_cubic(*bp)) < 1e-12
+    assert K.max_abs() > 1e-3
 
 
 def test_momentum_flow_gives_zero():
@@ -350,7 +362,7 @@ def test_action_at_origin_is_hamiltonian_value():
     flow = bump_flow(f"{amp}*exp(-{s}*(p^2 + q^2))")
     A = cocycle_by_action(flow, PDQ, grid=GridSpec(17, 17))
     # the origin is fixed: no line integral, just F(0) over unit time
-    assert A.evaluate(0.0, 0.0) == pytest.approx(amp, abs=1e-6)
+    assert A.evaluate_cubic(0.0, 0.0) == pytest.approx(amp, abs=1e-6)
 
 
 def test_action_requires_manifold_for_bare_spec():

@@ -171,7 +171,7 @@ def test_lifted_matches_base_on_fundamental_domain():
     K_up = lifted_cocycle(flow, PDQ, grid=base_grid, periods=2)
     K_down = cocycle_by_path(flow, PDQ, grid=base_grid)
     P, Q = base_grid.mesh(CYL.window)
-    up_vals = K_up.evaluate(P, Q)
+    up_vals = K_up.evaluate_cubic(P, Q)
     down_vals = K_down.samples
     diff = up_vals - down_vals
     assert np.max(diff) - np.min(diff) < 1e-4

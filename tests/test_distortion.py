@@ -1,10 +1,12 @@
 """Word-length bounds and the word-ball oracle."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
+from symcocycle import distortion
 from symcocycle.distortion import (
     DegenerateBound,
     Fingerprint,
@@ -282,6 +284,39 @@ def test_word_ball_collision_warning():
     with pytest.warns(FingerprintCollisionWarning):
         result = word_ball_norm(gens, target, radius_cap=1)
     assert result is None
+
+
+def test_collision_warning_names_words_in_product_order(monkeypatch):
+    # every key shared across lengths is reported as a collision; the
+    # commuting pair supplies them, x y x^-1 landing on y
+    rechecked = []
+
+    def disagree(gens, letters_a, letters_b, ps, qs):
+        rechecked.append((letters_a, letters_b))
+        return True
+
+    monkeypatch.setattr(distortion, "_secondary_disagree", disagree)
+    coarse = {
+        name: FlowMap(HamiltonianSpec(parse(expr)), PLANE, step=0.05)
+        for name, expr in (("a", LEFT_BUMP), ("b", RIGHT_BUMP))
+    }
+    gens = GeneratorSet(coarse, grid=GridSpec(21, 21), method="action")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert word_ball_norm(gens, TwistMap(parse("1"), PLANE), radius_cap=4) is None
+    texts = [
+        str(w.message) for w in caught
+        if issubclass(w.category, FingerprintCollisionWarning)
+    ]
+    assert len(texts) == len(rechecked) > 0
+    # the search holds words in application order; --word takes them in
+    # product order, the last letter acting first
+    for text, (held, new) in zip(texts, rechecked):
+        assert text.startswith(
+            f"words {GroupWord(held[::-1])} (length {len(held)}) and "
+            f"{GroupWord(new[::-1])} (length {len(new)}) "
+        )
+    assert texts[0].startswith("words b (length 1) and a^-1 b a (length 3) ")
 
 
 # ============================================================

@@ -325,8 +325,8 @@ def test_group_law():
     gens = {"a": quarter_turn(), "b": down_shift()}
     w1 = GroupWord.from_string("a")
     w2 = GroupWord.from_string("b a")
-    chained = compose(w1.then(w2), gens, PLANE)
-    assert w1.then(w2).letters == w2.letters + w1.letters
+    # w1 first, then w2: in product order w2 stands to the left
+    chained = compose(GroupWord(w2.letters + w1.letters), gens, PLANE)
     seq_first = compose(w1, gens, PLANE)
     seq_second = compose(w2, gens, PLANE)
     for seed in [(0.3, -0.7), (1.1, 0.4), (-0.9, 1.3)]:
@@ -355,6 +355,8 @@ def test_empty_word_is_identity():
     ident = IdentityMap(PLANE)
     assert ident.apply(1.0, 2.0) == (1.0, 2.0)
     assert ident.inverse() is ident
+    # the identity is the empty composition, not a map type of its own
+    assert isinstance(ident, ComposedMap) and ident.factors == ()
 
 
 def test_unknown_generator():

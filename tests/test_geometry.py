@@ -58,6 +58,9 @@ def test_gridspec():
     assert Q[0, 0] == 0.0 and Q[0, -1] == 1.0
     with pytest.raises(ValidationError):
         GridSpec(2, 5)
+    # cubic interpolation needs a four-node stencil on every axis
+    with pytest.raises(ValidationError, match="at least 4 nodes"):
+        GridSpec(3, 5)
 
 
 def test_cylinder_window_must_span_circumference():
