@@ -13,11 +13,20 @@ functional equality of diffeomorphisms is out of reach numerically;
 forty probe images quantized at 1e-6 make the search finite, and a
 larger secondary probe set turns any spurious identification into a
 loud warning instead of a silent wrong answer.
+
+The word ball does not depend on the target, so it is a value: the
+generator set walks it once per probe seed, level by level, and every
+search replays what earlier searches walked.  A level is marched with
+one ``apply`` per letter on the stacked images of every frontier word
+that takes the letter, primary and secondary probes together, so a
+recheck reads images already in hand.  A march treats each point on its
+own, so stacking changes no image.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
@@ -49,6 +58,10 @@ MATCH_TOL = 2e-6
 #: the secondary set rechecks words of different lengths that collide.
 N_PROBES = 40
 N_SECONDARY = 200
+
+#: The largest search radius.  With two generators each level holds up to
+#: three times as many words as the one before.
+MAX_RADIUS = 8
 
 #: A fixed-point difference at most this large makes the bound vacuous.
 DEGENERATE_TOL = 1e-9
@@ -107,6 +120,13 @@ def probe_points(window, count=40, seed=0, inset=0.05):
     return ps, qs
 
 
+def _largest_gap(manifold, dp, dq):
+    """Largest coordinate of the image differences ``dp``, ``dq``, with
+    q-differences wrapped on the manifold."""
+    dq = manifold.wrap_delta(dq)
+    return float(max(np.max(np.abs(dp)), np.max(np.abs(dq))))
+
+
 class Fingerprint:
     """Images of the probe set under one map, quantized for hashing.
 
@@ -138,9 +158,10 @@ class Fingerprint:
     def distance(self, other, manifold):
         """Largest coordinate-wise gap to ``other`` over all probes, with
         q-gaps wrapped on the manifold."""
-        dp = np.abs(self.p_images - other.p_images)
-        dq = manifold.wrap_delta(self.q_images - other.q_images)
-        return float(max(np.max(dp), np.max(np.abs(dq))))
+        return _largest_gap(
+            manifold, self.p_images - other.p_images,
+            self.q_images - other.q_images,
+        )
 
     def matches(self, other, manifold):
         return self.distance(other, manifold) <= MATCH_TOL
@@ -199,6 +220,8 @@ class GeneratorSet:
             name: self._cocycle_of_map(m) for name, m in self.maps.items()
         }
         self.m = max(K.oscillation() for K in self.cocycles.values())
+        # probe seed -> (its word-ball walk, the candidates it produced)
+        self._walks = {}
         # a single positive letter composes to its generator alone, whose
         # cocycle is already in hand
         self._word_cocycles = {
@@ -262,15 +285,128 @@ def distortion_lower_bound(gens, word, x, y, n):
 # ============================================================
 
 
-def _secondary_disagree(gens, letters_a, letters_b, ps, qs):
-    """Whether two words, given as letter tuples in application order,
-    realize maps that differ on the probes."""
-    mani = gens.manifold
-    fa, fb = (
-        Fingerprint.of_map(gens.realize(GroupWord(letters[::-1])), ps, qs, mani)
-        for letters in (letters_a, letters_b)
+# One word of the ball: its letters in application order, its images of
+# the primary probes followed by the secondary ones (q wrapped after every
+# letter), and the fingerprint of the primary images.
+_Node = namedtuple("_Node", "letters p q fp")
+
+
+def _secondary_disagree(manifold, held, new):
+    """Whether two nodes of the ball differ on the secondary probes.  Both
+    carry their images already, so a recheck marches nothing."""
+    gap = _largest_gap(
+        manifold,
+        held.p[N_PROBES:] - new.p[N_PROBES:],
+        held.q[N_PROBES:] - new.q[N_PROBES:],
     )
-    return fa.distance(fb, mani) > MATCH_TOL
+    return gap > MATCH_TOL
+
+
+def _walk(letters, manifold, seed, identity):
+    """The word ball of the probe ``seed`` as a stream of ``(length,
+    fingerprint)`` candidates in search order.  ``letters`` holds a
+    ``(name, exponent, map)`` triple for each generator and inverse, and
+    ``identity`` is the identity's fingerprint, the root.
+
+    Each level is announced as ``(length, None)`` before it is marched,
+    so a search capped below it stops without marching it.  A level is
+    marched with one ``apply`` per letter on the stacked images of every
+    frontier node that takes the letter; the candidates then follow
+    node-major, letter-minor, with free reduction.  A candidate whose key
+    is already held is dropped, after a recheck on the secondary probes
+    when the lengths differ.
+    """
+    sec_ps, sec_qs = probe_points(manifold.window, N_SECONDARY, seed, inset=0.04)
+    root = _Node(
+        (),
+        np.concatenate([identity.p_images, sec_ps]),
+        np.concatenate([identity.q_images, manifold.wrap_q(sec_qs)]),
+        identity,
+    )
+    seen = {root.fp.key: root}
+    frontier = [root]
+    for length in range(1, MAX_RADIUS + 1):
+        yield length, None
+        # marched[j][i]: the images of frontier node i under letter j
+        marched = []
+        for name, e, m in letters:
+            takers = [
+                i for i, node in enumerate(frontier)
+                if node.letters[-1:] != ((name, -e),)
+            ]
+            rows = {}
+            if takers:
+                pim, qim = m.apply(
+                    np.concatenate([frontier[i].p for i in takers]),
+                    np.concatenate([frontier[i].q for i in takers]),
+                )
+                qim = manifold.wrap_q(qim)
+                rows = dict(zip(
+                    takers,
+                    zip(pim.reshape(len(takers), -1), qim.reshape(len(takers), -1)),
+                ))
+            marched.append(rows)
+        next_frontier = []
+        for i, node in enumerate(frontier):
+            for (name, e, _), rows in zip(letters, marched):
+                if i not in rows:
+                    continue  # free reduction: never undo the last letter
+                p, q = rows[i]
+                new = _Node(
+                    node.letters + ((name, e),), p, q,
+                    Fingerprint(p[:N_PROBES], q[:N_PROBES]),
+                )
+                yield length, new.fp
+                held = seen.get(new.fp.key)
+                if held is not None:
+                    held_length = len(held.letters)
+                    if held_length != length and _secondary_disagree(
+                        manifold, held, new
+                    ):
+                        warnings.warn(
+                            f"words {GroupWord(held.letters[::-1])} (length "
+                            f"{held_length}) and {GroupWord(new.letters[::-1])} "
+                            f"(length {length}) share a fingerprint but "
+                            "differ on the secondary probes",
+                            FingerprintCollisionWarning,
+                            # past _ball and word_ball_norm, to the caller
+                            stacklevel=4,
+                        )
+                    continue
+                seen[new.fp.key] = new
+                next_frontier.append(new)
+        frontier = next_frontier
+
+
+def _ball(gens, seed, identity):
+    """The candidates of the generator set's walk for ``seed``: those it
+    has produced, then new ones, recorded as they come.  A walk that
+    raises is dropped, so the next search starts it again and meets the
+    same error instead of a finished walk."""
+    walk = gens._walks.get(seed)
+    if walk is None:
+        letters = []
+        for name in gens.names:
+            letters.append((name, 1, gens.maps[name]))
+            letters.append((name, -1, gens.maps[name].inverse()))
+        # the walk holds no reference to gens: a cycle through the
+        # suspended generator would keep every node alive until the
+        # cyclic collector runs
+        walk = (_walk(letters, gens.manifold, seed, identity), [])
+        gens._walks[seed] = walk
+    source, produced = walk
+    i = 0
+    while True:
+        if i == len(produced):
+            try:
+                produced.append(next(source))
+            except StopIteration:
+                return
+            except BaseException:
+                del gens._walks[seed]
+                raise
+        yield produced[i]
+        i += 1
 
 
 def word_ball_norm(gens, target, radius_cap=6, seed=0):
@@ -289,17 +425,20 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
     disagreement means the probe resolution merged distinct maps and a
     FingerprintCollisionWarning is issued because the returned norm may
     then undershoot.
+
+    The ball does not depend on the target, so the generator set keeps
+    one walk per probe seed: a search replays the nodes earlier searches
+    reached and marches only levels none of them needed.  Collision
+    warnings therefore come once per walk, from the search that first
+    reaches them.
     """
     radius_cap = int(radius_cap)
-    if not (0 <= radius_cap <= 8):
+    if not (0 <= radius_cap <= MAX_RADIUS):
         raise ValidationError(
-            f"radius_cap must be between 0 and 8, got {radius_cap}"
+            f"radius_cap must be between 0 and {MAX_RADIUS}, got {radius_cap}"
         )
     manifold = gens.manifold
     ps, qs = probe_points(manifold.window, N_PROBES, seed)
-    sec_ps, sec_qs = probe_points(
-        manifold.window, N_SECONDARY, seed, inset=0.04
-    )
     target_fp = Fingerprint.of_map(target, ps, qs, manifold)
 
     identity_fp = Fingerprint(
@@ -307,44 +446,11 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
     )
     if identity_fp.matches(target_fp, manifold):
         return 0
-
-    letters = []
-    for name in gens.names:
-        letters.append((name, 1, gens.maps[name]))
-        letters.append((name, -1, gens.maps[name].inverse()))
-
-    # Words are letter tuples in application order (first applied first).
-    seen = {identity_fp.key: (0, ())}
-    frontier = [((), identity_fp)]
-    for length in range(1, radius_cap + 1):
-        next_frontier = []
-        for word, fp in frontier:
-            for name, e, m in letters:
-                if word and word[-1] == (name, -e):
-                    continue  # free reduction: never undo the last letter
-                new_word = word + ((name, e),)
-                pim, qim = m.apply(fp.p_images, fp.q_images)
-                new_fp = Fingerprint(pim, manifold.wrap_q(qim))
-                if new_fp.matches(target_fp, manifold):
-                    return length
-                held = seen.get(new_fp.key)
-                if held is not None:
-                    held_length, held_word = held
-                    if held_length != length and _secondary_disagree(
-                        gens, held_word, new_word, sec_ps, sec_qs
-                    ):
-                        warnings.warn(
-                            f"words {GroupWord(held_word[::-1])} (length "
-                            f"{held_length}) and {GroupWord(new_word[::-1])} "
-                            f"(length {length}) share a fingerprint but "
-                            "differ on the secondary probes",
-                            FingerprintCollisionWarning,
-                            stacklevel=2,
-                        )
-                    continue
-                seen[new_fp.key] = (length, new_word)
-                next_frontier.append((new_word, new_fp))
-        frontier = next_frontier
+    for length, fp in _ball(gens, int(seed), identity_fp):
+        if length > radius_cap:
+            return None
+        if fp is not None and fp.matches(target_fp, manifold):
+            return length
     return None
 
 

@@ -359,21 +359,35 @@ def _select(mask, v, shape):
 
 
 def _iflte(a, b, then, then_args, other, other_args):
-    """``then(*then_args)`` where ``a <= b`` and ``other(*other_args)``
-    elsewhere; a branch function takes the variables it reads and is
-    called on the points it selects only."""
+    """The values of ``then(*then_args)`` where ``a <= b`` and of
+    ``other(*other_args)`` elsewhere.  The branch functions return tuples
+    of equal length, one value for each ``iflte`` that shares the
+    comparison, and so does this; a branch function takes the variables
+    it reads and is called on the points it selects only."""
     cond = np.less_equal(a, b)
     if cond.ndim == 0:
         return then(*then_args) if cond else other(*other_args)
     shape = cond.shape
-    out = np.empty(shape, dtype=float)
+    outs = None
     selected = np.count_nonzero(cond)
     if selected:
-        out[cond] = then(*(_select(cond, v, shape) for v in then_args))
+        values = then(*(_select(cond, v, shape) for v in then_args))
+        outs = _place(outs, cond, values)
     if selected < cond.size:
         rest = ~cond
-        out[rest] = other(*(_select(rest, v, shape) for v in other_args))
-    return out
+        values = other(*(_select(rest, v, shape) for v in other_args))
+        outs = _place(outs, rest, values)
+    return outs
+
+
+def _place(outs, mask, values):
+    """Write each of ``values`` into its output array where ``mask``
+    holds; the arrays are made on the first call."""
+    if outs is None:
+        outs = [np.empty(mask.shape, dtype=float) for _ in values]
+    for out, v in zip(outs, values):
+        out[mask] = v
+    return outs
 
 
 # the names generated code calls; checked operations go through the
@@ -446,13 +460,21 @@ class _Codegen:
     written inline where it is used.  A temporary is deleted right after
     its last use.  Constants and branch functions are globals in
     ``namespace``.
+
+    The ``iflte`` nodes of one function that compare the same two
+    operands, and whose branches cannot raise, are evaluated by one call
+    at the place of the first: its branch functions return the tuple of
+    the members' branch values, so the comparison mask is made once.
+    Every other ``iflte`` is a group of its own.
     """
 
     def __init__(self):
         self.numbers = {}  # structural key -> number
         self.memo = {}  # id(node) -> number
+        self.raises = {}  # number -> whether the subtree may raise
         self.namespace = dict(_RUNTIME)
         self.blocks = []  # source of each function, branches first
+        self.pairs = []  # branch-tuple roots, alive while ids are memo keys
 
     def number(self, node):
         got = self.memo.get(id(node))
@@ -487,6 +509,16 @@ class _Codegen:
                 order.append(n)
 
         visit(root)
+        groups = {}  # shared comparison (or own number) -> iflte numbers
+        for n in order:
+            node = nodes[n]
+            if isinstance(node, Call) and node.fn == "iflte":
+                a, b = node.args[:2]
+                alone = any(self.may_raise(x) for x in node.args[2:])
+                key = (n,) if alone else (self.number(a), self.number(b))
+                groups.setdefault(key, []).append(n)
+        group_of = {n: members for members in groups.values() for n in members}
+
         lines = [f"def {name}({params}):"]
         code = {}  # number -> (text, temporaries it reads, nesting)
         unread = {}  # temporary -> reads still to come
@@ -500,27 +532,64 @@ class _Codegen:
                 self.namespace[f"c{n}"] = node.value
                 code[n] = (f"c{n}", (), 0)
                 continue
-            args = [code[self.number(a)] for a in _operands(node)]
-            text = self.render(node, n, [a[0] for a in args])
+            members = group_of.get(n, (n,))
+            if n != members[0]:
+                continue  # computed with the first member of its group
+            args = [
+                code[self.number(a)] for m in members for a in _operands(nodes[m])
+            ]
             reads = tuple(r for a in args for r in a[1])
-            depth = 1 + max(a[2] for a in args)
-            # the root is evaluated last, so its return line keeps the order
-            if n == root_n or (
-                uses[n] == 1 and not _can_raise(node) and depth <= _MAX_NESTING
-            ):
-                code[n] = (text, reads, depth)
-                continue
-            lines.append(f"    v{n} = {text}")
+            if n in group_of:
+                text = self.render_iflte([nodes[m] for m in members], args)
+                targets = "".join(f"v{m}, " for m in members).rstrip()
+            else:
+                text = self.render(node, [a[0] for a in args])
+                depth = 1 + max(a[2] for a in args)
+                # the root is evaluated last, so its return line keeps the order
+                if n == root_n or (
+                    uses[n] == 1 and not _can_raise(node) and depth <= _MAX_NESTING
+                ):
+                    code[n] = (text, reads, depth)
+                    continue
+                targets = f"v{n}"
+            lines.append(f"    {targets} = {text}")
             for r in reads:
                 unread[r] -= 1
                 if not unread[r]:
                     lines.append(f"    del v{r}")
-            unread[n] = uses[n]
-            code[n] = (f"v{n}", (n,), 0)
+            for m in members:
+                unread[m] = uses[m]
+                code[m] = (f"v{m}", (m,), 0)
         lines.append(f"    return {code[root_n][0]}")
         self.blocks.append("\n".join(lines))
 
-    def render(self, node, n, a):
+    def may_raise(self, node):
+        """Whether evaluating the node's subtree may raise DomainError."""
+        n = self.number(node)
+        if n not in self.raises:
+            self.raises[n] = _can_raise(node) or any(
+                self.may_raise(a) for a in _operands(node)
+            )
+        return self.raises[n]
+
+    def render_iflte(self, members, args):
+        """One ``iflte`` call for a group sharing its comparison operands
+        ``args[:2]``; the branch functions return tuples."""
+        numbers = "_".join(str(self.number(m)) for m in members)
+        branches = []
+        for k, suffix in ((2, "u"), (3, "v")):
+            parts = tuple(m.args[k] for m in members)
+            name = f"f{numbers}{suffix}"
+            used = set().union(*map(_free_vars, parts))
+            reads = ", ".join(v for v in VARIABLES if v in used)
+            if name not in self.namespace:
+                self.namespace[name] = None  # claimed; bound by exec
+                self.pairs.append(_Pair(parts))
+                self.function(self.pairs[-1], name, reads)
+            branches.append(f"{name}, ({reads}{',' if reads else ''})")
+        return f"iflte({args[0][0]}, {args[1][0]}, {', '.join(branches)})"
+
+    def render(self, node, a):
         if isinstance(node, Neg):
             return f"(-{a[0]})"
         if isinstance(node, _Pair):
@@ -538,16 +607,6 @@ class _Codegen:
                     return f"square({a[0]})"
                 return f"power({a[0]}, {a[1]})"
             return f"({a[0]} {node.op} {a[1]})"
-        if node.fn == "iflte":
-            branches = []
-            for branch, suffix in zip(node.args[2:], "uv"):
-                name = f"f{n}{suffix}"
-                reads = ", ".join(v for v in VARIABLES if v in _free_vars(branch))
-                if name not in self.namespace:
-                    self.namespace[name] = None  # claimed; bound by exec
-                    self.function(branch, name, reads)
-                branches.append(f"{name}, ({reads}{',' if reads else ''})")
-            return f"iflte({a[0]}, {a[1]}, {', '.join(branches)})"
         return f"{node.fn}({', '.join(a)})"
 
 

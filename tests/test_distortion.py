@@ -5,9 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import word_search_oracle
 from symcocycle import distortion
 from symcocycle.distortion import (
+    N_PROBES,
+    N_SECONDARY,
     DegenerateBound,
     Fingerprint,
     FingerprintCollisionWarning,
@@ -18,14 +23,16 @@ from symcocycle.distortion import (
     word_ball_norm,
 )
 from symcocycle.dynamics import (
+    EscapedWindowWarning,
     FlowMap,
     GroupWord,
     HamiltonianSpec,
     IdentityMap,
     TwistMap,
+    compose,
 )
 from symcocycle.cocycle import cocycle_by_action, cocycle_by_path
-from symcocycle.errors import ValidationError
+from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
 from symcocycle.invariants import NotFixedPoint, oscillation
@@ -291,8 +298,8 @@ def test_collision_warning_names_words_in_product_order(monkeypatch):
     # commuting pair supplies them, x y x^-1 landing on y
     rechecked = []
 
-    def disagree(gens, letters_a, letters_b, ps, qs):
-        rechecked.append((letters_a, letters_b))
+    def disagree(manifold, held, new):
+        rechecked.append((held.letters, new.letters))
         return True
 
     monkeypatch.setattr(distortion, "_secondary_disagree", disagree)
@@ -352,3 +359,224 @@ def test_distortion_table_sound_and_ratio_constant():
         assert ratio == pytest.approx(bound / norm, rel=1e-15)
     ratios = [r[3] for r in rows]
     assert max(ratios) - min(ratios) < 1e-9 * max(ratios)
+
+
+# ============================================================
+# The batched walk against the sequential oracle
+# ============================================================
+
+CYL = cylinder(Window(-2.0, 2.0, 0.0, 2.0 * np.pi))
+# q-periodic; probes near p = +-1.8 turn by about 1.4 in q per letter,
+# across the seam
+CYL_FLOW = "0.4*p^2 + 0.15*cos(q)"
+TIME_DEPENDENT = "(1 - t)*0.1*exp(-((p + 0.4)^2 + q^2))"
+
+
+def flows(manifold, step, **exprs):
+    return {
+        name: FlowMap(HamiltonianSpec(parse(expr)), manifold, step=step)
+        for name, expr in exprs.items()
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def ball_set(name):
+    """Generators and targets of one differential comparison."""
+    if name == "disjoint":
+        maps = flows(PLANE, 0.1, a=LEFT_BUMP, b=RIGHT_BUMP)
+        words = ("a b", "a^-1 b^2", "b a^-1 b^-1 a")
+        manifold, far = PLANE, TwistMap(parse("1"), PLANE)
+    elif name == "sneak":
+        maps = {"c": bump_flow(SNEAK_BUMP)}
+        words = ("c",)
+        manifold, far = PLANE, TwistMap(parse("1"), PLANE)
+    elif name == "cylinder":
+        c = FlowMap(HamiltonianSpec(parse(CYL_FLOW)), CYL, step=0.05)
+        maps = {"c": c, "d": c.inverse()}
+        words = ("c c", "c d", "d^-1 c^2")
+        manifold, far = CYL, TwistMap(parse("0.5"), CYL)
+    else:
+        # s turns the cylinder once, so its lift is the deck translation:
+        # only wrapping after every letter makes s hit the identity's key
+        maps = flows(CYL, 0.05, c=CYL_FLOW, s="2*pi*p")
+        words = ("c s", "s^-1 c^-1 s")
+        manifold, far = CYL, TwistMap(parse("0.5"), CYL)
+    targets = [compose(GroupWord.from_string(w), maps, manifold) for w in words]
+    return maps, targets + [far, IdentityMap(manifold)]
+
+
+BALL_SETS = ["disjoint", "sneak", "cylinder", "deck"]
+
+
+def small_gens(maps):
+    # a new generator set is a new walk; the search never reads the grid
+    return GeneratorSet(maps, grid=GridSpec(4, 4), method="action")
+
+
+def record_rechecks(monkeypatch):
+    """A list that collects the word pairs every search rechecks, both
+    words as letter tuples in application order."""
+    pairs = []
+    new, old = distortion._secondary_disagree, word_search_oracle._secondary_disagree
+
+    def new_recheck(manifold, held, node):
+        pairs.append((held.letters, node.letters))
+        return new(manifold, held, node)
+
+    def old_recheck(gens, letters_a, letters_b, ps, qs):
+        pairs.append((letters_a, letters_b))
+        return old(gens, letters_a, letters_b, ps, qs)
+
+    monkeypatch.setattr(distortion, "_secondary_disagree", new_recheck)
+    monkeypatch.setattr(word_search_oracle, "_secondary_disagree", old_recheck)
+    return pairs
+
+
+def recorded(search, gens, target, cap, seed, rechecks):
+    """The norm a search returns, the texts of its collision warnings and
+    the word pairs it rechecks."""
+    rechecks.clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        norm = search(gens, target, radius_cap=cap, seed=seed)
+    texts = [
+        str(w.message) for w in caught
+        if issubclass(w.category, FingerprintCollisionWarning)
+    ]
+    return norm, texts, list(rechecks)
+
+
+@pytest.mark.parametrize("name", BALL_SETS)
+def test_batched_walk_matches_sequential_oracle(name, monkeypatch):
+    maps, targets = ball_set(name)
+    rechecks = record_rechecks(monkeypatch)
+    warned = rechecked = 0
+    for seed in (0, 3):
+        for cap in range(5):
+            for target in targets:
+                gens = small_gens(maps)
+                args = (gens, target, cap, seed, rechecks)
+                got = recorded(word_ball_norm, *args)
+                want = recorded(word_search_oracle.word_ball_norm, *args)
+                assert got == want, (seed, cap)
+                warned += len(want[1])
+                rechecked += len(want[2])
+    # the sneak bump exercises the recheck that warns, the others
+    # rechecks that find genuine relations
+    assert (warned > 0) == (name == "sneak")
+    assert rechecked > 0
+
+
+@pytest.mark.parametrize("name", BALL_SETS)
+def test_shared_walk_differs_only_by_repeated_warnings(name, monkeypatch):
+    maps, targets = ball_set(name)
+    rechecks = record_rechecks(monkeypatch)
+    gens = small_gens(maps)
+    got_all, want_all = ([], []), ([], [])
+    for cap in (1, 0, 3, 2, 4):
+        for target in targets:
+            args = (gens, target, cap, 3, rechecks)
+            got = recorded(word_ball_norm, *args)
+            want = recorded(word_search_oracle.word_ball_norm, *args)
+            assert got[0] == want[0], cap
+            for acc, part in zip(got_all + want_all, got[1:] + want[1:]):
+                acc += part
+    # each warning and recheck comes once per walk, from the first search
+    # reaching it
+    for got, want in zip(got_all, want_all):
+        assert got == list(dict.fromkeys(want))
+
+
+@functools.lru_cache(maxsize=None)
+def batch_maps():
+    plane_maps = flows(
+        PLANE, 0.05, bump=CENTER_BUMP, hinge=LEFT_BUMP, timed=TIME_DEPENDENT
+    )
+    cyl = FlowMap(HamiltonianSpec(parse(CYL_FLOW)), CYL, step=0.05)
+    return list(plane_maps.values()) + [cyl, cyl.inverse()]
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.lists(st.lists(st.tuples(unit, unit), min_size=1, max_size=30),
+             min_size=1, max_size=4),
+)
+def test_apply_on_stacked_blocks_equals_blockwise(which, blocks):
+    # the batched walk rests on this: a march treats every point alone
+    m = batch_maps()[which]
+    w = m.manifold.window
+    ps = [w.p_min + w.p_span * np.array([u for u, _ in b]) for b in blocks]
+    qs = [w.q_min + w.q_span * np.array([v for _, v in b]) for b in blocks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapedWindowWarning)
+        whole = m.apply(np.concatenate(ps), np.concatenate(qs))
+        parts = [m.apply(p, q) for p, q in zip(ps, qs)]
+    for k in (0, 1):
+        assert whole[k].tobytes() == np.concatenate([x[k] for x in parts]).tobytes()
+
+
+# ============================================================
+# The walk is kept per generator set and probe seed
+# ============================================================
+
+
+def test_walk_that_raises_is_dropped():
+    # p' = -0.1 p^2 blows up in time 10/|p|: the probes at the left edge
+    # survive two applications and overflow in the third
+    target = TwistMap(parse("1"), PLANE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapedWindowWarning)
+        gens = small_gens(flows(PLANE, 0.05, x="0.1*p^2*q"))
+        assert word_ball_norm(gens, target, radius_cap=2) is None
+        with pytest.raises(NumericalError, match="overflowed") as first:
+            word_ball_norm(gens, target, radius_cap=3)
+        with pytest.raises(NumericalError) as again:
+            word_ball_norm(gens, target, radius_cap=3)
+        with pytest.raises(NumericalError):
+            word_search_oracle.word_ball_norm(gens, target, radius_cap=3)
+    assert str(again.value) == str(first.value)
+
+
+def test_second_search_marches_only_new_levels(monkeypatch):
+    gens = small_gens(flows(PLANE, 0.05, g=CENTER_BUMP))
+    marched = []
+    march = FlowMap._march
+
+    def counted(flow, p, q, t0, t1, on_node=None):
+        marched.append(np.size(p))
+        return march(flow, p, q, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", counted)
+    twist = TwistMap(parse("1"), PLANE)  # a target that marches nothing
+    assert word_ball_norm(gens, twist, radius_cap=2) is None
+    # one march per letter and level, on every probe of the frontier
+    assert marched == [N_PROBES + N_SECONDARY] * 4
+    assert word_ball_norm(gens, twist, radius_cap=3) is None
+    assert len(marched) == 6
+    assert word_ball_norm(gens, twist, radius_cap=3) is None
+    assert word_ball_norm(gens, twist, radius_cap=1) is None
+    assert len(marched) == 6
+    square = gens.realize(GroupWord.from_string("g^2"))
+    assert word_ball_norm(gens, square, radius_cap=3) == 2
+    assert marched[6:] == [N_PROBES, N_PROBES]  # the target's two flows
+
+
+def test_distortion_table_makes_one_walk(monkeypatch):
+    gens = GeneratorSet(
+        {"g": bump_flow(CENTER_BUMP)}, grid=GridSpec(21, 21), method="action"
+    )
+    started = []
+    walk = distortion._walk
+
+    def counted(letters, manifold, seed, identity):
+        started.append(seed)
+        return walk(letters, manifold, seed, identity)
+
+    monkeypatch.setattr(distortion, "_walk", counted)
+    rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)
+    assert [r[2] for r in rows] == [1, 2, 3]
+    assert started == [0]

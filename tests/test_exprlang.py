@@ -572,3 +572,42 @@ def test_shared_subexpression_is_computed_once():
     F = parse("0.2*exp(-0.6*(p^2 + q^2))")
     source, _ = exprlang._source(fused(F.diff("q"), -F.diff("p")).root)
     assert source.count("exp(") == 1
+
+
+def _iflte_calls(monkeypatch, expr, *args):
+    """How many times one evaluation of a freshly generated ``expr``
+    calls the runtime's ``iflte``."""
+    calls = []
+
+    def counted(*a):
+        calls.append(a[:2])
+        return exprlang._iflte(*a)
+
+    monkeypatch.setitem(exprlang._RUNTIME, "iflte", counted)
+    Expr(expr.root).fn(*args)
+    return len(calls)
+
+
+def test_shared_comparison_is_one_iflte_call(monkeypatch):
+    # each component of the hinge's field, and of its derivatives, holds
+    # an iflte on the same comparison
+    F = parse("0.1*max(0, 1 - ((p + 2)^2 + q^2)/2.25)^4")
+    xp, xq = F.diff("q"), -F.diff("p")
+    P, Q = np.meshgrid(np.linspace(-4, 0, 7), np.linspace(-2, 2, 6), indexing="ij")
+    assert _iflte_calls(monkeypatch, fused(xp, xq), P, Q, 0.0) == 1
+    tangent = fused(xp, xq, xp.diff("p"), xp.diff("q"), xq.diff("p"))
+    assert _iflte_calls(monkeypatch, tangent, P, Q, 0.0) == 1
+    assert _iflte_calls(monkeypatch, tangent, -2.0, 0.5, 0.0) == 1
+
+
+def test_iflte_whose_branch_can_raise_keeps_its_own_call(monkeypatch):
+    x = np.array([-1.0, 0.5, 2.0])
+    same = fused(parse("iflte(p, 0, 1/q, 2)"), parse("iflte(p, 0, 3, q)"))
+    assert _iflte_calls(monkeypatch, same, x, x, 0.0) == 2
+    safe = fused(parse("iflte(p, 0, q/4, 2)"), parse("iflte(p, 0, 3, q)"))
+    assert _iflte_calls(monkeypatch, safe, x, x, 0.0) == 1
+    oracle = [closure_oracle._compile(parse(s).root)
+              for s in ("iflte(p, 0, q/4, 2)", "iflte(p, 0, 3, q)")]
+    got = safe.fn(x, x, 0.0)
+    for value, f in zip(got, oracle):
+        assert value.tobytes() == f(x, x, 0.0).tobytes()
