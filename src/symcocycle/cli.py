@@ -26,6 +26,8 @@ from .errors import NumericalError, ValidationError
 from .exprlang import parse as parse_expr
 from .geometry import GridSpec, Primitive, Window, cylinder, plane
 from .dynamics import (
+    DEFAULT_DURATION,
+    DEFAULT_STEP,
     FlowMap,
     GroupWord,
     HamiltonianSpec,
@@ -169,7 +171,7 @@ def load_scenario(path):
         raise ValidationError(
             f"scenario integrator: scheme must be 'rk4', got {integ['scheme']!r}"
         )
-    step = _number(integ, "h", "integrator", 1e-3)
+    step = _positive(_number(integ, "h", "integrator", DEFAULT_STEP), "integrator.h")
 
     tols = raw.get("tolerances", {})
     _require_keys(tols, ("tol", "fd_h"), (), "tolerances")
@@ -192,7 +194,7 @@ def load_scenario(path):
         claim = block.get("support_claim")
         spec = HamiltonianSpec(
             parse_expr(block["expression"]),
-            _number(block, "duration", where, 1.0),
+            _number(block, "duration", where, DEFAULT_DURATION),
             None if claim is None else _window_from(claim, f"{where}.support_claim"),
         )
         spec.validate_support(manifold)
@@ -266,13 +268,7 @@ def _word_of(args, sc):
 
 
 def _realized(args, sc):
-    word = _word_of(args, sc)
-    m = compose(word, sc.maps, sc.manifold)
-    if len(m.factors) == 1:
-        # single-letter words keep their concrete map type, which carries
-        # extra structure (per-flow action values, for one)
-        m = m.factors[0]
-    return word, m
+    return compose(_word_of(args, sc), sc.maps, sc.manifold)
 
 
 def _word_cocycle(args, sc, m):
@@ -363,7 +359,7 @@ def _auto_pair(m, K, sc):
 
 def _cmd_cocycle(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     K = _word_cocycle(args, sc, m)
     path = _out_path(args, "cocycle")
     _write_csv(path, "p,q,value", _grid_rows(K))
@@ -373,7 +369,7 @@ def _cmd_cocycle(args):
 
 def _cmd_calabi(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     total = sum(
         calabi_from_hamiltonian(flow.spec, sc.manifold) for flow in flow_pieces(m)
     )
@@ -383,7 +379,7 @@ def _cmd_calabi(args):
 
 def _cmd_polterovich(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     K = _word_cocycle(args, sc, m)
     if args.auto_fixed_points:
         x, y = _auto_pair(m, K, sc)
@@ -405,7 +401,7 @@ def _cmd_polterovich(args):
 
 def _cmd_osc(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     K = _word_cocycle(args, sc, m)
     _emit_scalar(args, f"oscillation {oscillation(K):.8g}")
     return 0
@@ -430,7 +426,7 @@ def _cmd_twist_check(args):
 
 def _cmd_lift(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     K = lifted_cocycle(
         m, sc.primitive, grid=sc.grid, periods=args.periods,
         basepoint=sc.basepoint, tol=sc.tol,
@@ -446,7 +442,7 @@ def _cmd_lift(args):
 
 def _cmd_flux(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     rep = flux_compare(
         m, sc.primitive, grid=sc.grid, periods=args.periods
     )
@@ -487,7 +483,7 @@ def _cmd_distortion(args):
 
 def _cmd_fixed_points(args):
     sc = _scenario(args)
-    _, m = _realized(args, sc)
+    m = _realized(args, sc)
     report = find_fixed_points(m, grid=sc.grid, alpha=sc.primitive)
     path = _out_path(args, "fixed-points")
     rows = [

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import as_expr
-from .dynamics import flow_pieces, map_with_jacobian
+from .dynamics import flow_pieces, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -131,10 +131,9 @@ class GridFunction:
 
     def __init__(self, manifold, samples, normalization):
         samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] < 4 or samples.shape[1] < 4:
+        if samples.ndim != 2:
             raise ValidationError(
-                f"samples must be a matrix with at least 4x4 entries, got "
-                f"shape {samples.shape}"
+                f"samples must be a matrix, got shape {samples.shape}"
             )
         if not np.all(np.isfinite(samples)):
             raise ValidationError("samples contain non-finite values")
@@ -143,8 +142,9 @@ class GridFunction:
         self.samples = samples
         self.normalization = normalization
         self.n_p, self.n_q = samples.shape
-        self.p_nodes = np.linspace(window.p_min, window.p_max, self.n_p)
-        self.q_nodes = np.linspace(window.q_min, window.q_max, self.n_q)
+        self.grid = GridSpec(self.n_p, self.n_q)
+        self.p_nodes = self.grid.p_nodes(window)
+        self.q_nodes = self.grid.q_nodes(window)
         self.dp = self.p_nodes[1] - self.p_nodes[0]
         self.dq = self.q_nodes[1] - self.q_nodes[0]
 
@@ -200,9 +200,6 @@ class GridFunction:
 
     def oscillation(self):
         return float(np.max(self.samples) - np.min(self.samples))
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.samples)))
 
     def equal_mod_constants(self, other, tol=1e-4):
         """Equality in the quotient by constants: the difference must have
@@ -271,7 +268,7 @@ class GridFunction:
     def compose_with(self, m):
         """Samples of self(m(x)) on the same grid, modulo constants, by
         cubic interpolation."""
-        P, Q = np.meshgrid(self.p_nodes, self.q_nodes, indexing="ij")
+        P, Q = self.grid.mesh(self.window)
         yp, yq = m.apply(P.ravel(), Q.ravel())
         vals = self.evaluate_cubic(yp, yq)
         return self.with_samples(
@@ -454,7 +451,7 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
     manifold = f.manifold
     w = manifold.window
     if basepoint is None:
-        basepoint = (0.5 * (w.p_min + w.p_max), 0.5 * (w.q_min + w.q_max))
+        basepoint = w.center
     bp, bq = float(basepoint[0]), float(basepoint[1])
     # checked before the jet, which marches the whole grid
     if not w.contains(bp, bq, slack=1e-12):
@@ -568,7 +565,7 @@ def normalize_compact(K, support_window):
     failure is a twist whose profile integral misses one full
     circumference, which takes two different constants on the two sides.
     """
-    P, Q = np.meshgrid(K.p_nodes, K.q_nodes, indexing="ij")
+    P, Q = K.grid.mesh(K.window)
     outside = ~support_window.contains(P, Q)
     if not outside.any():
         raise ValidationError(
@@ -602,21 +599,18 @@ class HamHatReport:
 
 
 def hamiltonian_test(f, alpha):
-    """Loop period of f*alpha - alpha around the cylinder's core circle,
-    the loop at the window's middle p, by the trapezoid rule on 1024
-    nodes; periods below PERIOD_TOL count as zero.
+    """Loop period of f*alpha - alpha around the cylinder's core loop
+    (``ManifoldModel.core_loop``); periods below PERIOD_TOL count as zero.
 
-    On the plane there are no loops and the answer is always yes with
-    period zero.
+    On the plane there are no loops: a map and a form that pass their
+    checks get yes with period zero.
     """
+    isotopy(f)
+    alpha = _form_components(alpha)
     manifold = f.manifold
     if not manifold.is_cylinder:
         return HamHatReport(True, 0.0)
-    w = manifold.window
-    circ = manifold.circumference
-    qs = w.q_min + circ * np.arange(1024) / 1024
-    ps = np.full_like(qs, 0.5 * (w.p_min + w.p_max))
+    ps, qs = manifold.core_loop()
     _, theta_q = _pullback_defect(f, alpha, ps, qs)
-    # trapezoid rule on a periodic integrand: just the mean times the length
-    period = float(np.mean(theta_q) * circ)
+    period = float(np.mean(theta_q) * manifold.circumference)
     return HamHatReport(abs(period) < PERIOD_TOL, period)

@@ -5,9 +5,9 @@ unbounded q coordinate; computations use a window spanning a few
 fundamental domains.  A map downstairs lifts once isotopy data is in
 hand: flows carry their own trajectories, twists come with an explicit
 one-parameter family, and both already return unwrapped q, so the lift
-applies the map's isotopy pieces in turn and only watches the flow
-trajectories for unwrapping gaps.  Plain callables carry no isotopy data
-and are rejected.
+carries points, and a tangent for its jet, through the map's isotopy
+pieces in turn and only watches the flow trajectories for unwrapping
+gaps.  Plain callables carry no isotopy data and are rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonconvergenceError, ValidationError
 from .geometry import GridSpec, Window, WrongManifold, plane
-from .dynamics import FlowMap, isotopy
+from .dynamics import FlowMap, _as_float_pair, isotopy
 from .cocycle import PATH_TOL, cocycle_by_path
 
 
@@ -77,10 +77,9 @@ def deck_stride(K, circumference):
 # ============================================================
 
 
-def _march_watching_gaps(flow, p, q, tangent=None):
-    """March a flow over its duration, carrying ``tangent`` along when one
-    is given, and raise TrajectoryGap when q jumps by more than half the
-    circumference in one step."""
+def _march_watching_gaps(flow, p, q, tangent):
+    """``flow.carry`` of the points and ``tangent``, which may be None, raising
+    TrajectoryGap when q jumps by over half the circumference in a step."""
     half = 0.5 * flow.manifold.circumference
     prev = None
     worst = 0.0
@@ -91,10 +90,7 @@ def _march_watching_gaps(flow, p, q, tangent=None):
             worst = max(worst, float(np.max(np.abs(np.asarray(qv) - prev))))
         prev = np.asarray(qv, dtype=float)
 
-    if tangent is None:
-        out = flow._march(p, q, 0.0, flow.spec.duration, on_node=on_node)
-    else:
-        out = flow.carry(p, q, tangent, on_node=on_node)
+    out = flow.carry(p, q, tangent, on_node=on_node)
     if worst > half:
         raise TrajectoryGap(
             f"trajectory q jumped by {worst:.3e} in one step, "
@@ -121,23 +117,12 @@ class LiftedMap:
         self._pieces = isotopy(base)
 
     def apply(self, p, q):
-        scalar = np.isscalar(p) and np.isscalar(q)
-        cp = np.asarray(p, dtype=float)
-        cq = np.asarray(q, dtype=float)
-        cp, cq = np.broadcast_arrays(cp, cq)
-        cp, cq = cp.copy(), cq.copy()
-        for piece in self._pieces:
-            if isinstance(piece, FlowMap):
-                cp, cq = _march_watching_gaps(piece, cp, cq)
-            else:
-                cp, cq = piece.apply(cp, cq)
-        if scalar:
-            return float(cp), float(cq)
-        return cp, cq
+        yp, yq, _ = self.carry(np.asarray(p, float), np.asarray(q, float), None)
+        return _as_float_pair(p, q, yp, yq)
 
     def carry(self, p, q, tangent):
-        """Images of float arrays and the tangent pushed forward, piece by
-        piece as in ``apply``: the jet protocol of ``map_with_jacobian``."""
+        """Images of float arrays and the tangent pushed forward (or None),
+        piece by piece, the flows under the gap monitor."""
         for piece in self._pieces:
             if isinstance(piece, FlowMap):
                 p, q, tangent = _march_watching_gaps(piece, p, q, tangent)
@@ -168,9 +153,7 @@ def projection_residual(lifted, ps, qs):
     qs = np.asarray(qs, dtype=float)
     up, uq = lifted.apply(ps, qs)
     dp, dq = lifted.base.apply(ps, mani.wrap_q(qs))
-    return float(
-        np.max(np.hypot(up - dp, mani.wrap_delta(mani.wrap_q(uq) - mani.wrap_q(dq))))
-    )
+    return float(np.max(mani.norm(up - dp, mani.wrap_q(uq) - mani.wrap_q(dq))))
 
 
 # ============================================================

@@ -265,8 +265,6 @@ def distortion_lower_bound(gens, word, x, y, n):
     n = int(n)
     if n < 0:
         raise ValidationError(f"the power n must be nonnegative, got {n}")
-    if not isinstance(word, GroupWord):
-        word = GroupWord(tuple(word))
     value = polterovich(gens.realize(word), gens.cocycle_of_word(word), x, y)
     if abs(value) <= DEGENERATE_TOL:
         raise DegenerateBound(
@@ -467,8 +465,6 @@ def distortion_table(gens, word, x, y, n_max, seed=0):
     oracle aimed at the n-th power of the word; None past the search cap,
     with a None ratio.
     """
-    if not isinstance(word, GroupWord):
-        word = GroupWord(tuple(word))
     rows = []
     for n in range(1, int(n_max) + 1):
         bound = distortion_lower_bound(gens, word, x, y, n)

@@ -23,8 +23,9 @@ and twists are their own single piece, a composition lists the pieces
 of its factors, flattened when it is built, and the identity is the
 composition of none.
 ``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
-An atomic piece also answers ``carry``, which pushes a tangent forward
-with the points; ``map_with_jacobian`` chains it through the pieces.
+An atomic piece also answers ``carry(p, q, tangent)``: its images,
+by ``apply``'s march, and the tangent pushed forward, or None for None;
+``map_with_jacobian`` and the lift chain it through the pieces.
 
 All map objects work in unwrapped cylinder coordinates: outputs continue
 the input representative continuously, which is what lifting to the
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .exprlang import Expr, as_expr, fused
-from .geometry import Window, q_jump
+from .geometry import GridSpec, Window, q_jump
 
 __all__ = [
     "ComposedMap",
@@ -60,6 +61,10 @@ __all__ = [
     "isotopy",
     "map_with_jacobian",
 ]
+
+#: The flow duration and the RK4 step when none is given.
+DEFAULT_DURATION = 1.0
+DEFAULT_STEP = 1e-3
 
 
 class EscapedWindowWarning(UserWarning):
@@ -89,7 +94,7 @@ class HamiltonianSpec:
     """
 
     F: Expr
-    duration: float = 1.0
+    duration: float = DEFAULT_DURATION
     support_claim: Window | None = None
 
     def __post_init__(self):
@@ -119,14 +124,11 @@ class HamiltonianSpec:
         claim = self.support_claim
         if claim is None:
             return self
-        w = manifold.window
-        if not w.contains_window(claim):
+        if not manifold.window.contains_window(claim):
             raise SupportClaimError(
                 "support claim must lie inside the manifold window"
             )
-        ps = np.linspace(w.p_min, w.p_max, 41)
-        qs = np.linspace(w.q_min, w.q_max, 41)
-        P, Q = np.meshgrid(ps, qs, indexing="ij")
+        P, Q = GridSpec(41, 41).mesh(manifold.window)
         outside = ~claim.contains(P, Q)
         if not outside.any():
             return self
@@ -185,11 +187,14 @@ class TwistMap:
 
     def carry(self, p, q, tangent):
         """Images of float arrays and the tangent ``(dP, dQ)`` pushed
-        forward by the closed-form jacobian [[1, 0], [t'(p), 1]]."""
+        forward by the closed-form jacobian [[1, 0], [t'(p), 1]]; for a
+        None tangent, ``apply``'s images and None."""
+        yp, yq = self.apply(p, q)
+        if tangent is None:
+            return yp, yq, None
         if self._slope is None:
             self._slope = self.profile.diff("p")
         dP, dQ = tangent
-        yp, yq = self.apply(p, q)
         return yp, yq, (dP, dQ + self._slope.fn(p, 0.0, 0.0) * dP)
 
     def inverse(self):
@@ -210,7 +215,7 @@ class FlowMap:
     call; trajectories that overflow raise NumericalError.
     """
 
-    def __init__(self, spec, manifold, step=1e-3):
+    def __init__(self, spec, manifold, step=DEFAULT_STEP):
         if not (step > 0 and math.isfinite(step)):
             raise ValidationError(f"step must be positive, got {step}")
         self.spec = spec
@@ -340,8 +345,12 @@ class FlowMap:
 
     def carry(self, p, q, tangent, on_node=None):
         """Images of float arrays, bitwise equal to ``apply``'s, and the
-        tangent ``(dP, dQ)`` pushed forward by the exact derivative of
-        the numerical flow; ``on_node`` as for ``_march``."""
+        tangent ``(dP, dQ)`` pushed forward by the exact derivative of the
+        numerical flow, or ``_march``'s images and None for a None
+        tangent; ``on_node`` as for ``_run``."""
+        if tangent is None:
+            p, q = self._march(p, q, 0.0, self.spec.duration, on_node)
+            return p, q, None
         p, q, dP, dQ = self._run(
             self._step_tangent, (p, q) + tuple(tangent), 0.0,
             self.spec.duration, on_node,

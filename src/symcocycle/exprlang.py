@@ -871,10 +871,6 @@ class Expr:
             raise ValidationError(f"cannot differentiate with respect to {var!r}")
         return Expr(_diff(self.root, var))
 
-    def grad(self):
-        """Spatial gradient ``(d/dp, d/dq)`` as a pair of expressions."""
-        return self.diff("p"), self.diff("q")
-
     def substitute(self, mapping):
         resolved = {}
         for name, value in mapping.items():

@@ -82,6 +82,10 @@ class Window:
     def q_span(self):
         return self.q_max - self.q_min
 
+    @property
+    def center(self):
+        return 0.5 * (self.p_min + self.p_max), 0.5 * (self.q_min + self.q_max)
+
     def contains(self, p, q, slack=0.0):
         """Whether (p, q) lies in the window grown by ``slack``; elementwise
         on arrays."""
@@ -189,6 +193,19 @@ class ManifoldModel:
             return float(out)
         return out
 
+    def norm(self, dp, dq):
+        """Length of the displacement (dp, dq), dq wrapped on the cylinder."""
+        return np.hypot(dp, self.wrap_delta(dq))
+
+    def core_loop(self):
+        """(ps, qs) at the 1024 nodes of the periodic trapezoid rule on the
+        cylinder's core circle, the loop at the window's middle p: the mean
+        of a q-periodic integrand there, times the circumference, is its
+        loop integral."""
+        w = self.window
+        qs = w.q_min + self.circumference * np.arange(1024) / 1024
+        return np.full_like(qs, w.center[0]), qs
+
 
 def q_jump(manifold, fn, t):
     """How far ``fn(p, q, t)``, or a component of the tuple it returns,
@@ -274,10 +291,7 @@ class Primitive:
         and, on the cylinder, q-periodicity of both components.  Returns
         self."""
         tol = 1e-8
-        w = manifold.window
-        ps = np.linspace(w.p_min, w.p_max, 13)
-        qs = np.linspace(w.q_min, w.q_max, 13)
-        P, Q = np.meshgrid(ps, qs, indexing="ij")
+        P, Q = GridSpec(13, 13).mesh(manifold.window)
         curl = self.a_q.diff("p")(P, Q, 0.0) - self.a_p.diff("q")(P, Q, 0.0)
         dev = float(np.max(np.abs(np.asarray(curl) - 1.0)))
         if dev > tol:

@@ -135,7 +135,7 @@ def calabi_from_hamiltonian(spec, manifold):
 
 def _motion(f, p, q):
     dp, dq = f.apply(float(p), float(q))
-    return float(np.hypot(dp - p, f.manifold.wrap_delta(dq - q)))
+    return float(f.manifold.norm(dp - p, dq - q))
 
 
 def polterovich(f, K, x, y):
@@ -178,8 +178,7 @@ def twist_boundary_difference(tw, alpha=None):
     """
     # parsed once here rather than on every quadrature panel
     alpha = _form_components(alpha or Primitive.p_dq())
-    w = tw.manifold.window
-    q0 = 0.5 * (w.q_min + w.q_max)
+    q0 = tw.manifold.window.center[1]
 
     def theta_p(ps):
         ps = np.asarray(ps, dtype=float)
@@ -245,7 +244,7 @@ def _exact_components(mask, wrap_q):
     return comps
 
 
-def _newton_refine(f, p, q, max_iter=30):
+def _newton_refine(f, p, q):
     mani = f.manifold
     wrapd = mani.wrap_delta
     w = mani.window
@@ -257,7 +256,7 @@ def _newton_refine(f, p, q, max_iter=30):
 
     rp, rq = residual(p, q)
     best = float(np.hypot(rp, rq))
-    for _ in range(max_iter):
+    for _ in range(30):
         if best < 1e-13 * (1.0 + abs(p) + abs(q)):
             break
         jet = map_with_jacobian(f, np.array([p]), np.array([q]))
@@ -311,15 +310,16 @@ def find_fixed_points(f, grid=None, alpha=None):
     each, the lexicographically first node.  Isolated candidates start
     from strict local minima of the displacement and are polished by a
     damped Newton iteration on f(x) - x; only residuals below
-    ACCEPT_TOL are kept.  An empty report is legal output: finding
-    nothing at one resolution proves nothing.
+    ACCEPT_TOL are kept.  When the map's isotopy is one flow, each point
+    gets its action.  An empty report is legal output: finding nothing
+    at one resolution proves nothing.
     """
     mani = f.manifold
     w = mani.window
     grid = grid or GridSpec()
     P, Q = grid.mesh(w)
     yp, yq = f.apply(P, Q)
-    R = np.hypot(yp - P, mani.wrap_delta(yq - Q))
+    R = mani.norm(yp - P, yq - Q)
 
     exact = R < EXACT_TOL
     wrap_q = mani.is_cylinder
@@ -363,16 +363,14 @@ def find_fixed_points(f, grid=None, alpha=None):
     found.sort(key=lambda item: (item[0], item[1]))
     kept = []
     for cand in found:
-        dup = False
-        for prev in kept:
-            dq_ = mani.wrap_delta(cand[1] - prev[1])
-            if np.hypot(cand[0] - prev[0], dq_) < DEDUP_RADIUS:
-                dup = True
-                break
-        if not dup:
+        if not any(
+            mani.norm(cand[0] - prev[0], cand[1] - prev[1]) < DEDUP_RADIUS
+            for prev in kept
+        ):
             kept.append(cand)
 
-    single_flow = isinstance(f, FlowMap)
+    pieces = getattr(f, "factors", ())
+    single_flow = len(pieces) == 1 and isinstance(pieces[0], FlowMap)
     points = []
     for pp, qq, res, is_region in kept:
         action = None
@@ -415,17 +413,15 @@ class FluxReport:
     bounded: bool
 
 
-def _flux_of_flow(m, n_loop=1024, n_time=64):
-    """Core-loop period of the time-integrated flux form of one flow."""
+def _flux_of_flow(m):
+    """Core-loop period of the time-integrated flux form of one flow, by
+    Simpson's rule on 64 time intervals."""
     mani = m.manifold
-    w = mani.window
-    p0 = 0.5 * (w.p_min + w.p_max)
-    qs = w.q_min + mani.circumference * np.arange(n_loop) / n_loop
-    ps = np.full_like(qs, p0)
+    ps, qs = mani.core_loop()
     duration = m.spec.duration
     field = m.field.fn
-    ts = np.linspace(0.0, duration, n_time + 1)
-    wts = simpson_weights(n_time + 1, duration / n_time)
+    ts = np.linspace(0.0, duration, 65)
+    wts = simpson_weights(65, duration / 64)
     total = 0.0
     for t, wt in zip(ts, wts):
         # loop integral of the dq component by the periodic trapezoid

@@ -18,8 +18,15 @@ import numpy as np
 import pytest
 
 from symcocycle.cocycle import action_values, cocycle_by_path, hamiltonian_test
+from symcocycle.cover import LiftedMap
 from symcocycle.distortion import Fingerprint
-from symcocycle.dynamics import FlowMap, HamiltonianSpec, TwistMap, map_with_jacobian
+from symcocycle.dynamics import (
+    ComposedMap,
+    FlowMap,
+    HamiltonianSpec,
+    TwistMap,
+    map_with_jacobian,
+)
 from symcocycle.exprlang import Expr, parse
 from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
 from symcocycle.invariants import _newton_refine, twist_boundary_difference
@@ -176,3 +183,43 @@ def test_jet_span_covers_every_jet(monkeypatch):
         calls.clear()
         run()
         assert calls, name
+
+
+def test_every_image_march_goes_through_march(monkeypatch):
+    # the benchmark's dynamics.march span and its cover.lifted_point_steps
+    # count see flow images only through FlowMap._march; jets march the
+    # variational equation and stay out of both
+    marched = []
+    raw = FlowMap._march
+
+    def counting(flow, p, q, t0, t1, on_node=None):
+        marched.append(flow)
+        return raw(flow, p, q, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", counting)
+    cyl = cylinder(Window(-2, 2, 0, 2 * np.pi))
+    spec = HamiltonianSpec(parse("0.1*exp(-0.8*p^2)*(1 - cos(q))"))
+    flow = FlowMap(spec, cyl, step=0.1)
+    back = flow.inverse()
+    word = ComposedMap([flow, TwistMap(parse("0.5*p"), cyl), back])
+    ps, qs = np.linspace(-1.0, 1.0, 7), np.linspace(0.5, 5.5, 7)
+    want_p, want_q = word.apply(ps, qs)
+    cases = {
+        "apply": (lambda: flow.apply(ps, qs), [flow]),
+        "carry": (lambda: flow.carry(ps, qs, None), [flow]),
+        "lifted apply": (lambda: LiftedMap(word).apply(ps, qs), [flow, back]),
+        "action_values": (
+            lambda: action_values(ComposedMap([flow, back]), Primitive.p_dq(), ps, qs),
+            [flow, back],
+        ),
+        "jet": (lambda: map_with_jacobian(word, ps, qs), []),
+        "lifted jet": (lambda: map_with_jacobian(LiftedMap(word), ps, qs), []),
+    }
+    for name, (run, want) in cases.items():
+        marched.clear()
+        run()
+        assert marched == want, name
+    # the lift's images are the base map's, unwrapped, to the bit
+    got_p, got_q = LiftedMap(word).apply(ps, qs)
+    assert got_p.tobytes() == want_p.tobytes()
+    assert got_q.tobytes() == want_q.tobytes()

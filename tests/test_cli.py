@@ -110,6 +110,19 @@ def test_only_rk4_integrator_accepted(tmp_path, capsys, scheme):
     assert "scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", [-1, 0, math.nan])
+def test_step_validated_without_hamiltonians(tmp_path, capsys, h):
+    # with no hamiltonian no flow is built to check the step
+    path = write_variant(
+        tmp_path, CYLINDER_TWIST, hamiltonians={}, generators=[],
+        integrator={"scheme": "rk4", "h": h},
+    )
+    with pytest.raises(ValidationError, match="integrator.h"):
+        cli.load_scenario(path)
+    assert cli.main(["twist-check", "--config", path, "--twist", "quad"]) == 2
+    assert "integrator.h" in capsys.readouterr().err
+
+
 def test_validation_exit_codes(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["osc", "--config", missing]) == 2

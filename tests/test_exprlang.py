@@ -292,12 +292,6 @@ def test_diff_result_is_in_language():
                 assert rt(p, q, t) == pytest.approx(d(p, q, t), abs=1e-14)
 
 
-def test_grad_pair():
-    gp, gq = parse("p^2*q").grad()
-    assert gp(2.0, 3.0) == 12.0
-    assert gq(2.0, 3.0) == 4.0
-
-
 def test_diff_bad_variable():
     from symcocycle.errors import ValidationError
 

@@ -232,6 +232,22 @@ def test_fixed_points_bump_flow():
     assert all(fp.contractible for fp in rep.points)
 
 
+def test_fixed_points_off_node_found_by_newton():
+    # the bump's center is no node of the scan grid, so only the Newton
+    # iteration from a displacement minimum reaches it
+    center = (0.03, -0.05)
+    spec = HamiltonianSpec(parse("0.05*exp(-((p - 0.03)^2 + (q + 0.05)^2))"))
+    rep = find_fixed_points(FlowMap(spec, PLANE4, step=1e-2), grid=GridSpec(41, 41))
+
+    def miss(fp):
+        return math.dist(fp.location, center)
+
+    best = min(rep.points, key=miss)
+    assert miss(best) < 1e-8
+    assert not best.region_representative
+    assert best.action == pytest.approx(0.05, abs=1e-9)
+
+
 def test_fixed_points_twist_regions_and_winding():
     tw = TwistMap(parse(SINE_PROFILE), CYL)
     rep = find_fixed_points(tw, grid=GridSpec(41, 33))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
-from symcocycle.geometry import GridSpec, Primitive, Window, cylinder
+from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
 from symcocycle.dynamics import (
     ComposedMap,
     FlowMap,
@@ -28,11 +28,12 @@ from symcocycle.dynamics import (
     isotopy,
     map_with_jacobian,
 )
-from symcocycle.cocycle import cocycle_by_action, cocycle_by_path
+from symcocycle.cocycle import cocycle_by_action, cocycle_by_path, hamiltonian_test
 from symcocycle.cover import LiftedMap
 from symcocycle.invariants import flux_compare
 
 CYL = cylinder(Window(-2, 2, 0, 2 * math.pi))
+PLANE = plane(Window(-2, 2, -2, 2))
 GRID = GridSpec(31, 33)
 
 
@@ -43,6 +44,10 @@ class Opaque:
 
     def apply(self, p, q):
         return p, q
+
+
+class PlaneOpaque(Opaque):
+    manifold = PLANE
 
 
 def drift_flow():
@@ -100,6 +105,18 @@ def test_opaque_map_rejected_by_every_consumer(wrap):
         cocycle_by_path(m, Primitive.p_dq(), grid=GRID)
     with pytest.raises(ValidationError, match="no isotopy data"):
         map_with_jacobian(m, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValidationError, match="no isotopy data"):
+        hamiltonian_test(m, Primitive.p_dq())
+    # the plane has no loop for the exactness test to integrate around,
+    # but the map is checked all the same
+    flow = FlowMap(HamiltonianSpec(parse("0.1*p")), PLANE, step=0.5)
+    m = ComposedMap([flow, PlaneOpaque()]) if wrap else PlaneOpaque()
+    with pytest.raises(ValidationError, match="no isotopy data"):
+        hamiltonian_test(m, Primitive.p_dq())
+    with pytest.raises(ValidationError, match="no isotopy data"):
+        cocycle_by_path(m, Primitive.p_dq(), grid=GRID)
+    with pytest.raises(ValidationError, match="no isotopy data"):
+        cocycle_by_action(m, Primitive.p_dq(), grid=GRID)
 
 
 def test_action_route_rejects_twists():
