@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, positive
 from .exprlang import parse as parse_expr
 from .geometry import GridSpec, Primitive, Window, cylinder, plane
 from .dynamics import (
@@ -89,13 +88,6 @@ def _number(block, key, where, default=None):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"scenario {where}: {key} must be a number")
     return float(v)
-
-
-def _positive(v, what):
-    # JSON and --tol both accept NaN and infinity, which switch checks off
-    if not (v > 0 and math.isfinite(v)):
-        raise ValidationError(f"{what} must be positive and finite, got {v}")
-    return v
 
 
 def _window_from(block, where):
@@ -171,15 +163,15 @@ def load_scenario(path):
         raise ValidationError(
             f"scenario integrator: scheme must be 'rk4', got {integ['scheme']!r}"
         )
-    step = _positive(_number(integ, "h", "integrator", DEFAULT_STEP), "integrator.h")
+    step = positive(_number(integ, "h", "integrator", DEFAULT_STEP), "integrator.h")
 
     tols = raw.get("tolerances", {})
     _require_keys(tols, ("tol", "fd_h"), (), "tolerances")
-    tol = _positive(_number(tols, "tol", "tolerances", PATH_TOL), "tolerances.tol")
+    tol = positive(_number(tols, "tol", "tolerances", PATH_TOL), "tolerances.tol")
     if "fd_h" in tols:
         # the finite-difference step of earlier versions; jacobians are now
         # exact, so the key is checked and otherwise ignored
-        _positive(_number(tols, "fd_h", "tolerances"), "tolerances.fd_h")
+        positive(_number(tols, "fd_h", "tolerances"), "tolerances.fd_h")
 
     maps = {}
     hams = raw.get("hamiltonians", {})
@@ -252,7 +244,7 @@ def load_scenario(path):
 def _scenario(args):
     sc = load_scenario(args.config)
     if args.tol is not None:
-        sc.tol = _positive(args.tol, "--tol")
+        sc.tol = positive(args.tol, "--tol")
     return sc
 
 
@@ -459,6 +451,10 @@ def _cmd_distortion(args):
     sc = _scenario(args)
     if not sc.generator_names:
         raise ValidationError("distortion needs a nonempty generators list")
+    if bool(args.x) != bool(args.y):
+        raise ValidationError(
+            "distortion needs both --x and --y, or neither for an automatic pair"
+        )
     gens = GeneratorSet(
         {n: sc.maps[n] for n in sc.generator_names},
         alpha=sc.primitive, grid=sc.grid, basepoint=sc.basepoint,

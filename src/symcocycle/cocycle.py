@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, positive
 from .exprlang import as_expr
 from .dynamics import flow_pieces, isotopy, map_with_jacobian
 from .geometry import (
@@ -446,7 +446,8 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
     default).  Raises NonExactForm when path cross-checks or cylinder
     loop periods detect an obstruction beyond 100*tol, and GridTooCoarse
     when the path disagreement is truncation that a finer grid resolves.
-    A map without isotopy data is rejected with ValidationError.
+    A map without isotopy data, and a tol that is not positive and
+    finite, are rejected with ValidationError.
     """
     manifold = f.manifold
     w = manifold.window
@@ -456,6 +457,7 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
     # checked before the jet, which marches the whole grid
     if not w.contains(bp, bq, slack=1e-12):
         raise ValidationError(f"basepoint ({bp}, {bq}) is outside the window")
+    tol = positive(tol, "tol")
     P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid)
     return _integrate_exact_defect(manifold, theta_p, theta_q, (bp, bq), tol)
 

@@ -87,7 +87,7 @@ def _march_watching_gaps(flow, p, q, tangent):
     def on_node(k, t, pv, qv):
         nonlocal prev, worst
         if prev is not None:
-            worst = max(worst, float(np.max(np.abs(np.asarray(qv) - prev))))
+            worst = max(worst, float(np.max(np.abs(qv - prev), initial=0.0)))
         prev = np.asarray(qv, dtype=float)
 
     out = flow.carry(p, q, tangent, on_node=on_node)

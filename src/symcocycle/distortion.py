@@ -15,12 +15,13 @@ larger secondary probe set turns any spurious identification into a
 loud warning instead of a silent wrong answer.
 
 The word ball does not depend on the target, so it is a value: the
-generator set walks it once per probe seed, level by level, and every
-search replays what earlier searches walked.  A level is marched with
-one ``apply`` per letter on the stacked images of every frontier word
-that takes the letter, primary and secondary probes together, so a
-recheck reads images already in hand.  A march treats each point on its
-own, so stacking changes no image.
+generator set keeps one ball per probe seed, a list of levels, and every
+search scans the levels earlier searches marched and marches only the
+ones it is first to need.  A level is marched with one ``apply`` per
+letter on the stacked images of every frontier word that takes the
+letter, primary and secondary probes together, so a recheck reads
+images already in hand.  A march treats each point on its own, so
+stacking changes no image.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ class GeneratorSet:
             name: self._cocycle_of_map(m) for name, m in self.maps.items()
         }
         self.m = max(K.oscillation() for K in self.cocycles.values())
-        # probe seed -> (its word-ball walk, the candidates it produced)
-        self._walks = {}
+        # probe seed -> its word ball
+        self._balls = {}
         # a single positive letter composes to its generator alone, whose
         # cocycle is already in hand
         self._word_cocycles = {
@@ -300,111 +301,77 @@ def _secondary_disagree(manifold, held, new):
     return gap > MATCH_TOL
 
 
-def _walk(letters, manifold, seed, identity):
-    """The word ball of the probe ``seed`` as a stream of ``(length,
-    fingerprint)`` candidates in search order.  ``letters`` holds a
-    ``(name, exponent, map)`` triple for each generator and inverse, and
-    ``identity`` is the identity's fingerprint, the root.
+class _Ball:
+    """The word ball of one probe seed, a list of levels marched on demand.
 
-    Each level is announced as ``(length, None)`` before it is marched,
-    so a search capped below it stops without marching it.  A level is
-    marched with one ``apply`` per letter on the stacked images of every
-    frontier node that takes the letter; the candidates then follow
-    node-major, letter-minor, with free reduction.  A candidate whose key
-    is already held is dropped, after a recheck on the secondary probes
-    when the lengths differ.
+    ``levels[k]`` holds the candidates of length k + 1 in search order,
+    node-major and letter-minor with free reduction, each as ``(node,
+    held)``: the new node and the node already held under its key, or
+    None when the node is new and so joins ``seen`` and the ``frontier``.
+    The first ``checked`` candidates have been passed by some search and
+    rechecked then.
     """
-    sec_ps, sec_qs = probe_points(manifold.window, N_SECONDARY, seed, inset=0.04)
-    root = _Node(
-        (),
-        np.concatenate([identity.p_images, sec_ps]),
-        np.concatenate([identity.q_images, manifold.wrap_q(sec_qs)]),
-        identity,
-    )
-    seen = {root.fp.key: root}
-    frontier = [root]
-    for length in range(1, MAX_RADIUS + 1):
-        yield length, None
-        # marched[j][i]: the images of frontier node i under letter j
-        marched = []
-        for name, e, m in letters:
+
+    def __init__(self, gens, seed, identity):
+        self.letters = []
+        for name in gens.names:
+            self.letters.append((name, 1, gens.maps[name]))
+            self.letters.append((name, -1, gens.maps[name].inverse()))
+        self.manifold = gens.manifold
+        sec_ps, sec_qs = probe_points(self.manifold.window, N_SECONDARY, seed,
+                                      inset=0.04)
+        root = _Node(
+            (),
+            np.concatenate([identity.p_images, sec_ps]),
+            np.concatenate([identity.q_images, self.manifold.wrap_q(sec_qs)]),
+            identity,
+        )
+        self.seen = {root.fp.key: root}
+        self.frontier = [root]
+        self.levels = []
+        self.checked = 0
+
+    def level(self, length):
+        """The candidates of ``length`` letters, marching missing levels."""
+        while len(self.levels) < length:
+            self._march()
+        return self.levels[length - 1]
+
+    def _march(self):
+        """Add the next level: one ``apply`` per letter on the stacked
+        images of every frontier node that takes the letter.  Only the
+        marches can raise, and they come first, so a march that raises
+        leaves the ball as it was."""
+        frontier = self.frontier
+        images = {}  # (frontier index, letter index) -> images
+        for j, (name, e, m) in enumerate(self.letters):
+            # free reduction: never undo the last letter
             takers = [
                 i for i, node in enumerate(frontier)
                 if node.letters[-1:] != ((name, -e),)
             ]
-            rows = {}
             if takers:
                 pim, qim = m.apply(
                     np.concatenate([frontier[i].p for i in takers]),
                     np.concatenate([frontier[i].q for i in takers]),
                 )
-                qim = manifold.wrap_q(qim)
-                rows = dict(zip(
-                    takers,
-                    zip(pim.reshape(len(takers), -1), qim.reshape(len(takers), -1)),
+                qim = self.manifold.wrap_q(qim).reshape(len(takers), -1)
+                images.update(zip(
+                    ((i, j) for i in takers), zip(pim.reshape(qim.shape), qim)
                 ))
-            marched.append(rows)
-        next_frontier = []
-        for i, node in enumerate(frontier):
-            for (name, e, _), rows in zip(letters, marched):
-                if i not in rows:
-                    continue  # free reduction: never undo the last letter
-                p, q = rows[i]
-                new = _Node(
-                    node.letters + ((name, e),), p, q,
-                    Fingerprint(p[:N_PROBES], q[:N_PROBES]),
-                )
-                yield length, new.fp
-                held = seen.get(new.fp.key)
-                if held is not None:
-                    held_length = len(held.letters)
-                    if held_length != length and _secondary_disagree(
-                        manifold, held, new
-                    ):
-                        warnings.warn(
-                            f"words {GroupWord(held.letters[::-1])} (length "
-                            f"{held_length}) and {GroupWord(new.letters[::-1])} "
-                            f"(length {length}) share a fingerprint but "
-                            "differ on the secondary probes",
-                            FingerprintCollisionWarning,
-                            # past _ball and word_ball_norm, to the caller
-                            stacklevel=4,
-                        )
-                    continue
-                seen[new.fp.key] = new
-                next_frontier.append(new)
-        frontier = next_frontier
-
-
-def _ball(gens, seed, identity):
-    """The candidates of the generator set's walk for ``seed``: those it
-    has produced, then new ones, recorded as they come.  A walk that
-    raises is dropped, so the next search starts it again and meets the
-    same error instead of a finished walk."""
-    walk = gens._walks.get(seed)
-    if walk is None:
-        letters = []
-        for name in gens.names:
-            letters.append((name, 1, gens.maps[name]))
-            letters.append((name, -1, gens.maps[name].inverse()))
-        # the walk holds no reference to gens: a cycle through the
-        # suspended generator would keep every node alive until the
-        # cyclic collector runs
-        walk = (_walk(letters, gens.manifold, seed, identity), [])
-        gens._walks[seed] = walk
-    source, produced = walk
-    i = 0
-    while True:
-        if i == len(produced):
-            try:
-                produced.append(next(source))
-            except StopIteration:
-                return
-            except BaseException:
-                del gens._walks[seed]
-                raise
-        yield produced[i]
-        i += 1
+        candidates, self.frontier = [], []
+        for i, j in sorted(images):  # node-major, letter-minor
+            p, q = images[i, j]
+            new = _Node(
+                frontier[i].letters + (self.letters[j][:2],), p, q,
+                Fingerprint(p[:N_PROBES], q[:N_PROBES]),
+            )
+            held = self.seen.get(new.fp.key)
+            candidates.append((new, held))
+            if held is None:
+                self.seen[new.fp.key] = new
+                self.frontier.append(new)
+        self.levels.append(candidates)
 
 
 def word_ball_norm(gens, target, radius_cap=6, seed=0):
@@ -425,16 +392,18 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
     then undershoot.
 
     The ball does not depend on the target, so the generator set keeps
-    one walk per probe seed: a search replays the nodes earlier searches
-    reached and marches only levels none of them needed.  Collision
-    warnings therefore come once per walk, from the search that first
-    reaches them.
+    one per probe seed: a search scans the levels earlier searches
+    marched and marches only levels none of them needed.  A level whose
+    march raises is not kept, so the next search marches it again.  Each
+    candidate is rechecked once, by the first search that passes it
+    without a match, so collision warnings come once per ball.
     """
     radius_cap = int(radius_cap)
     if not (0 <= radius_cap <= MAX_RADIUS):
         raise ValidationError(
             f"radius_cap must be between 0 and {MAX_RADIUS}, got {radius_cap}"
         )
+    seed = int(seed)
     manifold = gens.manifold
     ps, qs = probe_points(manifold.window, N_PROBES, seed)
     target_fp = Fingerprint.of_map(target, ps, qs, manifold)
@@ -444,11 +413,29 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
     )
     if identity_fp.matches(target_fp, manifold):
         return 0
-    for length, fp in _ball(gens, int(seed), identity_fp):
-        if length > radius_cap:
-            return None
-        if fp is not None and fp.matches(target_fp, manifold):
-            return length
+    ball = gens._balls.get(seed)
+    if ball is None:
+        ball = gens._balls[seed] = _Ball(gens, seed, identity_fp)
+    passed = 0
+    for length in range(1, radius_cap + 1):
+        for new, held in ball.level(length):
+            if new.fp.matches(target_fp, manifold):
+                return length
+            passed += 1
+            if passed <= ball.checked:
+                continue  # an earlier search rechecked it
+            ball.checked = passed
+            if held is None or len(held.letters) == length:
+                continue
+            if _secondary_disagree(manifold, held, new):
+                warnings.warn(
+                    f"words {GroupWord(held.letters[::-1])} (length "
+                    f"{len(held.letters)}) and {GroupWord(new.letters[::-1])} "
+                    f"(length {length}) share a fingerprint but differ on "
+                    "the secondary probes",
+                    FingerprintCollisionWarning,
+                    stacklevel=2,
+                )
     return None
 
 

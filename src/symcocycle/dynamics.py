@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, positive
 from .exprlang import Expr, as_expr, fused
 from .geometry import GridSpec, Window, q_jump
 
@@ -99,10 +99,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "F", as_expr(self.F))
-        d = float(self.duration)
-        if not (d > 0 and math.isfinite(d)):
-            raise ValidationError(f"duration must be positive, got {self.duration}")
-        object.__setattr__(self, "duration", d)
+        object.__setattr__(self, "duration", positive(self.duration, "duration"))
 
     @property
     def autonomous(self):
@@ -216,11 +213,9 @@ class FlowMap:
     """
 
     def __init__(self, spec, manifold, step=DEFAULT_STEP):
-        if not (step > 0 and math.isfinite(step)):
-            raise ValidationError(f"step must be positive, got {step}")
+        self.step = positive(step, "step")
         self.spec = spec
         self.manifold = manifold
-        self.step = float(step)
         w = manifold.window
         self._slack = 0.25 * max(w.p_span, w.q_span)
         # both components from one function, shared subexpressions once

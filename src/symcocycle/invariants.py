@@ -212,36 +212,31 @@ class FixedPointReport:
         return len(self.points) > 0
 
 
-def _exact_components(mask, wrap_q):
-    """Connected components of a boolean grid mask, 4-neighbor flood fill.
+def _exact_regions(mask, wrap_q):
+    """Row and column of the first node, in row-major order, and size of
+    each 4-connected region of a boolean grid mask, regions ordered by
+    their first nodes.
 
-    With ``wrap_q`` the last column is a duplicate of the first and the q
-    axis is glued.
+    Every masked node takes the least flat index among itself and its
+    neighbors until nothing changes, so a region ends up labelled by its
+    first node.  With ``wrap_q`` the q axis is glued; otherwise a padding
+    column keeps ``np.roll`` from gluing it.
     """
-    n_p, n_q = mask.shape
-    cols = n_q - 1 if wrap_q else n_q
-    seen = np.zeros((n_p, cols), dtype=bool)
-    comps = []
-    for i0 in range(n_p):
-        for j0 in range(cols):
-            if not mask[i0, j0] or seen[i0, j0]:
-                continue
-            stack = [(i0, j0)]
-            seen[i0, j0] = True
-            comp = []
-            while stack:
-                i, j = stack.pop()
-                comp.append((i, j))
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ni, nj = i + di, j + dj
-                    if wrap_q:
-                        nj %= cols
-                    if 0 <= ni < n_p and 0 <= nj < cols:
-                        if mask[ni, nj] and not seen[ni, nj]:
-                            seen[ni, nj] = True
-                            stack.append((ni, nj))
-            comps.append(sorted(comp))
-    return comps
+    if not wrap_q:
+        mask = np.pad(mask, ((0, 0), (0, 1)))
+    outside = mask.size
+    labels = np.where(mask, np.arange(outside).reshape(mask.shape), outside)
+    while True:
+        least = np.minimum(labels, np.roll(labels, 1, axis=1))
+        least = np.minimum(least, np.roll(labels, -1, axis=1))
+        least[1:] = np.minimum(least[1:], labels[:-1])
+        least[:-1] = np.minimum(least[:-1], labels[1:])
+        least = np.where(mask, least, outside)
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    firsts, sizes = np.unique(labels[mask], return_counts=True)
+    return (*np.unravel_index(firsts, mask.shape), sizes)
 
 
 def _newton_refine(f, p, q):
@@ -289,19 +284,6 @@ def _newton_refine(f, p, q):
     return p, q, best if best < ACCEPT_TOL else None
 
 
-def _winding_of_orbit(f, p, q):
-    """Net q-winding of the isotopy path of a fixed point, or None."""
-    mani = f.manifold
-    if not mani.is_cylinder:
-        return 0
-    try:
-        lm = LiftedMap(f)
-    except (ValidationError, WrongManifold):
-        return None
-    _, yq = lm.apply(float(p), float(q))
-    return int(round((yq - q) / mani.circumference))
-
-
 def find_fixed_points(f, grid=None, alpha=None):
     """Scan-and-refine search for fixed points of f on its window.
 
@@ -310,9 +292,12 @@ def find_fixed_points(f, grid=None, alpha=None):
     each, the lexicographically first node.  Isolated candidates start
     from strict local minima of the displacement and are polished by a
     damped Newton iteration on f(x) - x; only residuals below
-    ACCEPT_TOL are kept.  When the map's isotopy is one flow, each point
-    gets its action.  An empty report is legal output: finding nothing
-    at one resolution proves nothing.
+    ACCEPT_TOL are kept.  When every isotopy piece of the map is a flow
+    (the identity has none), the points get their actions from one
+    ``action_values`` call; on the cylinder one march of the lift gives
+    every point's winding, and so whether it is contractible.  An empty
+    report is legal output: finding nothing at one resolution proves
+    nothing.
     """
     mani = f.manifold
     w = mani.window
@@ -321,19 +306,16 @@ def find_fixed_points(f, grid=None, alpha=None):
     yp, yq = f.apply(P, Q)
     R = mani.norm(yp - P, yq - Q)
 
-    exact = R < EXACT_TOL
-    wrap_q = mani.is_cylinder
-    comps = _exact_components(exact, wrap_q)
-    n_exact = int(exact[:, : exact.shape[1] - 1].sum() if wrap_q else exact.sum())
-    cells = (exact.shape[0]) * (exact.shape[1] - (1 if wrap_q else 0))
+    # on the cylinder the last column repeats the first
+    unique = R[:, :-1] if mani.is_cylinder else R
+    rows, cols, sizes = _exact_regions(unique < EXACT_TOL, mani.is_cylinder)
     # a clamped twist already fixes half its window; identity-like means
     # essentially everything is fixed
-    degenerate = n_exact > 0.9 * cells
-
-    found = []
-    for comp in comps:
-        i, j = comp[0]
-        found.append((float(P[i, j]), float(Q[i, j]), float(R[i, j]), len(comp) > 1))
+    degenerate = bool(sizes.sum() > 0.9 * unique.size)
+    found = [
+        (float(P[i, j]), float(Q[i, j]), float(R[i, j]), bool(size > 1))
+        for i, j, size in zip(rows, cols, sizes)
+    ]
 
     # strict local minima of the displacement as Newton seeds
     interior = R[1:-1, 1:-1]
@@ -369,28 +351,29 @@ def find_fixed_points(f, grid=None, alpha=None):
         ):
             kept.append(cand)
 
-    pieces = getattr(f, "factors", ())
-    single_flow = len(pieces) == 1 and isinstance(pieces[0], FlowMap)
-    points = []
-    for pp, qq, res, is_region in kept:
-        action = None
-        if single_flow:
-            vals = action_values(
-                f, alpha or Primitive.p_dq(), np.array([pp]), np.array([qq])
-            )
-            action = float(vals[0])
-        winding = _winding_of_orbit(f, pp, qq)
-        contractible = None if winding is None else (winding == 0)
-        points.append(
-            FixedPoint(
-                location=(pp, qq),
-                residual=res,
-                action=action,
-                contractible=contractible,
-                region_representative=is_region,
-            )
-        )
-    return FixedPointReport(points=tuple(points), degenerate_identity=degenerate)
+    ps = np.array([cand[0] for cand in kept])
+    qs = np.array([cand[1] for cand in kept])
+    actions = contractible = [None] * len(kept)
+    pieces = getattr(f, "factors", None)
+    if pieces is not None and all(isinstance(piece, FlowMap) for piece in pieces):
+        actions = action_values(f, alpha or Primitive.p_dq(), ps, qs).tolist()
+    if not mani.is_cylinder:
+        contractible = [True] * len(kept)
+    else:
+        try:
+            lifted = LiftedMap(f)
+        except ValidationError:
+            pass  # no isotopy data, so no winding
+        else:
+            # the net q-winding of each point's isotopy path
+            _, yq = lifted.apply(ps, qs)
+            winding = np.round((yq - qs) / mani.circumference)
+            contractible = (winding == 0).tolist()
+    points = tuple(
+        FixedPoint((pp, qq), res, action, closed, is_region)
+        for (pp, qq, res, is_region), action, closed in zip(kept, actions, contractible)
+    )
+    return FixedPointReport(points=points, degenerate_identity=degenerate)
 
 
 # ============================================================

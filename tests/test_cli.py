@@ -244,6 +244,12 @@ def test_polterovich_needs_points_or_auto(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_distortion_needs_both_points_or_neither(capsys, flag):
+    assert cli.main(["distortion", "--config", DISJOINT_PAIR, flag, "0.5,0.5"]) == 2
+    assert "both --x and --y" in capsys.readouterr().err
+
+
 def test_scalar_out_file(tmp_path, capsys):
     target = tmp_path / "osc.txt"
     code = cli.main(["osc", "--config", PLANE_BUMP, "--out", str(target)])
@@ -399,6 +405,19 @@ def test_fixed_points_csv(tmp_path, capsys):
     assert abs(float(action) - 0.2) < 1e-6
     assert contractible == "yes"
     assert region == "no"
+
+
+def test_fixed_points_action_of_a_word_in_flows(tmp_path, capsys):
+    # the default word "a b" is two flows, whose actions add along the
+    # concatenated orbit: each bump adds 0.1 at its own center
+    out = tmp_path / "fp.csv"
+    code = cli.main(["fixed-points", "--config", DISJOINT_PAIR,
+                     "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(float(r[0]), float(r[1])) for r in rows] == [(-4, -4), (-2, 0), (2, 0)]
+    assert [float(r[3]) for r in rows] == pytest.approx([0.0, 0.1, 0.1], abs=1e-12)
 
 
 def test_flux_and_lift_on_compact_flow(tmp_path, capsys):

@@ -24,6 +24,8 @@ from symcocycle.cocycle import (
     normalize_compact,
     pullback_difference,
 )
+from symcocycle.cover import lifted_cocycle
+from symcocycle.distortion import GeneratorSet
 
 PLANE4 = plane(Window(-4, 4, -4, 4))
 CYL = cylinder(Window(-2, 2, 0, 2 * math.pi))
@@ -312,6 +314,25 @@ def test_basepoint_checked_before_the_map_runs():
             Recording(), PDQ, basepoint=(9.0, 0.0), grid=GridSpec(11, 11)
         )
     assert calls == []
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_positive_and_finite(monkeypatch, tol):
+    # a NaN or infinite tol would switch off the exactness checks that
+    # reject this nonexact cylinder flow; each entry point checks it before
+    # anything is marched
+    f = FlowMap(HamiltonianSpec(parse("0.3*q")), CYL)
+    with pytest.raises(NonExactForm):
+        cocycle_by_path(f, PDQ, grid=GridSpec(15, 33))
+    marched = []
+    monkeypatch.setattr(FlowMap, "_march", lambda *args: marched.append(1))
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        cocycle_by_path(f, PDQ, grid=GridSpec(15, 33), tol=tol)
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        lifted_cocycle(f, PDQ, grid=GridSpec(15, 33), tol=tol)
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        GeneratorSet({"f": f}, grid=GridSpec(15, 33), tol=tol)
+    assert marched == []
 
 
 # ------------------------------------------------------------------

@@ -541,6 +541,33 @@ def test_walk_that_raises_is_dropped():
     assert str(again.value) == str(first.value)
 
 
+def test_level_that_raises_is_marched_again_alone(monkeypatch):
+    marched = []
+    march = FlowMap._march
+
+    def counted(flow, p, q, t0, t1, on_node=None):
+        marched.append(np.size(p))
+        return march(flow, p, q, t0, t1, on_node)
+
+    target = TwistMap(parse("1"), PLANE)  # a target that marches nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapedWindowWarning)
+        gens = small_gens(flows(PLANE, 0.05, x="0.1*p^2*q"))
+        monkeypatch.setattr(FlowMap, "_march", counted)
+        assert word_ball_norm(gens, target, radius_cap=2) is None
+        assert len(marched) == 4
+        del marched[:]
+        with pytest.raises(NumericalError, match="overflowed"):
+            word_ball_norm(gens, target, radius_cap=3)
+        failed = list(marched)
+        del marched[:]
+        with pytest.raises(NumericalError, match="overflowed"):
+            word_ball_norm(gens, target, radius_cap=3)
+    # levels 1 and 2 are kept; only the third is marched again
+    assert failed and marched == failed
+    assert len(failed) <= 2
+
+
 def test_second_search_marches_only_new_levels(monkeypatch):
     gens = small_gens(flows(PLANE, 0.05, g=CENTER_BUMP))
     marched = []
@@ -570,13 +597,13 @@ def test_distortion_table_makes_one_walk(monkeypatch):
         {"g": bump_flow(CENTER_BUMP)}, grid=GridSpec(21, 21), method="action"
     )
     started = []
-    walk = distortion._walk
 
-    def counted(letters, manifold, seed, identity):
-        started.append(seed)
-        return walk(letters, manifold, seed, identity)
+    class Counted(distortion._Ball):
+        def __init__(self, gens, seed, identity):
+            started.append(seed)
+            super().__init__(gens, seed, identity)
 
-    monkeypatch.setattr(distortion, "_walk", counted)
+    monkeypatch.setattr(distortion, "_Ball", Counted)
     rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)
     assert [r[2] for r in rows] == [1, 2, 3]
     assert started == [0]

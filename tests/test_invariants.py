@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fixed_point_oracle
+from symcocycle import invariants
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
     GridSpec,
@@ -261,6 +265,37 @@ def test_fixed_points_twist_regions_and_winding():
     # on the far side the isotopy drags points one full turn around
     assert upper.contractible is False
     assert all(fp.action is None for fp in rep.points)
+
+
+def test_fixed_points_identity_action_is_zero():
+    # the identity is the composition of no flows, so its action is 0
+    rep = find_fixed_points(IdentityMap(CYL), grid=GridSpec(11, 9))
+    assert [fp.action for fp in rep.points] == [0.0]
+    assert rep.points[0].contractible is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(1, 9).flatmap(
+        lambda n_p: st.integers(1, 9).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.booleans(), min_size=cols, max_size=cols),
+                min_size=n_p, max_size=n_p,
+            )
+        )
+    ),
+)
+def test_exact_regions_match_flood_fill_oracle(wrap_q, rows):
+    mask = np.array(rows, dtype=bool)
+    # the oracle reads the cylinder's repeated last column and skips it
+    full = np.concatenate([mask, mask[:, :1]], axis=1) if wrap_q else mask
+    want = [
+        (comp[0][0], comp[0][1], len(comp))
+        for comp in fixed_point_oracle._exact_components(full, wrap_q)
+    ]
+    got = list(zip(*(a.tolist() for a in invariants._exact_regions(mask, wrap_q))))
+    assert got == want
 
 
 def test_fixed_points_none_for_translation():
