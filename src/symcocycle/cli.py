@@ -241,21 +241,10 @@ def load_scenario(path):
 # ============================================================
 
 
-def _scenario(args):
-    sc = load_scenario(args.config)
-    if args.tol is not None:
-        sc.tol = positive(args.tol, "--tol")
-    return sc
-
-
 def _word_of(args, sc):
-    text = getattr(args, "word", None)
-    if text is None:
-        if not sc.generator_names:
-            raise ValidationError(
-                "no generators in the scenario and no --word given"
-            )
-        text = " ".join(sc.generator_names)
+    if args.word is None and not sc.generator_names:
+        raise ValidationError("no generators in the scenario and no --word given")
+    text = " ".join(sc.generator_names) if args.word is None else args.word
     return GroupWord.from_string(text)
 
 
@@ -264,7 +253,7 @@ def _realized(args, sc):
 
 
 def _word_cocycle(args, sc, m):
-    if getattr(args, "method", "path") == "action":
+    if args.method == "action":
         return cocycle_by_action(m, sc.primitive, grid=sc.grid)
     return cocycle_by_path(
         m, sc.primitive, basepoint=sc.basepoint, grid=sc.grid, tol=sc.tol,
@@ -281,24 +270,26 @@ def _point_arg(text, flag):
         raise ValidationError(f"{flag} expects numbers, got {text!r}") from None
 
 
-def _out_path(args, command):
-    out = getattr(args, "out", None)
-    if out is None:
-        target = Path("out")
+def _point_pair(args):
+    """(x, y) from --x and --y when both are given, else None."""
+    if args.x and args.y:
+        return _point_arg(args.x, "--x"), _point_arg(args.y, "--y")
+    return None
+
+
+def _emit_csv(args, header, rows, what):
+    """Write the rows to --out, or to <command>.csv in a directory --out
+    names (``./out/`` by default), and report the path."""
+    out = args.out
+    path = Path("out" if out is None else out)
+    if out is None or out.endswith("/") or path.is_dir():
+        path.mkdir(parents=True, exist_ok=True)
+        path = path / f"{args.command}.csv"
     else:
-        target = Path(out)
-        if not (out.endswith("/") or target.is_dir()):
-            target.parent.mkdir(parents=True, exist_ok=True)
-            return target
-    target.mkdir(parents=True, exist_ok=True)
-    return target / f"{command}.csv"
-
-
-def _write_csv(path, header, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", newline="\n")
+    print(f"wrote {path} ({what})")
 
 
 def _fmt(v):
@@ -318,11 +309,10 @@ def _grid_rows(K):
 
 
 def _emit_scalar(args, text):
-    out = getattr(args, "out", None)
-    if out is None:
+    if args.out is None:
         print(text)
     else:
-        path = Path(out)
+        path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n", newline="\n")
 
@@ -349,39 +339,28 @@ def _auto_pair(m, K, sc):
 # ============================================================
 
 
-def _cmd_cocycle(args):
-    sc = _scenario(args)
-    m = _realized(args, sc)
-    K = _word_cocycle(args, sc, m)
-    path = _out_path(args, "cocycle")
-    _write_csv(path, "p,q,value", _grid_rows(K))
-    print(f"wrote {path} ({K.n_p}x{K.n_q} nodes)")
+def _cmd_cocycle(args, sc):
+    K = _word_cocycle(args, sc, _realized(args, sc))
+    _emit_csv(args, "p,q,value", _grid_rows(K), f"{K.n_p}x{K.n_q} nodes")
     return 0
 
 
-def _cmd_calabi(args):
-    sc = _scenario(args)
-    m = _realized(args, sc)
-    total = sum(
-        calabi_from_hamiltonian(flow.spec, sc.manifold) for flow in flow_pieces(m)
-    )
+def _cmd_calabi(args, sc):
+    flows = flow_pieces(_realized(args, sc))
+    total = sum(calabi_from_hamiltonian(f.spec, sc.manifold) for f in flows)
     _emit_scalar(args, f"calabi {total:.8g}")
     return 0
 
 
-def _cmd_polterovich(args):
-    sc = _scenario(args)
+def _cmd_polterovich(args, sc):
     m = _realized(args, sc)
-    K = _word_cocycle(args, sc, m)
-    if args.auto_fixed_points:
-        x, y = _auto_pair(m, K, sc)
-    elif args.x and args.y:
-        x = _point_arg(args.x, "--x")
-        y = _point_arg(args.y, "--y")
-    else:
+    pair = None if args.auto_fixed_points else _point_pair(args)
+    if pair is None and not args.auto_fixed_points:
         raise ValidationError(
             "polterovich needs --x and --y, or --auto-fixed-points"
         )
+    K = _word_cocycle(args, sc, m)
+    x, y = pair or _auto_pair(m, K, sc)
     value = polterovich(m, K, x, y)
     _emit_scalar(
         args,
@@ -391,52 +370,44 @@ def _cmd_polterovich(args):
     return 0
 
 
-def _cmd_osc(args):
-    sc = _scenario(args)
-    m = _realized(args, sc)
-    K = _word_cocycle(args, sc, m)
+def _cmd_osc(args, sc):
+    K = _word_cocycle(args, sc, _realized(args, sc))
     _emit_scalar(args, f"oscillation {oscillation(K):.8g}")
     return 0
 
 
-def _cmd_twist_check(args):
-    sc = _scenario(args)
+def _cmd_twist_check(args, sc):
     names = [n for n, m in sc.maps.items() if isinstance(m, TwistMap)]
-    name = args.twist
-    if name is None:
-        if len(names) != 1:
-            raise ValidationError(
-                f"scenario defines {len(names)} twists; pick one with --twist"
-            )
-        name = names[0]
-    if name not in sc.maps or not isinstance(sc.maps[name], TwistMap):
+    if args.twist is None and len(names) != 1:
+        raise ValidationError(
+            f"scenario defines {len(names)} twists; pick one with --twist"
+        )
+    name = names[0] if args.twist is None else args.twist
+    if name not in names:
         raise ValidationError(f"--twist {name!r} is not a defined twist")
     diff = twist_boundary_difference(sc.maps[name], sc.primitive)
     _emit_scalar(args, f"boundary difference {diff:.8g}")
     return 0
 
 
-def _cmd_lift(args):
-    sc = _scenario(args)
-    m = _realized(args, sc)
+def _cmd_lift(args, sc):
     K = lifted_cocycle(
-        m, sc.primitive, grid=sc.grid, periods=args.periods,
+        _realized(args, sc), sc.primitive, grid=sc.grid, periods=args.periods,
         basepoint=sc.basepoint, tol=sc.tol,
     )
-    path = _out_path(args, "lift")
-    _write_csv(path, "p,q,value", _grid_rows(K))
+    _emit_csv(
+        args, "p,q,value", _grid_rows(K),
+        f"{K.n_p}x{K.n_q} nodes over {args.periods} periods",
+    )
     circ = sc.manifold.circumference
-    print(f"wrote {path} ({K.n_p}x{K.n_q} nodes over {args.periods} periods)")
     print(f"periodicity residual {periodicity_residual(K, circ):.8g}")
     print(f"growth rate {growth_rate(K, circ):.8g}")
     return 0
 
 
-def _cmd_flux(args):
-    sc = _scenario(args)
-    m = _realized(args, sc)
+def _cmd_flux(args, sc):
     rep = flux_compare(
-        m, sc.primitive, grid=sc.grid, periods=args.periods
+        _realized(args, sc), sc.primitive, grid=sc.grid, periods=args.periods
     )
     _emit_scalar(
         args,
@@ -447,14 +418,14 @@ def _cmd_flux(args):
     return 0
 
 
-def _cmd_distortion(args):
-    sc = _scenario(args)
+def _cmd_distortion(args, sc):
     if not sc.generator_names:
         raise ValidationError("distortion needs a nonempty generators list")
     if bool(args.x) != bool(args.y):
         raise ValidationError(
             "distortion needs both --x and --y, or neither for an automatic pair"
         )
+    pair = _point_pair(args)
     gens = GeneratorSet(
         {n: sc.maps[n] for n in sc.generator_names},
         alpha=sc.primitive, grid=sc.grid, basepoint=sc.basepoint,
@@ -463,25 +434,15 @@ def _cmd_distortion(args):
     word = _word_of(args, sc)
     m = gens.realize(word)
     K = gens.cocycle_of_word(word)
-    if args.x and args.y:
-        x = _point_arg(args.x, "--x")
-        y = _point_arg(args.y, "--y")
-    else:
-        x, y = _auto_pair(m, K, sc)
-    rows = distortion_table(
-        gens, word, x, y, args.n_max, seed=args.seed
-    )
-    path = _out_path(args, "distortion")
-    _write_csv(path, "n,bound,empirical_norm,ratio", rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    x, y = pair or _auto_pair(m, K, sc)
+    rows = distortion_table(gens, word, x, y, args.n_max, seed=args.seed)
+    _emit_csv(args, "n,bound,empirical_norm,ratio", rows, f"{len(rows)} rows")
     return 0
 
 
-def _cmd_fixed_points(args):
-    sc = _scenario(args)
+def _cmd_fixed_points(args, sc):
     m = _realized(args, sc)
     report = find_fixed_points(m, grid=sc.grid, alpha=sc.primitive)
-    path = _out_path(args, "fixed-points")
     rows = [
         (
             fp.location[0], fp.location[1], fp.residual, fp.action,
@@ -489,10 +450,10 @@ def _cmd_fixed_points(args):
         )
         for fp in report.points
     ]
-    _write_csv(
-        path, "p,q,residual,action,contractible,region_representative", rows
+    _emit_csv(
+        args, "p,q,residual,action,contractible,region_representative", rows,
+        f"{len(rows)} points",
     )
-    print(f"wrote {path} ({len(rows)} points)")
     if report.degenerate_identity:
         print("degenerate: the map fixes the whole window")
     if not report.found:
@@ -500,8 +461,7 @@ def _cmd_fixed_points(args):
     return 0
 
 
-def _cmd_verify(args):
-    load_scenario(args.config)
+def _cmd_verify(args, sc):
     failures = 0
     for result in verify_mod.run_all(seed=args.seed):
         tag = "PASS" if result.passed else "FAIL"
@@ -543,6 +503,14 @@ def _build_parser():
     method_arg = argparse.ArgumentParser(add_help=False)
     method_arg.add_argument("--method", choices=("path", "action"),
                             default="path", help="cocycle computation route")
+    periods_arg = argparse.ArgumentParser(add_help=False)
+    periods_arg.add_argument("--periods", type=int, default=3,
+                             help="fundamental domains in the cover window")
+
+    def add_points(p):
+        # not a parent: distortion lists them after its own --n-max
+        p.add_argument("--x", help="first fixed point as 'p,q'")
+        p.add_argument("--y", help="second fixed point as 'p,q'")
 
     p = sub.add_parser("cocycle", parents=[common, word_arg, method_arg],
                        help="emit the cocycle grid as CSV")
@@ -554,8 +522,7 @@ def _build_parser():
 
     p = sub.add_parser("polterovich", parents=[common, word_arg, method_arg],
                        help="fixed-point invariant between two points")
-    p.add_argument("--x", help="first fixed point as 'p,q'")
-    p.add_argument("--y", help="second fixed point as 'p,q'")
+    add_points(p)
     p.add_argument("--auto-fixed-points", action="store_true",
                    help="search for fixed points and pick an extremal pair")
     p.set_defaults(func=_cmd_polterovich)
@@ -569,23 +536,18 @@ def _build_parser():
     p.add_argument("--twist", help="twist name (default: the only one)")
     p.set_defaults(func=_cmd_twist_check)
 
-    p = sub.add_parser("lift", parents=[common, word_arg],
+    p = sub.add_parser("lift", parents=[common, word_arg, periods_arg],
                        help="cocycle of the lifted word on the cover")
-    p.add_argument("--periods", type=int, default=3,
-                   help="fundamental domains in the cover window")
     p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("flux", parents=[common, word_arg],
+    p = sub.add_parser("flux", parents=[common, word_arg, periods_arg],
                        help="flux against lifted-cocycle growth")
-    p.add_argument("--periods", type=int, default=3,
-                   help="fundamental domains in the cover window")
     p.set_defaults(func=_cmd_flux)
 
     p = sub.add_parser("distortion", parents=[common, word_arg, method_arg],
                        help="word-length bounds table (CSV)")
     p.add_argument("--n-max", type=int, default=4, help="largest power")
-    p.add_argument("--x", help="first fixed point as 'p,q'")
-    p.add_argument("--y", help="second fixed point as 'p,q'")
+    add_points(p)
     p.set_defaults(func=_cmd_distortion)
 
     p = sub.add_parser("fixed-points", parents=[common, word_arg],
@@ -600,12 +562,18 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  Every command, ``verify`` included, loads the
+    scenario and checks ``--tol`` first; ``verify`` then ignores both,
+    because the gate's grids, steps and tolerances are fixed."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        sc = load_scenario(args.config)
+        if args.tol is not None:
+            sc.tol = positive(args.tol, "--tol")
+        return args.func(args, sc)
     except ValidationError as e:
         print(f"{args.command}: validation error: {e}", file=sys.stderr)
         return 2

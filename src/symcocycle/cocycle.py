@@ -145,8 +145,7 @@ class GridFunction:
         self.grid = GridSpec(self.n_p, self.n_q)
         self.p_nodes = self.grid.p_nodes(window)
         self.q_nodes = self.grid.q_nodes(window)
-        self.dp = self.p_nodes[1] - self.p_nodes[0]
-        self.dq = self.q_nodes[1] - self.q_nodes[0]
+        self.dp, self.dq = self.grid.spacing(window)
 
     # -- bookkeeping ----------------------------------------------
 
@@ -404,8 +403,7 @@ def _integrate_exact_defect(manifold, theta_p, theta_q, basepoint, tol):
     """
     window = manifold.window
     n_p, n_q = theta_p.shape
-    dp = window.p_span / (n_p - 1)
-    dq = window.q_span / (n_q - 1)
+    dp, dq = GridSpec(n_p, n_q).spacing(window)
 
     if manifold.is_cylinder:
         # nonzero loop periods mean no single-valued potential exists

@@ -201,7 +201,7 @@ def growth_rate(K, circumference):
     s = K.samples
     n_q = s.shape[1]
     periods = (n_q - 1) // stride
-    qs = K.window.q_min + (K.window.q_span / (n_q - 1)) * np.arange(n_q)
+    qs = K.q_nodes
     # families indexed by (row, column within one domain), samples by j
     fam = np.stack(
         [s[:, j * stride:j * stride + stride] for j in range(periods)], axis=-1

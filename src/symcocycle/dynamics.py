@@ -154,6 +154,20 @@ def _linearized(u, v, s, dP, dQ):
     return u * dP + v * dQ, s * dP - u * dQ
 
 
+def _require_finite(state, what, remedy):
+    """Return ``state``, (p, q) or (p, q, dP, dQ), if every point and
+    tangent in it is finite; raise NumericalError otherwise."""
+    finite = np.isfinite(state[0]) & np.isfinite(state[1])
+    for x in state[2:]:
+        # dP and dQ hold their two input directions on a leading axis
+        finite = finite & np.isfinite(x).all(axis=0)
+    lost = finite.size - np.count_nonzero(finite)
+    if lost:
+        raise NumericalError(f"{what} overflowed: {lost} of {finite.size} "
+                             f"trajectories end at non-finite points; {remedy}")
+    return state
+
+
 def _as_float_pair(p, q, out_p, out_q):
     if np.ndim(out_p) == 0 and np.ndim(p) == 0:
         return float(out_p), float(out_q)
@@ -167,6 +181,8 @@ def _as_float_pair(p, q, out_p, out_q):
 class TwistMap:
     """(p, q) -> (p, q + t(p)) for a profile expression t of p alone."""
 
+    _REMEDY = "shrink the window or tame the profile"
+
     def __init__(self, profile, manifold):
         profile = as_expr(profile)
         if not profile.free_vars() <= {"p"}:
@@ -179,8 +195,10 @@ class TwistMap:
         self._slope = None  # t', differentiated on the first jet
 
     def apply(self, p, q):
-        shift = self.profile.fn(p, 0.0, 0.0)
-        return _as_float_pair(p, q, p, np.asarray(q, dtype=float) + shift)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = self.profile.fn(p, 0.0, 0.0)
+            out = _as_float_pair(p, q, p, np.asarray(q, dtype=float) + shift)
+        return _require_finite(out, "the twist", self._REMEDY)
 
     def carry(self, p, q, tangent):
         """Images of float arrays and the tangent ``(dP, dQ)`` pushed
@@ -192,7 +210,10 @@ class TwistMap:
         if self._slope is None:
             self._slope = self.profile.diff("p")
         dP, dQ = tangent
-        return yp, yq, (dP, dQ + self._slope.fn(p, 0.0, 0.0) * dP)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dQ = dQ + self._slope.fn(p, 0.0, 0.0) * dP
+        _require_finite((yp, yq, dP, dQ), "the twist", self._REMEDY)
+        return yp, yq, (dP, dQ)
 
     def inverse(self):
         return TwistMap(-self.profile, self.manifold)
@@ -307,17 +328,8 @@ class FlowMap:
                     )
                 if on_node is not None:
                     on_node(k + 1, t0 + (k + 1) * h, p, q)
-        finite = np.isfinite(state[0]) & np.isfinite(state[1])
-        for x in state[2:]:
-            # dP and dQ hold their two input directions on a leading axis
-            finite = finite & np.isfinite(x).all(axis=0)
-        lost = finite.size - np.count_nonzero(finite)
-        if lost:
-            raise NumericalError(
-                f"the flow overflowed: {lost} of {finite.size} trajectories end "
-                "at non-finite points; shrink the window or the step, or tame "
-                "the Hamiltonian"
-            )
+        _require_finite(state, "the flow", "shrink the window or the step, or "
+                        "tame the Hamiltonian")
         if escaped:
             warnings.warn(
                 EscapedWindowWarning(

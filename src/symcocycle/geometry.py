@@ -122,6 +122,12 @@ class GridSpec:
     def q_nodes(self, window):
         return np.linspace(window.q_min, window.q_max, self.n_q)
 
+    def spacing(self, window):
+        """(dp, dq), the difference of the first two nodes on each axis:
+        the one spacing every grid computation uses."""
+        p, q = self.p_nodes(window), self.q_nodes(window)
+        return p[1] - p[0], q[1] - q[0]
+
     def mesh(self, window):
         """(P, Q) arrays of shape (n_p, n_q); p varies along the first axis."""
         return np.meshgrid(

@@ -218,9 +218,10 @@ def _exact_regions(mask, wrap_q):
     their first nodes.
 
     Every masked node takes the least flat index among itself and its
-    neighbors until nothing changes, so a region ends up labelled by its
-    first node.  With ``wrap_q`` the q axis is glued; otherwise a padding
-    column keeps ``np.roll`` from gluing it.
+    neighbors, then the label of the node that index names (pointer
+    jumping), until nothing changes, so a region ends up labelled by its
+    first node.  With ``wrap_q`` the q axis is glued; otherwise a
+    padding column keeps ``np.roll`` from gluing it.
     """
     if not wrap_q:
         mask = np.pad(mask, ((0, 0), (0, 1)))
@@ -232,6 +233,7 @@ def _exact_regions(mask, wrap_q):
         least[1:] = np.minimum(least[1:], labels[:-1])
         least[:-1] = np.minimum(least[:-1], labels[1:])
         least = np.where(mask, least, outside)
+        least = np.append(least.ravel(), outside)[least]
         if np.array_equal(least, labels):
             break
         labels = least

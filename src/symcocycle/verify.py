@@ -8,10 +8,12 @@ all and prints one PASS/FAIL line each; the acceptance test suite runs
 the same registry, so a green CLI and a green test run mean the same
 thing.
 
-Checks share a Workbench of lazily built flows and cocycles, one per
-seed, so running the whole registry costs little more than its most
-expensive member.  Every check runs on the gate's GATE_GRID with the
-integrator step GATE_STEP.
+Checks share a Workbench per seed.  It builds each flow once and keeps
+each cocycle under its route, the map's pieces and the primitive, so a
+composition built again by another check costs nothing.  ``run_check``
+keeps each result, so a second pass over the registry in the same
+process runs no check.  Every check runs on the gate's GATE_GRID with
+the integrator step GATE_STEP.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def _signed(v, var):
 
 
 class Workbench:
-    """Lazily built shared artifacts for the checks."""
+    """Lazily built flows and cocycles shared by the checks of one seed."""
 
     def __init__(self, seed):
         self.seed = int(seed)
@@ -120,42 +122,35 @@ class Workbench:
         ))
 
     def random_pairs(self):
-        def build():
-            rng = np.random.default_rng(self.seed)
-            pairs = []
-            for _ in range(5):
-                exprs = []
-                for _ in range(2):
-                    amp = rng.uniform(0.05, 0.2)
-                    a = rng.uniform(0.3, 0.8)
-                    b = rng.uniform(0.3, 0.8)
-                    p0 = rng.uniform(-1.0, 1.0)
-                    q0 = rng.uniform(-1.0, 1.0)
-                    exprs.append(
-                        f"{amp:.6f}*exp(-({a:.6f}*{_signed(p0, 'p')}^2"
-                        f" + {b:.6f}*{_signed(q0, 'q')}^2))"
-                    )
-                pairs.append(tuple(exprs))
-            return pairs
-        return self.once("pairs", build)
+        """Five pairs of random gentle bumps, the same for the same seed."""
+        rng = np.random.default_rng(self.seed)
+        pairs = []
+        for _ in range(5):
+            exprs = []
+            for _ in range(2):
+                amp = rng.uniform(0.05, 0.2)
+                a = rng.uniform(0.3, 0.8)
+                b = rng.uniform(0.3, 0.8)
+                p0 = rng.uniform(-1.0, 1.0)
+                q0 = rng.uniform(-1.0, 1.0)
+                exprs.append(
+                    f"{amp:.6f}*exp(-({a:.6f}*{_signed(p0, 'p')}^2"
+                    f" + {b:.6f}*{_signed(q0, 'q')}^2))"
+                )
+            pairs.append(tuple(exprs))
+        return pairs
 
     # -- cocycles -------------------------------------------------
 
-    def path_cocycle(self, key, m, primitive=None):
+    def cocycle(self, route, m, primitive=None):
+        """K(m) by the ``"path"`` or ``"action"`` route, kept under the
+        map's pieces: flows are memoized objects, so a composition built
+        twice reaches the same entry."""
         alpha = primitive or self.p_dq
-        tag = ("Kpath", key, getattr(alpha, "name", id(alpha)))
-        return self.once(tag, lambda: cocycle_by_path(m, alpha, grid=self.grid))
-
-    def action_cocycle(self, key, m):
+        build = cocycle_by_path if route == "path" else cocycle_by_action
         return self.once(
-            ("Kaction", key), lambda: cocycle_by_action(m, self.p_dq, grid=self.grid)
+            (route, m.factors, alpha), lambda: build(m, alpha, grid=self.grid)
         )
-
-    def radial_power(self, n):
-        f = self.flow(RADIAL_UNIT_BUMP)
-        key = ("radial-power", n)
-        fn = self.once(key, lambda: ComposedMap([f] * n, self.plane))
-        return fn, self.action_cocycle(("radial", n), fn)
 
 
 # ============================================================
@@ -179,15 +174,10 @@ def _check_cocycle_identity(bench):
     for ef, eg in bench.random_pairs():
         f = bench.flow(ef)
         g = bench.flow(eg)
-        fg = bench.once(("comp", ef, eg), lambda: ComposedMap([g, f], bench.plane))
-        Kfg = bench.path_cocycle(("comp", ef, eg), fg)
-        Kf = bench.path_cocycle(ef, f)
-        Kg = bench.path_cocycle(eg, g)
-        osc = bench.once(
-            ("identity-resid", ef, eg),
-            lambda: (Kfg - Kf.compose_with(g) - Kg).oscillation(),
-        )
-        worst = max(worst, osc)
+        Kfg = bench.cocycle("path", ComposedMap([g, f]))
+        Kf = bench.cocycle("path", f)
+        Kg = bench.cocycle("path", g)
+        worst = max(worst, (Kfg - Kf.compose_with(g) - Kg).oscillation())
     return worst < 1e-4, (
         f"worst osc residual {worst:.3e} over 5 random pairs (tol 1e-04)"
     )
@@ -198,14 +188,9 @@ def _check_method_agreement(bench):
     """Path and action routes agree modulo constants on 5 scenarios."""
     worst = 0.0
     for ef, eg in bench.random_pairs():
-        f = bench.flow(ef)
-        g = bench.flow(eg)
-        fg = bench.once(("comp", ef, eg), lambda: ComposedMap([g, f], bench.plane))
-        Kp = bench.path_cocycle(("comp", ef, eg), fg)
-        Ka = bench.once(
-            ("Kaction-comp", ef, eg),
-            lambda: cocycle_by_action(fg, bench.p_dq, grid=bench.grid),
-        )
+        fg = ComposedMap([bench.flow(eg), bench.flow(ef)])
+        Kp = bench.cocycle("path", fg)
+        Ka = bench.cocycle("action", fg)
         worst = max(worst, (Kp - Ka).oscillation())
     return worst < 1e-4, (
         f"worst route disagreement {worst:.3e} over 5 compositions (tol 1e-04)"
@@ -217,11 +202,8 @@ def _check_defining_equation(bench):
     """Finite-difference dK matches the pullback defect at interior nodes."""
     ef = bench.random_pairs()[0][0]
     f = bench.flow(ef)
-    K = bench.path_cocycle(ef, f)
-    _, _, theta_p, theta_q = bench.once(
-        ("pullback", ef),
-        lambda: pullback_difference(f, bench.p_dq, grid=bench.grid),
-    )
+    K = bench.cocycle("path", f)
+    _, _, theta_p, theta_q = pullback_difference(f, bench.p_dq, grid=bench.grid)
     gp, gq = K.fd_gradient()
     err = max(
         float(np.abs(gp - theta_p)[2:-2, 2:-2].max()),
@@ -235,12 +217,10 @@ def _check_primitive_change(bench):
     """K with p dq minus K with the symmetric primitive is (pq/2).f - pq/2."""
     ef = bench.random_pairs()[0][0]
     f = bench.flow(ef)
-    K1 = bench.path_cocycle(ef, f)
-    K2 = bench.path_cocycle(ef, f, Primitive.symmetric())
+    K1 = bench.cocycle("path", f)
+    K2 = bench.cocycle("path", f, Primitive.symmetric())
     P, Q = bench.grid.mesh(PLANE_WINDOW)
-    yp, yq = bench.once(
-        ("images", ef), lambda: f.apply(P.ravel(), Q.ravel())
-    )
+    yp, yq = f.apply(P.ravel(), Q.ravel())
     rhs = (0.5 * yp * yq).reshape(P.shape) - 0.5 * P * Q
     diff = (K1 - K2).samples - rhs
     osc = float(np.max(diff) - np.min(diff))
@@ -280,9 +260,7 @@ def _check_calabi_factor(bench):
     worst = 0.0
     for expr, support in cases:
         f = bench.flow(expr)
-        K = normalize_compact(
-            bench.action_cocycle(("calabi", expr), f), support
-        )
+        K = normalize_compact(bench.cocycle("action", f), support)
         want = calabi_from_hamiltonian(f.spec, bench.plane)
         worst = max(worst, abs(calabi(K) - want) / abs(want))
     return worst < 1e-3, (
@@ -294,10 +272,11 @@ def _check_calabi_factor(bench):
 @_register("polterovich-homomorphism")
 def _check_polterovich_homomorphism(bench):
     """P(f^n) = n P(f) for n <= 5, and the unit radial bump gives P = 1."""
+    f = bench.flow(RADIAL_UNIT_BUMP)
     values = {}
     for n in range(1, 6):
-        fn, K = bench.radial_power(n)
-        values[n] = polterovich(fn, K, ORIGIN, FAR_CORNER)
+        fn = ComposedMap([f] * n)
+        values[n] = polterovich(fn, bench.cocycle("action", fn), ORIGIN, FAR_CORNER)
     e_unit = abs(values[1] - 1.0)
     e_hom = max(abs(values[n] - n * values[1]) / n for n in range(2, 6))
     ok = e_unit < 1e-4 and e_hom < 1e-4
@@ -310,15 +289,14 @@ def _check_polterovich_homomorphism(bench):
 @_register("polterovich-bound")
 def _check_polterovich_bound(bench):
     """|P| <= osc(K) exactly on every scenario with known fixed points."""
-    scenarios = []
-    for n in range(1, 6):
-        fn, K = bench.radial_power(n)
-        scenarios.append((fn, K, ORIGIN))
-    for expr, center in ((HINGE_BUMP, ORIGIN), (HINGE_BUMP_OFF, (0.8, 0.0))):
-        f = bench.flow(expr)
-        scenarios.append((f, bench.action_cocycle(("calabi", expr), f), center))
+    radial = bench.flow(RADIAL_UNIT_BUMP)
+    scenarios = [(ComposedMap([radial] * n), ORIGIN) for n in range(1, 6)]
+    scenarios += [
+        (bench.flow(HINGE_BUMP), ORIGIN), (bench.flow(HINGE_BUMP_OFF), (0.8, 0.0))
+    ]
     margin = np.inf
-    for f, K, x in scenarios:
+    for f, x in scenarios:
+        K = bench.cocycle("action", f)
         value = abs(polterovich(f, K, x, FAR_CORNER))
         osc = oscillation(K)
         margin = min(margin, osc - value)
@@ -353,20 +331,11 @@ def _check_cover_lifting(bench):
     """Deck equivariance of the lift and q-periodicity of the lifted cocycle."""
     f = bench.flow(COMPACT_CYL_F, on_cylinder=True)
     lifted = LiftedMap(f, periods=3)
-
-    def residuals():
-        rng = np.random.default_rng(bench.seed + 1)
-        ps = rng.uniform(CYL_WINDOW.p_min, CYL_WINDOW.p_max, 100)
-        qs = rng.uniform(CYL_WINDOW.q_min, CYL_WINDOW.q_max, 100)
-        return max(
-            deck_residual(lifted, ps, qs), projection_residual(lifted, ps, qs)
-        )
-
-    e_deck = bench.once(("deck-resid", COMPACT_CYL_F), residuals)
-    K = bench.once(
-        ("lifted-K", COMPACT_CYL_F),
-        lambda: lifted_cocycle(f, bench.p_dq, grid=bench.grid, periods=3),
-    )
+    rng = np.random.default_rng(bench.seed + 1)
+    ps = rng.uniform(CYL_WINDOW.p_min, CYL_WINDOW.p_max, 100)
+    qs = rng.uniform(CYL_WINDOW.q_min, CYL_WINDOW.q_max, 100)
+    e_deck = max(deck_residual(lifted, ps, qs), projection_residual(lifted, ps, qs))
+    K = lifted_cocycle(f, bench.p_dq, grid=bench.grid, periods=3)
     e_per = periodicity_residual(K, bench.cyl.circumference)
     ok = e_deck < 1e-9 and e_per < 1e-4
     return ok, (
@@ -378,14 +347,9 @@ def _check_cover_lifting(bench):
 @_register("flux-boundedness")
 def _check_flux_boundedness(bench):
     """Translation flux forces linear growth; compact support stays bounded."""
-    trans = bench.flow("0.3*q", on_cylinder=True)
-    comp = bench.flow(COMPACT_CYL_F, on_cylinder=True)
-    rep_t = bench.once(
-        ("flux", "0.3*q"), lambda: flux_compare(trans, grid=bench.grid, periods=3)
-    )
-    rep_c = bench.once(
-        ("flux", COMPACT_CYL_F),
-        lambda: flux_compare(comp, grid=bench.grid, periods=3),
+    rep_t, rep_c = (
+        flux_compare(bench.flow(expr, on_cylinder=True), grid=bench.grid, periods=3)
+        for expr in ("0.3*q", COMPACT_CYL_F)
     )
     e_growth = abs(rep_t.growth_rate_of_k - 0.3)
     ok = (
@@ -405,33 +369,19 @@ def _check_flux_boundedness(bench):
 def _check_distortion_bound(bench):
     """The cocycle bound undercuts the word-ball norm with a constant ratio,
     and disjoint supports make a genuinely length-2 word."""
-    gens = bench.once(
-        "distortion-gens",
-        lambda: GeneratorSet({"g": bench.flow(GENTLE_BUMP)}, grid=bench.grid),
-    )
-    rows = bench.once(
-        "distortion-table",
-        lambda: distortion_table(
-            gens, GroupWord.from_string("g"), ORIGIN, FAR_CORNER, 6
-        ),
-    )
+    gens = GeneratorSet({"g": bench.flow(GENTLE_BUMP)}, grid=bench.grid)
+    rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR_CORNER, 6)
     if any(r[2] is None for r in rows):
         return False, "word-ball search missed a power of the generator"
     sound = all(r[2] == r[0] and r[1] <= r[2] for r in rows)
     ratios = [r[3] for r in rows]
     spread = max(ratios) - min(ratios)
-    pair = bench.once(
-        "disjoint-gens",
-        lambda: GeneratorSet(
-            {"a": bench.flow(LEFT_HINGE), "b": bench.flow(RIGHT_HINGE)},
-            grid=bench.grid,
-            method="action",
-        ),
+    pair = GeneratorSet(
+        {"a": bench.flow(LEFT_HINGE), "b": bench.flow(RIGHT_HINGE)},
+        grid=bench.grid,
+        method="action",
     )
-    norm2 = bench.once(
-        "disjoint-norm2",
-        lambda: word_ball_norm(pair, pair.realize(GroupWord.from_string("a b"))),
-    )
+    norm2 = word_ball_norm(pair, pair.realize(GroupWord.from_string("a b")))
     ok = sound and spread < 1e-6 and norm2 == 2
     return ok, (
         f"bound <= norm for n <= 6 ({'yes' if sound else 'no'}), ratio spread "
@@ -465,24 +415,23 @@ def _check_integrator_order(bench):
 
 CHECK_NAMES = tuple(CHECKS)
 
-_BENCHES = {}
-
-
-def _bench_for(seed):
-    seed = int(seed)
-    if seed not in _BENCHES:
-        _BENCHES[seed] = Workbench(seed)
-    return _BENCHES[seed]
+_BENCHES = {}  # seed -> Workbench
+_RESULTS = {}  # (name, seed) -> CheckResult
 
 
 def run_check(name, seed=0):
-    """Run one named check and report the measured numbers."""
+    """Run one named check and report the measured numbers.  The result
+    is kept, so asking again in the same process runs nothing."""
     if name not in CHECKS:
         known = ", ".join(CHECK_NAMES)
         raise KeyError(f"unknown check {name!r}; known: {known}")
-    bench = _bench_for(seed)
-    passed, detail = CHECKS[name](bench)
-    return CheckResult(name, bool(passed), detail)
+    seed = int(seed)
+    if (name, seed) not in _RESULTS:
+        if seed not in _BENCHES:
+            _BENCHES[seed] = Workbench(seed)
+        passed, detail = CHECKS[name](_BENCHES[seed])
+        _RESULTS[name, seed] = CheckResult(name, bool(passed), detail)
+    return _RESULTS[name, seed]
 
 
 def run_all(seed=0):

@@ -2,9 +2,9 @@
 
 Each test prints one PASS/FAIL line with the measured numbers (visible
 under ``pytest -s`` or on failure), then asserts.  The final test drives
-the ``verify`` subcommand end to end, which re-runs the same suite and
-must exit 0; within one process it reuses the workbench caches, so the
-second pass is cheap.
+the ``verify`` subcommand end to end, which reports the same suite and
+must exit 0; within one process ``run_check`` keeps each check's result,
+so that second pass runs no check again.
 """
 
 from pathlib import Path

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from symcocycle.dynamics import FlowMap, TwistMap
 from symcocycle.errors import ValidationError
 from symcocycle.invariants import NoFixedPointFound
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 PLANE_BUMP = str(SCENARIOS / "plane_bump.json")
 CYLINDER_TWIST = str(SCENARIOS / "cylinder_twist.json")
 DISJOINT_PAIR = str(SCENARIOS / "disjoint_pair.json")
@@ -244,6 +246,14 @@ def test_polterovich_needs_points_or_auto(capsys):
     capsys.readouterr()
 
 
+def test_polterovich_checks_points_before_the_cocycle(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "cocycle_by_path", lambda *a, **k: calls.append(a))
+    assert cli.main(["polterovich", "--config", PLANE_BUMP, "--x", "0,0"]) == 2
+    assert "needs --x and --y" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("flag", ["--x", "--y"])
 def test_distortion_needs_both_points_or_neither(capsys, flag):
     assert cli.main(["distortion", "--config", DISJOINT_PAIR, flag, "0.5,0.5"]) == 2
@@ -346,6 +356,20 @@ def test_overflowing_flow_exits_3(tmp_path, capsys, method):
     assert code == 3
     assert "non-finite" in err
 
+    # a twist whose profile overflows follows the same rule on the path
+    # route (the action route takes flows only)
+    twists = json.loads(Path(CYLINDER_TWIST).read_text())["twists"]
+    path = write_variant(
+        tmp_path, CYLINDER_TWIST, twists={**twists, "big": {"profile": "exp(400*p)"}}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["cocycle", "--config", path, "--word", "big",
+                         "--out", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "the twist overflowed" in err and "non-finite" in err
+
 
 def test_cocycle_action_route_succeeds(tmp_path, capsys):
     out = tmp_path / "k.csv"
@@ -382,6 +406,16 @@ def test_distortion_rejects_negative_seed(tmp_path, capsys):
                      "--out", str(tmp_path / "table.csv")])
     assert code == 2
     assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_invalid_tol_before_any_check(monkeypatch, capsys):
+    # verify ignores a valid --tol, but rejects an invalid one as every
+    # command does, before the gate starts
+    ran = []
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: ran.append(seed))
+    assert cli.main(["verify", "--config", PLANE_BUMP, "--tol", "-1"]) == 2
+    assert "--tol must be positive and finite" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_verify_rejects_negative_seed(capsys):
@@ -446,3 +480,45 @@ def test_flux_and_lift_on_compact_flow(tmp_path, capsys):
 def test_lift_requires_cylinder(capsys):
     assert cli.main(["lift", "--config", PLANE_BUMP]) == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------
+# the README's command lines
+# ------------------------------------------------------------
+
+
+def readme_command_lines():
+    """Argument lists of the ``symcocycle`` lines in README's "Command
+    line" block, continued lines joined."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:] for line in block.splitlines()
+        if line.startswith("symcocycle ")
+    ]
+
+
+README_LINES = readme_command_lines()
+
+
+def test_readme_command_block_lists_the_commands():
+    assert [argv[0] for argv in README_LINES] == [
+        "cocycle", "calabi", "polterovich", "osc", "twist-check", "lift",
+        "flux", "distortion", "fixed-points", "verify",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # verify is run end to end by the acceptance gate's own test
+    [argv for argv in README_LINES if argv[0] != "verify"],
+    ids=lambda argv: argv[0],
+)
+def test_readme_command_line_exits_0(argv, tmp_path, monkeypatch, capsys):
+    # configs resolve from the repo root; grids land under tmp_path
+    monkeypatch.chdir(tmp_path)
+    i = argv.index("--config") + 1
+    argv = [*argv[:i], str(ROOT / argv[i]), *argv[i + 1:]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err

@@ -173,3 +173,20 @@ def test_overflowing_tangent_is_a_numerical_error():
         assert yp[0] == 0.0 and yq[0] == 0.0
         with pytest.raises(NumericalError, match="1 of 1 trajectories"):
             map_with_jacobian(flow, origin, origin)
+
+
+def test_overflowing_twist_is_a_numerical_error():
+    # exp(709) is finite, so at p = 1 the image of exp(709*p) is finite
+    # while its slope, 709*exp(709), overflows the tangent; at p = 2 the
+    # image overflows too
+    twist = TwistMap(parse("exp(709*p)"), CYL)
+    p, q = np.array([0.0, 1.0]), np.zeros(2)
+    identity = (np.stack([np.ones(2), np.zeros(2)]), np.stack([np.zeros(2), np.ones(2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yp, yq = twist.apply(p, q)
+        assert np.isfinite(yq).all()
+        with pytest.raises(NumericalError, match="twist overflowed: 1 of 2 trajectories"):
+            twist.carry(p, q, identity)
+        with pytest.raises(NumericalError, match="non-finite"):
+            twist.apply(2.0, 0.0)
