@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,12 +167,8 @@ def load_scenario(path):
     step = positive(_number(integ, "h", "integrator", DEFAULT_STEP), "integrator.h")
 
     tols = raw.get("tolerances", {})
-    _require_keys(tols, ("tol", "fd_h"), (), "tolerances")
+    _require_keys(tols, ("tol",), (), "tolerances")
     tol = positive(_number(tols, "tol", "tolerances", PATH_TOL), "tolerances.tol")
-    if "fd_h" in tols:
-        # the finite-difference step of earlier versions; jacobians are now
-        # exact, so the key is checked and otherwise ignored
-        positive(_number(tols, "fd_h", "tolerances"), "tolerances.fd_h")
 
     maps = {}
     hams = raw.get("hamiltonians", {})
@@ -561,10 +558,25 @@ def _build_parser():
     return parser
 
 
+def _joined_points(argv):
+    """``argv`` with each ``--x`` or ``--y`` joined to a following point
+    that starts with ``-``: argparse reads ``-2,0`` as an option, but
+    ``--x=-2,0`` as a value.  A following option is left alone, so
+    ``--x --y 4,4`` stays an error."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--x", "--y") and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     """Run one subcommand.  Every command, ``verify`` included, loads the
     scenario and checks ``--tol`` first; ``verify`` then ignores both,
     because the gate's grids, steps and tolerances are fixed."""
+    argv = _joined_points(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:

@@ -116,7 +116,8 @@ class HamiltonianSpec:
 
     def validate_support(self, manifold):
         """Check |F| <= 1e-12 on the part of the window outside the claim,
-        sampled on a 41x41 grid at 5 times."""
+        sampled on a 41x41 grid at 5 times; a sample that is not finite
+        violates the claim."""
         tol = 1e-12
         claim = self.support_claim
         if claim is None:
@@ -129,13 +130,17 @@ class HamiltonianSpec:
         outside = ~claim.contains(P, Q)
         if not outside.any():
             return self
-        fn = self.F.fn
-        worst = 0.0
-        for tv in np.linspace(0.0, self.duration, 5):
-            vals = np.broadcast_to(
-                np.asarray(fn(P, Q, float(tv)), dtype=float), P.shape
+        vals = np.concatenate([
+            np.broadcast_to(self.F(P, Q, float(tv)), P.shape)[outside]
+            for tv in np.linspace(0.0, self.duration, 5)
+        ])
+        bad = np.count_nonzero(~np.isfinite(vals))
+        if bad:
+            raise SupportClaimError(
+                f"claimed compact support is violated: F is not finite at "
+                f"{bad} of {vals.size} samples outside the claimed region"
             )
-            worst = max(worst, float(np.max(np.abs(vals[outside]))))
+        worst = float(np.max(np.abs(vals)))
         if worst > tol:
             raise SupportClaimError(
                 f"claimed compact support is violated: |F| reaches {worst:.3e} "

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -118,36 +117,43 @@ class NotDifferentiable(ValidationError):
 # ============================================================
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Node:
+    """One node of an expression tree.
+
+    ``op`` is ``"num"`` or ``"var"`` for a leaf, whose ``value`` is the
+    number or the variable name.  Every other node has its operands in
+    ``args``, and its ``op`` is ``"neg"``, a binary operator, a function
+    name, or ``"pair"``: the root of a fused expression, whose value is the
+    tuple of the values of its parts and which only the code generator
+    accepts.  Trees of equal structure compare and hash equal.  (A plain
+    class: a dataclass would add about 1 ms to every import of the
+    package.)
+    """
+
+    __slots__ = ("op", "args", "value")
+
+    def __init__(self, op, args=(), value=None):
+        self.op = op
+        self.args = args
+        self.value = value
+
+    def _key(self):
+        return self.op, self.value, self.args
+
+    def __eq__(self, other):
+        return isinstance(other, Node) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# the binary operators and their precedence levels, for the printer
+_LVL_ADD, _LVL_MUL, _LVL_POW, _LVL_BASE = 1, 2, 3, 4
+_LEVEL = {"+": _LVL_ADD, "-": _LVL_ADD, "*": _LVL_MUL, "/": _LVL_MUL, "^": _LVL_POW}
 
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-
-
-_ZERO = Num(0.0)
-_ONE = Num(1.0)
+_ZERO = Node("num", value=0.0)
+_ONE = Node("num", value=1.0)
+_TWO = Node("num", value=2.0)
 
 
 # ============================================================
@@ -236,36 +242,36 @@ class _Parser:
         node = self.term()
         while self.at_op("+", "-"):
             op = self.take()[1]
-            node = Bin(op, node, self.term())
+            node = Node(op, (node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
         while self.at_op("*", "/"):
             op = self.take()[1]
-            node = Bin(op, node, self.factor())
+            node = Node(op, (node, self.factor()))
         return node
 
     def factor(self):
         node = self.base()
         if self.at_op("^"):
             self.take()
-            node = Bin("^", node, self.factor())
+            node = Node("^", (node, self.factor()))
         return node
 
     def base(self):
         kind, text, pos = self.peek()
         if kind == "num":
             self.take()
-            return Num(float(text))
+            return Node("num", value=float(text))
         if kind == "ident":
             self.take()
             if self.at_op("("):
                 return self.call(text, pos)
             if text in VARIABLES:
-                return Var(text)
+                return Node("var", value=text)
             if text == "pi":
-                return Num(math.pi)
+                return Node("num", value=math.pi)
             raise UnknownIdentifierError(text, _byte_offset(self.src, pos))
         if kind == "op" and text == "(":
             self.take()
@@ -274,7 +280,7 @@ class _Parser:
             return node
         if kind == "op" and text == "-":
             self.take()
-            return Neg(self.base())
+            return Node("neg", (self.base(),))
         got = text if text else "end of input"
         self.fail(
             f"expected a value but found {got!r}",
@@ -300,30 +306,19 @@ class _Parser:
                     {","},
                 )
             # fold n-ary min/max left so ties still pick the leftmost argument
-            return reduce(lambda a, b: Call(name, (a, b)), args)
+            return reduce(lambda a, b: Node(name, (a, b)), args)
         if len(args) != arity:
             self.fail(
                 f"{name}() expects {arity} argument(s), got {len(args)}",
                 ("op", name, name_pos),
                 {"argument list of length %d" % arity},
             )
-        return Call(name, tuple(args))
+        return Node(name, tuple(args))
 
 
 # ============================================================
 # Code generation: one straight-line Python function per expression
 # ============================================================
-
-
-class _Pair:
-    """Root of a fused expression: its value is the tuple of the values of
-    its parts.  Only the code generator accepts it.  (A plain class: a
-    dataclass would add about 1 ms to every import of the package.)"""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = parts
 
 
 def _checked_div(num, den):
@@ -420,46 +415,37 @@ def _can_raise(node):
     A power with a constant nonnegative integer exponent and a division
     by a nonzero constant cannot; ``iflte`` can through its branches.
     """
-    if isinstance(node, Bin):
-        e = node.rhs
-        if node.op == "/":
-            return not (isinstance(e, Num) and e.value != 0.0)
-        if node.op == "^":
-            return not (
-                isinstance(e, Num)
-                and math.isfinite(e.value)
-                and e.value >= 0.0
-                and e.value == math.floor(e.value)
-            )
-        return False
-    return isinstance(node, Call) and node.fn in ("sqrt", "iflte")
+    if node.op == "/":
+        e = node.args[1]
+        return not (_is_num(e) and e.value != 0.0)
+    if node.op == "^":
+        e = node.args[1]
+        return not (
+            _is_num(e)
+            and math.isfinite(e.value)
+            and e.value >= 0.0
+            and e.value == math.floor(e.value)
+        )
+    return node.op in ("sqrt", "iflte")
 
 
 def _operands(node):
     """The children evaluated in the node's own function: all of them
     except the two branches of ``iflte``."""
-    if isinstance(node, (Num, Var)):
-        return ()
-    if isinstance(node, Neg):
-        return (node.arg,)
-    if isinstance(node, Bin):
-        return (node.lhs, node.rhs)
-    if isinstance(node, _Pair):
-        return node.parts
-    return node.args[:2] if node.fn == "iflte" else node.args
+    return node.args[:2] if node.op == "iflte" else node.args
 
 
 class _Codegen:
     """Python source of straight-line functions ``(p, q, t) -> value``.
 
-    Nodes are numbered by structure, constants by their bits (so ``0.0``
-    and ``-0.0`` differ), and within one function each number is computed
-    once.  A value used more than once, one whose evaluation may raise,
-    and one nested too deeply gets its own line, in the order the
-    expression tree evaluates it; every other value, and the root, is
-    written inline where it is used.  A temporary is deleted right after
-    its last use.  Constants and branch functions are globals in
-    ``namespace``.
+    Nodes are numbered by structure, constants by their ``repr``, which
+    tells every two floats apart (so ``0.0`` and ``-0.0`` differ), and
+    within one function each number is computed once.  A value used more
+    than once, one whose evaluation may raise, and one nested too deeply
+    gets its own line, in the order the expression tree evaluates it;
+    every other value, and the root, is written inline where it is used.
+    A temporary is deleted right after its last use.  Constants and branch
+    functions are globals in ``namespace``.
 
     The ``iflte`` nodes of one function that compare the same two
     operands, and whose branches cannot raise, are evaluated by one call
@@ -479,18 +465,7 @@ class _Codegen:
     def number(self, node):
         got = self.memo.get(id(node))
         if got is None:
-            if isinstance(node, Num):
-                key = ("num", float(node.value).hex())
-            elif isinstance(node, Var):
-                key = ("var", node.name)
-            elif isinstance(node, Neg):
-                key = ("neg", self.number(node.arg))
-            elif isinstance(node, Bin):
-                key = (node.op, self.number(node.lhs), self.number(node.rhs))
-            elif isinstance(node, _Pair):
-                key = ("pair",) + tuple(map(self.number, node.parts))
-            else:
-                key = (node.fn,) + tuple(map(self.number, node.args))
+            key = (node.op, repr(node.value), *map(self.number, node.args))
             got = self.numbers.setdefault(key, len(self.numbers))
             self.memo[id(node)] = got
         return got
@@ -512,7 +487,7 @@ class _Codegen:
         groups = {}  # shared comparison (or own number) -> iflte numbers
         for n in order:
             node = nodes[n]
-            if isinstance(node, Call) and node.fn == "iflte":
+            if node.op == "iflte":
                 a, b = node.args[:2]
                 alone = any(self.may_raise(x) for x in node.args[2:])
                 key = (n,) if alone else (self.number(a), self.number(b))
@@ -525,10 +500,10 @@ class _Codegen:
         root_n = order[-1]
         for n in order:
             node = nodes[n]
-            if isinstance(node, Var):
-                code[n] = (node.name, (), 0)
+            if node.op == "var":
+                code[n] = (node.value, (), 0)
                 continue
-            if isinstance(node, Num):
+            if node.op == "num":
                 self.namespace[f"c{n}"] = node.value
                 code[n] = (f"c{n}", (), 0)
                 continue
@@ -584,30 +559,31 @@ class _Codegen:
             reads = ", ".join(v for v in VARIABLES if v in used)
             if name not in self.namespace:
                 self.namespace[name] = None  # claimed; bound by exec
-                self.pairs.append(_Pair(parts))
+                self.pairs.append(Node("pair", parts))
                 self.function(self.pairs[-1], name, reads)
             branches.append(f"{name}, ({reads}{',' if reads else ''})")
         return f"iflte({args[0][0]}, {args[1][0]}, {', '.join(branches)})"
 
     def render(self, node, a):
-        if isinstance(node, Neg):
+        op = node.op
+        if op == "neg":
             return f"(-{a[0]})"
-        if isinstance(node, _Pair):
+        if op == "pair":
             return "(" + ", ".join(a) + ",)"
-        if isinstance(node, Bin):
-            if node.op == "/":
-                if _can_raise(node):
-                    return f"div({a[0]}, {a[1]})"
-                return f"({a[0]} / {a[1]})"
-            if node.op == "^":
-                if _can_raise(node):
-                    return f"pow({a[0]}, {a[1]})"
-                # np.square(b) is b*b, bitwise equal to np.power(b, 2.0)
-                if node.rhs.value == 2.0:
-                    return f"square({a[0]})"
-                return f"power({a[0]}, {a[1]})"
-            return f"({a[0]} {node.op} {a[1]})"
-        return f"{node.fn}({', '.join(a)})"
+        if op == "/":
+            if _can_raise(node):
+                return f"div({a[0]}, {a[1]})"
+            return f"({a[0]} / {a[1]})"
+        if op == "^":
+            if _can_raise(node):
+                return f"pow({a[0]}, {a[1]})"
+            # np.square(b) is b*b, bitwise equal to np.power(b, 2.0)
+            if node.args[1].value == 2.0:
+                return f"square({a[0]})"
+            return f"power({a[0]}, {a[1]})"
+        if op in _LEVEL:
+            return f"({a[0]} {op} {a[1]})"
+        return f"{op}({', '.join(a)})"
 
 
 def _source(root):
@@ -629,7 +605,7 @@ def _generate(root):
 
 
 def _is_num(node, value=None):
-    return isinstance(node, Num) and (value is None or node.value == value)
+    return node.op == "num" and (value is None or node.value == value)
 
 
 def _add(a, b):
@@ -638,26 +614,26 @@ def _add(a, b):
     if _is_num(b, 0.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value + b.value)
-    return Bin("+", a, b)
+        return Node("num", value=a.value + b.value)
+    return Node("+", (a, b))
 
 
 def _sub(a, b):
     if _is_num(b, 0.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value - b.value)
+        return Node("num", value=a.value - b.value)
     if _is_num(a, 0.0):
         return _neg(b)
-    return Bin("-", a, b)
+    return Node("-", (a, b))
 
 
 def _neg(a):
     if _is_num(a):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
+        return Node("num", value=-a.value)
+    if a.op == "neg":
+        return a.args[0]
+    return Node("neg", (a,))
 
 
 def _mul(a, b):
@@ -668,8 +644,8 @@ def _mul(a, b):
     if _is_num(b, 1.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value * b.value)
-    return Bin("*", a, b)
+        return Node("num", value=a.value * b.value)
+    return Node("*", (a, b))
 
 
 def _div_node(a, b):
@@ -677,7 +653,7 @@ def _div_node(a, b):
         return _ZERO
     if _is_num(b, 1.0):
         return a
-    return Bin("/", a, b)
+    return Node("/", (a, b))
 
 
 def _pow_node(a, b):
@@ -689,11 +665,11 @@ def _pow_node(a, b):
         try:
             v = a.value**b.value
         except (OverflowError, ZeroDivisionError):
-            return Bin("^", a, b)
+            return Node("^", (a, b))
         # a negative base with a fractional exponent gives a complex number
         if isinstance(v, float) and math.isfinite(v):
-            return Num(v)
-    return Bin("^", a, b)
+            return Node("num", value=v)
+    return Node("^", (a, b))
 
 
 # ============================================================
@@ -702,134 +678,103 @@ def _pow_node(a, b):
 
 
 def _free_vars(node):
-    if isinstance(node, Num):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return _free_vars(node.arg)
-    if isinstance(node, Bin):
-        return _free_vars(node.lhs) | _free_vars(node.rhs)
-    return frozenset().union(*(_free_vars(a) for a in node.args))
+    if node.op == "var":
+        return frozenset((node.value,))
+    return frozenset().union(*map(_free_vars, node.args))
 
 
 def _diff(node, var):
-    if isinstance(node, Num):
+    op = node.op
+    if op == "num":
         return _ZERO
-    if isinstance(node, Var):
-        return _ONE if node.name == var else _ZERO
-    if isinstance(node, Neg):
-        return _neg(_diff(node.arg, var))
-    if isinstance(node, Bin):
-        a, b = node.lhs, node.rhs
-        da = _diff(a, var)
-        if node.op == "+":
-            return _add(da, _diff(b, var))
-        if node.op == "-":
-            return _sub(da, _diff(b, var))
-        db = _diff(b, var)
-        if node.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
-        if node.op == "/":
-            return _div_node(_sub(_mul(da, b), _mul(a, db)), _pow_node(b, Num(2.0)))
-        # power rule; a variable exponent would need a logarithm, which the
-        # language does not have
-        if var in _free_vars(b):
-            raise NotDifferentiable(
-                f"cannot differentiate a power with respect to {var!r} when "
-                f"the exponent depends on it"
-            )
-        return _mul(_mul(b, _pow_node(a, _sub(b, _ONE))), da)
-    return _diff_call(node, var)
+    if op == "var":
+        return _ONE if node.value == var else _ZERO
+    if op == "neg":
+        return _neg(_diff(node.args[0], var))
+    if op not in _LEVEL:
+        return _diff_call(node, var)
+    a, b = node.args
+    da = _diff(a, var)
+    if op == "+":
+        return _add(da, _diff(b, var))
+    if op == "-":
+        return _sub(da, _diff(b, var))
+    db = _diff(b, var)
+    if op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if op == "/":
+        return _div_node(_sub(_mul(da, b), _mul(a, db)), _pow_node(b, _TWO))
+    # power rule; a variable exponent would need a logarithm, which the
+    # language does not have
+    if var in _free_vars(b):
+        raise NotDifferentiable(
+            f"cannot differentiate a power with respect to {var!r} when "
+            f"the exponent depends on it"
+        )
+    return _mul(_mul(b, _pow_node(a, _sub(b, _ONE))), da)
 
 
 def _diff_call(node, var):
-    fn = node.fn
+    fn = node.op
     if fn == "iflte":
         a, b, u, v = node.args
-        return Call("iflte", (a, b, _diff(u, var), _diff(v, var)))
+        return Node("iflte", (a, b, _diff(u, var), _diff(v, var)))
     if fn == "min":
         a, b = node.args
-        return Call("iflte", (a, b, _diff(a, var), _diff(b, var)))
+        return Node("iflte", (a, b, _diff(a, var), _diff(b, var)))
     if fn == "max":
         a, b = node.args
-        return Call("iflte", (b, a, _diff(a, var), _diff(b, var)))
+        return Node("iflte", (b, a, _diff(a, var), _diff(b, var)))
     (u,) = node.args
     du = _diff(u, var)
     if fn == "sin":
-        outer = Call("cos", (u,))
+        outer = Node("cos", (u,))
     elif fn == "cos":
-        outer = _neg(Call("sin", (u,)))
+        outer = _neg(Node("sin", (u,)))
     elif fn == "exp":
-        outer = Call("exp", (u,))
+        outer = Node("exp", (u,))
     elif fn == "tanh":
-        outer = _sub(_ONE, _pow_node(Call("tanh", (u,)), Num(2.0)))
+        outer = _sub(_ONE, _pow_node(Node("tanh", (u,)), _TWO))
     elif fn == "abs":
-        outer = Call("sign", (u,))
+        outer = Node("sign", (u,))
     elif fn == "sign":
         return _ZERO
     elif fn == "sqrt":
-        return _div_node(du, _mul(Num(2.0), Call("sqrt", (u,))))
+        return _div_node(du, _mul(_TWO, Node("sqrt", (u,))))
     else:  # pragma: no cover - keep the table and FUNCTIONS in sync
         raise NotDifferentiable(f"no derivative rule for {fn}()")
     return _mul(outer, du)
 
 
 def _substitute(node, mapping):
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        repl = mapping.get(node.name)
-        return node if repl is None else repl
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.arg, mapping))
-    if isinstance(node, Bin):
-        return Bin(
-            node.op, _substitute(node.lhs, mapping), _substitute(node.rhs, mapping)
-        )
-    return Call(node.fn, tuple(_substitute(a, mapping) for a in node.args))
+    if node.op == "var":
+        return mapping.get(node.value, node)
+    args = tuple(_substitute(a, mapping) for a in node.args)
+    return Node(node.op, args, node.value)
 
 
 # ============================================================
 # Printing.  parse(str(e)) evaluates identically to e.
 # ============================================================
 
-_LVL_ADD, _LVL_MUL, _LVL_POW, _LVL_BASE = 1, 2, 3, 4
-
-
-def _level(node):
-    if isinstance(node, Bin):
-        if node.op in "+-":
-            return _LVL_ADD
-        if node.op in "*/":
-            return _LVL_MUL
-        return _LVL_POW
-    return _LVL_BASE
-
 
 def _render(node, min_level):
-    if isinstance(node, Num):
+    op, args = node.op, node.args
+    level = _LEVEL.get(op, _LVL_BASE)
+    if op == "num":
         s = repr(node.value)
-    elif isinstance(node, Var):
-        s = node.name
-    elif isinstance(node, Neg):
-        s = "-" + _render(node.arg, _LVL_BASE)
-    elif isinstance(node, Call):
-        s = node.fn + "(" + ", ".join(_render(a, _LVL_ADD) for a in node.args) + ")"
+    elif op == "var":
+        s = node.value
+    elif op == "neg":
+        s = "-" + _render(args[0], _LVL_BASE)
+    elif op == "^":
+        # left operand of ^ must be a base; right associates
+        s = _render(args[0], _LVL_BASE) + "^" + _render(args[1], _LVL_POW)
+    elif op in _LEVEL:
+        s = _render(args[0], level) + f" {op} " + _render(args[1], level + 1)
     else:
-        lvl = _level(node)
-        if node.op == "^":
-            # left operand of ^ must be a base; right associates
-            s = _render(node.lhs, _LVL_BASE) + "^" + _render(node.rhs, _LVL_POW)
-        else:
-            s = (
-                _render(node.lhs, lvl)
-                + " "
-                + node.op
-                + " "
-                + _render(node.rhs, lvl + 1)
-            )
-    if _level(node) < min_level:
+        s = op + "(" + ", ".join(_render(a, _LVL_ADD) for a in args) + ")"
+    if level < min_level:
         return "(" + s + ")"
     return s
 
@@ -928,7 +873,7 @@ def fused(*exprs):
     can only be evaluated: printing, differentiating or substituting it
     is not defined.
     """
-    return Expr(_Pair(tuple(as_expr(e).root for e in exprs)))
+    return Expr(Node("pair", tuple(as_expr(e).root for e in exprs)))
 
 
 def as_expr(x):
@@ -938,5 +883,5 @@ def as_expr(x):
     if isinstance(x, str):
         return parse(x)
     if isinstance(x, (int, float)):
-        return Expr(Num(float(x)))
+        return Expr(Node("num", value=float(x)))
     raise ValidationError(f"cannot interpret {type(x)!r} as an expression")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError, ValidationError
+from .errors import NonconvergenceError, NumericalError, ValidationError
 from .exprlang import Expr, as_expr
 
 __all__ = [
@@ -332,7 +332,10 @@ def _gauss_panel(f, a, b):
     pts = mid + half * _GAUSS_X
     # constant integrands may come back as scalars; broadcast before dotting
     vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
-    return half * float(np.dot(_GAUSS_W, vals))
+    total = half * float(np.dot(_GAUSS_W, vals))
+    if not math.isfinite(total):
+        raise NumericalError(f"the integrand is not finite on [{a}, {b}]")
+    return total
 
 
 def quad_adaptive(f, a, b, tol=1e-10, depth_cap=40, noise_floor=0.0):
@@ -342,7 +345,8 @@ def quad_adaptive(f, a, b, tol=1e-10, depth_cap=40, noise_floor=0.0):
     Gauss-Legendre; panels that disagree by more than their share of the
     tolerance are split.  Raises QuadratureNonconvergence past the depth
     cap (about 40 doublings, far below attainable resolution for any
-    integrand this package produces).
+    integrand this package produces), and NumericalError, not numpy
+    warnings, for a panel whose integrand is not finite.
 
     ``noise_floor`` is the irreducible per-unit-length uncertainty of the
     integrand itself.  Iterated integrals use it so the outer pass stops
@@ -353,8 +357,9 @@ def quad_adaptive(f, a, b, tol=1e-10, depth_cap=40, noise_floor=0.0):
         raise ValidationError(f"tolerance must be positive, got {tol}")
     if a == b:
         return 0.0
-    whole = _gauss_panel(f, a, b)
-    return _refine(f, a, b, whole, tol, noise_floor, depth_cap)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        whole = _gauss_panel(f, a, b)
+        return _refine(f, a, b, whole, tol, noise_floor, depth_cap)
 
 
 def _refine(f, a, b, whole, tol, noise_floor, depth_left):

@@ -1,5 +1,7 @@
 """The closure-tree compiler that ``exprlang`` used before it generated
-code, kept verbatim as the oracle of the differential tests.
+code, kept as the oracle of the differential tests.  Its evaluation rules
+are verbatim; only the way it reads a node (``op``, ``value``, ``args``)
+follows the tree's one node class.
 
 ``_compile(node)`` turns an AST node into a tree of closures
 ``(p, q, t) -> value``, one Python call per node, with every domain check
@@ -8,25 +10,25 @@ evaluated at run time.
 
 import numpy as np
 
-from symcocycle.exprlang import Bin, DomainError, Neg, Num, Var
+from symcocycle.exprlang import DomainError
 
 
 def _compile(node):
-    if isinstance(node, Num):
+    if node.op == "num":
         v = node.value
         return lambda p, q, t: v
-    if isinstance(node, Var):
-        if node.name == "p":
+    if node.op == "var":
+        if node.value == "p":
             return lambda p, q, t: p
-        if node.name == "q":
+        if node.value == "q":
             return lambda p, q, t: q
         return lambda p, q, t: t
-    if isinstance(node, Neg):
-        f = _compile(node.arg)
+    if node.op == "neg":
+        f = _compile(node.args[0])
         return lambda p, q, t: -f(p, q, t)
-    if isinstance(node, Bin):
-        fa = _compile(node.lhs)
-        fb = _compile(node.rhs)
+    if node.op in ("+", "-", "*", "/", "^"):
+        fa = _compile(node.args[0])
+        fb = _compile(node.args[1])
         op = node.op
         if op == "+":
             return lambda p, q, t: fa(p, q, t) + fb(p, q, t)
@@ -64,7 +66,7 @@ def _compile(node):
 
 
 def _compile_call(node):
-    fn = node.fn
+    fn = node.op
     if fn == "iflte":
         ca, cb, cu, cv = (_compile(a) for a in node.args)
 

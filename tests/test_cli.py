@@ -91,6 +91,35 @@ def test_violated_support_claim_rejected(tmp_path):
     assert cli.main(["osc", "--config", str(path)]) == 2
 
 
+def test_support_claim_violated_by_nan_exits_2(tmp_path, capsys):
+    claim = {"p_min": -1.0, "p_max": 1.0, "q_min": -1.0, "q_max": 1.0}
+    path = write_variant(tmp_path, PLANE_BUMP, hamiltonians={
+        "g": {"expression": "exp(900*p^2)*0", "support_claim": claim},
+    })
+    assert cli.main(["osc", "--config", path]) == 2
+    assert "F is not finite at" in capsys.readouterr().err
+
+
+def test_calabi_of_an_overflowing_flow_exits_3(tmp_path, capsys):
+    path = write_variant(tmp_path, PLANE_BUMP, hamiltonians={
+        "g": {"expression": "1e-300*exp(700*p^2)"},
+    })
+    assert cli.main(["calabi", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "the integrand is not finite on" in err
+    assert "residual" not in err
+
+
+def test_removed_fd_h_key_is_unknown(tmp_path, capsys):
+    # tolerances.fd_h set nothing once jacobians became exact
+    path = write_variant(tmp_path, PLANE_BUMP,
+                         tolerances={"tol": 1e-6, "fd_h": 1e-5})
+    with pytest.raises(ValidationError, match=r"unknown keys \['fd_h'\]"):
+        cli.load_scenario(path)
+    assert cli.main(["osc", "--config", path]) == 2
+    assert "unknown keys ['fd_h']" in capsys.readouterr().err
+
+
 def test_three_node_resolution_rejected(tmp_path, capsys):
     manifold = json.loads(Path(PLANE_BUMP).read_text())["manifold"]
     manifold["resolution"] = [3, 3]
@@ -252,6 +281,33 @@ def test_polterovich_checks_points_before_the_cocycle(monkeypatch, capsys):
     assert cli.main(["polterovich", "--config", PLANE_BUMP, "--x", "0,0"]) == 2
     assert "needs --x and --y" in capsys.readouterr().err
     assert calls == []
+
+
+def test_points_with_a_negative_first_coordinate(tmp_path, capsys):
+    # argparse reads "-2,0" as an option unless it is joined to its flag
+    code = cli.main(["polterovich", "--config", DISJOINT_PAIR, "--word", "a",
+                     "--method", "action", "--x", "-2,0", "--y", "4,4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("polterovich ")
+    assert out.rstrip().endswith("between (-2, 0) and (4, 4)")
+    table = tmp_path / "table.csv"
+    code = cli.main(["distortion", "--config", DISJOINT_PAIR, "--word", "a",
+                     "--method", "action", "--n-max", "1",
+                     "--x", "-2,0", "--y", "-4,-4", "--out", str(table)])
+    capsys.readouterr()
+    assert code == 0
+    assert table.read_text().splitlines()[1].startswith("1,")
+    assert cli._joined_points(["--x", "-2,0", "--y", "-.5,1", "--x", "0,-1"]) == [
+        "--x=-2,0", "--y=-.5,1", "--x", "0,-1",
+    ]
+
+
+@pytest.mark.parametrize("command", ["polterovich", "distortion"])
+def test_a_flag_without_its_point_stays_an_error(capsys, command):
+    assert cli.main([command, "--config", DISJOINT_PAIR,
+                     "--x", "--y", "4,4"]) == 2
+    assert "argument --x: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--x", "--y"])

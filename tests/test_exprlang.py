@@ -403,6 +403,39 @@ def test_repeated_parse_is_deterministic():
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize(
+    "built, parsed",
+    [
+        (lambda: parse("p*q").diff("p"), "q"),
+        (lambda: parse("sin(p)").diff("p"), "cos(p)"),
+        (lambda: parse("min(p, q)*2").substitute({"q": "-q"}), "min(p, -q)*2"),
+        (lambda: parse("p^2 - t").substitute({"t": 1.5}), "p^2 - 1.5"),
+    ],
+)
+def test_built_trees_equal_parsed_ones(built, parsed):
+    # the gate keys cocycles by primitive, so equal trees from any source
+    # must compare and hash equal
+    a, b = built(), parse(parsed)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("p - q", "p / q"),
+        ("min(p, q)", "max(p, q)"),
+        ("-p", "abs(p)"),
+        ("p", "q"),
+        ("1", "2"),
+    ],
+)
+def test_same_operands_under_other_ops_are_unequal(first, second):
+    assert parse(first) != parse(second)
+    assert len({parse(first), parse(second)}) == 2
+
+
 def test_operator_helpers():
     e = as_expr("p") + as_expr("q") * 2 - 1
     assert e(3.0, 4.0) == 10.0
