@@ -3,7 +3,9 @@
 A scenario file declares the chart (manifold, window, resolution), a
 primitive one-form, named Hamiltonians and twist profiles, a generator
 list referencing those names, integrator settings and tolerances.  The
-subcommand picks what to compute.  Outputs are deterministic: grids are
+subcommand picks what to compute, and takes only the flags it reads:
+``--tol`` only where the path route runs, ``--seed`` only where probes
+are drawn.  Outputs are deterministic: grids are
 written as `p,q,value` CSV rows in row-major order with p outermost,
 every float at 17 significant digits with LF line endings.
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, positive
 from .exprlang import parse as parse_expr
-from .geometry import GridSpec, Primitive, Window, cylinder, plane
+from .geometry import TWO_PI, GridSpec, ManifoldModel, Primitive, Window
 from .dynamics import (
     DEFAULT_DURATION,
     DEFAULT_STEP,
@@ -105,20 +107,13 @@ def _window_from(block, where):
 def _manifold_from(block):
     allowed = ("kind", "window", "resolution", "circumference")
     _require_keys(block, allowed, ("kind", "window", "resolution"), "manifold")
-    kind = block["kind"]
-    window = _window_from(block["window"], "manifold.window")
-    if kind == "plane":
-        if "circumference" in block:
-            raise ValidationError(
-                "scenario manifold: circumference applies only to cylinders"
-            )
-        manifold = plane(window)
-    elif kind == "cylinder":
-        circ = _number(block, "circumference", "manifold", 2.0 * np.pi)
-        manifold = cylinder(window, circ)
-    else:
+    manifold = ManifoldModel(
+        block["kind"], _window_from(block["window"], "manifold.window"),
+        _number(block, "circumference", "manifold", TWO_PI),
+    )
+    if "circumference" in block and not manifold.is_cylinder:
         raise ValidationError(
-            f"scenario manifold: kind must be 'plane' or 'cylinder', got {kind!r}"
+            "scenario manifold: circumference applies only to cylinders"
         )
     res = block["resolution"]
     if (
@@ -158,12 +153,7 @@ def load_scenario(path):
     primitive.validate(manifold)
 
     integ = raw.get("integrator", {})
-    _require_keys(integ, ("scheme", "h"), (), "integrator")
-    # the key stays for compatibility; RK4 is the only integrator
-    if integ.get("scheme", "rk4") != "rk4":
-        raise ValidationError(
-            f"scenario integrator: scheme must be 'rk4', got {integ['scheme']!r}"
-        )
+    _require_keys(integ, ("h",), (), "integrator")
     step = positive(_number(integ, "h", "integrator", DEFAULT_STEP), "integrator.h")
 
     tols = raw.get("tolerances", {})
@@ -351,6 +341,10 @@ def _cmd_calabi(args, sc):
 
 def _cmd_polterovich(args, sc):
     m = _realized(args, sc)
+    if args.auto_fixed_points and (args.x or args.y):
+        raise ValidationError(
+            "polterovich takes --x and --y or --auto-fixed-points, not both"
+        )
     pair = None if args.auto_fixed_points else _point_pair(args)
     if pair is None and not args.auto_fixed_points:
         raise ValidationError(
@@ -404,7 +398,8 @@ def _cmd_lift(args, sc):
 
 def _cmd_flux(args, sc):
     rep = flux_compare(
-        _realized(args, sc), sc.primitive, grid=sc.grid, periods=args.periods
+        _realized(args, sc), sc.primitive, grid=sc.grid, periods=args.periods,
+        basepoint=sc.basepoint, tol=sc.tol,
     )
     _emit_scalar(
         args,
@@ -476,85 +471,66 @@ def _cmd_verify(args, sc):
 # ============================================================
 
 
+#: Every flag's argparse settings.
+_FLAGS = {
+    "--config": dict(required=True, help="scenario JSON path"),
+    "--out": dict(help="output file (or directory for grids)"),
+    "--tol": dict(type=float, help="override the scenario's path-route tolerance"),
+    "--seed": dict(type=int, default=0, help="probe-set generation seed"),
+    "--word": dict(help="word in generator names, e.g. 'a b^-1' "
+                        "(default: all generators in order)"),
+    "--method": dict(choices=("path", "action"), default="path",
+                     help="cocycle computation route"),
+    "--periods": dict(type=int, default=3,
+                      help="fundamental domains in the cover window"),
+    "--twist": dict(help="twist name (default: the only one)"),
+    "--n-max": dict(type=int, default=4, help="largest power"),
+    "--x": dict(help="first fixed point as 'p,q'"),
+    "--y": dict(help="second fixed point as 'p,q'"),
+    "--auto-fixed-points": dict(
+        action="store_true",
+        help="search for fixed points and pick an extremal pair",
+    ),
+}
+
+#: Each command's handler, help line and flags: exactly the flags the
+#: handler reads.
+_COMMANDS = {
+    "cocycle": (_cmd_cocycle, "emit the cocycle grid as CSV",
+                "--config --out --tol --word --method"),
+    "calabi": (_cmd_calabi, "Calabi invariant of the word",
+               "--config --out --word"),
+    "polterovich": (_cmd_polterovich, "fixed-point invariant between two points",
+                    "--config --out --tol --word --method --x --y "
+                    "--auto-fixed-points"),
+    "osc": (_cmd_osc, "oscillation of the word's cocycle",
+            "--config --out --tol --word --method"),
+    "twist-check": (_cmd_twist_check, "boundary difference of a twist profile",
+                    "--config --out --twist"),
+    "lift": (_cmd_lift, "cocycle of the lifted word on the cover",
+             "--config --out --tol --word --periods"),
+    "flux": (_cmd_flux, "flux against lifted-cocycle growth",
+             "--config --out --tol --word --periods"),
+    "distortion": (_cmd_distortion, "word-length bounds table (CSV)",
+                   "--config --out --tol --seed --word --method --n-max --x --y"),
+    "fixed-points": (_cmd_fixed_points, "fixed-point report (CSV)",
+                     "--config --out --word"),
+    "verify": (_cmd_verify, "run every named check; PASS/FAIL per line",
+               "--config --seed"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="symcocycle",
         description="Cocycle and invariant computations from scenario files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="scenario JSON path")
-    common.add_argument("--out", help="output file (or directory for grids)")
-    common.add_argument("--tol", type=float, help="override scenario tolerance")
-    common.add_argument("--seed", type=int, default=0,
-                        help="probe-set generation seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; results do "
-                             "not depend on it")
-
-    word_arg = argparse.ArgumentParser(add_help=False)
-    word_arg.add_argument("--word",
-                          help="word in generator names, e.g. 'a b^-1' "
-                               "(default: all generators in order)")
-    method_arg = argparse.ArgumentParser(add_help=False)
-    method_arg.add_argument("--method", choices=("path", "action"),
-                            default="path", help="cocycle computation route")
-    periods_arg = argparse.ArgumentParser(add_help=False)
-    periods_arg.add_argument("--periods", type=int, default=3,
-                             help="fundamental domains in the cover window")
-
-    def add_points(p):
-        # not a parent: distortion lists them after its own --n-max
-        p.add_argument("--x", help="first fixed point as 'p,q'")
-        p.add_argument("--y", help="second fixed point as 'p,q'")
-
-    p = sub.add_parser("cocycle", parents=[common, word_arg, method_arg],
-                       help="emit the cocycle grid as CSV")
-    p.set_defaults(func=_cmd_cocycle)
-
-    p = sub.add_parser("calabi", parents=[common, word_arg],
-                       help="Calabi invariant of the word")
-    p.set_defaults(func=_cmd_calabi)
-
-    p = sub.add_parser("polterovich", parents=[common, word_arg, method_arg],
-                       help="fixed-point invariant between two points")
-    add_points(p)
-    p.add_argument("--auto-fixed-points", action="store_true",
-                   help="search for fixed points and pick an extremal pair")
-    p.set_defaults(func=_cmd_polterovich)
-
-    p = sub.add_parser("osc", parents=[common, word_arg, method_arg],
-                       help="oscillation of the word's cocycle")
-    p.set_defaults(func=_cmd_osc)
-
-    p = sub.add_parser("twist-check", parents=[common],
-                       help="boundary difference of a twist profile")
-    p.add_argument("--twist", help="twist name (default: the only one)")
-    p.set_defaults(func=_cmd_twist_check)
-
-    p = sub.add_parser("lift", parents=[common, word_arg, periods_arg],
-                       help="cocycle of the lifted word on the cover")
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("flux", parents=[common, word_arg, periods_arg],
-                       help="flux against lifted-cocycle growth")
-    p.set_defaults(func=_cmd_flux)
-
-    p = sub.add_parser("distortion", parents=[common, word_arg, method_arg],
-                       help="word-length bounds table (CSV)")
-    p.add_argument("--n-max", type=int, default=4, help="largest power")
-    add_points(p)
-    p.set_defaults(func=_cmd_distortion)
-
-    p = sub.add_parser("fixed-points", parents=[common, word_arg],
-                       help="fixed-point report (CSV)")
-    p.set_defaults(func=_cmd_fixed_points)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run every named check; PASS/FAIL per line")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -573,9 +549,11 @@ def _joined_points(argv):
 
 
 def main(argv=None):
-    """Run one subcommand.  Every command, ``verify`` included, loads the
-    scenario and checks ``--tol`` first; ``verify`` then ignores both,
-    because the gate's grids, steps and tolerances are fixed."""
+    """Run one subcommand.  Every command, ``verify`` included, loads and
+    validates the scenario first; on the commands that run the path route,
+    a given ``--tol`` then replaces the scenario's tolerance.  ``verify``
+    computes nothing from the scenario, because the gate's grids, steps
+    and tolerances are fixed."""
     argv = _joined_points(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
@@ -583,7 +561,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         sc = load_scenario(args.config)
-        if args.tol is not None:
+        if getattr(args, "tol", None) is not None:
             sc.tol = positive(args.tol, "--tol")
         return args.func(args, sc)
     except ValidationError as e:

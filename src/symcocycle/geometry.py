@@ -298,10 +298,13 @@ class Primitive:
         self."""
         tol = 1e-8
         P, Q = GridSpec(13, 13).mesh(manifold.window)
-        curl = self.a_q.diff("p")(P, Q, 0.0) - self.a_p.diff("q")(P, Q, 0.0)
-        dev = float(np.max(np.abs(np.asarray(curl) - 1.0)))
-        if dev > tol:
-            i = int(np.argmax(np.abs(np.asarray(curl) - 1.0)))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            curl = self.a_q.diff("p")(P, Q, 0.0) - self.a_p.diff("q")(P, Q, 0.0)
+        deviation = np.abs(np.asarray(curl) - 1.0)
+        # a NaN deviation fails too: np.max and np.argmax both pick it
+        dev = float(np.max(deviation))
+        if not dev <= tol:
+            i = int(np.argmax(deviation))
             bad = (float(P.ravel()[i]), float(Q.ravel()[i]))
             raise ValidationError(
                 f"d(alpha) deviates from the area form by {dev:.3e} "
@@ -338,13 +341,17 @@ def _gauss_panel(f, a, b):
     return total
 
 
-def quad_adaptive(f, a, b, tol=1e-10, depth_cap=40, noise_floor=0.0):
+#: Bisection levels ``quad_adaptive`` refines before it gives up.
+QUAD_DEPTH_CAP = 40
+
+
+def quad_adaptive(f, a, b, tol=1e-10, noise_floor=0.0):
     """Integrate a vectorized callable over [a, b] by adaptive bisection.
 
     Each panel is compared against its two halves with 10-point
     Gauss-Legendre; panels that disagree by more than their share of the
-    tolerance are split.  Raises QuadratureNonconvergence past the depth
-    cap (about 40 doublings, far below attainable resolution for any
+    tolerance are split.  Raises QuadratureNonconvergence past
+    QUAD_DEPTH_CAP levels (far below attainable resolution for any
     integrand this package produces), and NumericalError, not numpy
     warnings, for a panel whose integrand is not finite.
 
@@ -359,7 +366,7 @@ def quad_adaptive(f, a, b, tol=1e-10, depth_cap=40, noise_floor=0.0):
         return 0.0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         whole = _gauss_panel(f, a, b)
-        return _refine(f, a, b, whole, tol, noise_floor, depth_cap)
+        return _refine(f, a, b, whole, tol, noise_floor, QUAD_DEPTH_CAP)
 
 
 def _refine(f, a, b, whole, tol, noise_floor, depth_left):

@@ -22,7 +22,7 @@ from .geometry import (
     simpson_weights,
 )
 from .dynamics import FlowMap, HamiltonianSpec, isotopy, map_with_jacobian
-from .cocycle import _form_components, _pullback_defect, action_values
+from .cocycle import PATH_TOL, _form_components, _pullback_defect, action_values
 from .cover import LiftedMap, growth_rate, lifted_cocycle
 
 __all__ = [
@@ -417,13 +417,15 @@ def _flux_of_flow(m):
     return total
 
 
-def flux_compare(f, alpha=None, grid=None, periods=3):
+def flux_compare(f, alpha=None, grid=None, periods=3, basepoint=None,
+                 tol=PATH_TOL):
     """Flux of the isotopy of f next to the growth of its lifted cocycle.
 
     On the cylinder a map with nonzero flux cannot be Hamiltonian, and
     its lifted cocycle grows linearly in q; both numbers are reported so
     the correspondence can be checked.  ``bounded`` holds when the
-    least-squares growth rate stays below GROWTH_TOL.
+    least-squares growth rate stays below GROWTH_TOL.  ``basepoint`` and
+    ``tol`` go to ``lifted_cocycle``.
     """
     if not f.manifold.is_cylinder:
         raise WrongManifold("flux_compare is a cylinder diagnostic")
@@ -433,7 +435,9 @@ def flux_compare(f, alpha=None, grid=None, periods=3):
     flux = sum(
         _flux_of_flow(piece) for piece in isotopy(f) if isinstance(piece, FlowMap)
     )
-    K = lifted_cocycle(f, alpha, grid=grid, periods=periods)
+    K = lifted_cocycle(
+        f, alpha, grid=grid, periods=periods, basepoint=basepoint, tol=tol
+    )
     rate = growth_rate(K, f.manifold.circumference)
     return FluxReport(
         flux_value=float(flux),

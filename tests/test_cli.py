@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
 
 import pytest
 
-from symcocycle import cli
+from symcocycle import cli, invariants
 from symcocycle.cocycle import cocycle_by_action
 from symcocycle.dynamics import FlowMap, TwistMap
 from symcocycle.errors import ValidationError
@@ -120,6 +122,37 @@ def test_removed_fd_h_key_is_unknown(tmp_path, capsys):
     assert "unknown keys ['fd_h']" in capsys.readouterr().err
 
 
+def test_non_finite_primitive_curl_rejected(tmp_path, capsys):
+    # the curl is 1 + inf - inf = NaN wherever exp(900*p^2) overflows, and a
+    # NaN deviation is no smaller than the tolerance
+    path = write_variant(tmp_path, PLANE_BUMP, primitive={
+        "a_p": "0", "a_q": "p + exp(900*p^2) - exp(900*p^2)",
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match="deviates from the area form by nan"):
+            cli.load_scenario(path)
+        assert cli.main(["osc", "--config", path]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "osc: validation error: d(alpha)" in capsys.readouterr().err
+
+
+def test_unknown_manifold_kind_exits_2(tmp_path, capsys):
+    manifold = json.loads(Path(PLANE_BUMP).read_text())["manifold"]
+    manifold["kind"] = "torus"
+    path = write_variant(tmp_path, PLANE_BUMP, manifold=manifold)
+    assert cli.main(["osc", "--config", path]) == 2
+    assert "kind must be 'plane' or 'cylinder', got 'torus'" in capsys.readouterr().err
+
+
+def test_circumference_on_the_plane_rejected(tmp_path):
+    manifold = json.loads(Path(PLANE_BUMP).read_text())["manifold"]
+    manifold["circumference"] = 8.0
+    path = write_variant(tmp_path, PLANE_BUMP, manifold=manifold)
+    with pytest.raises(ValidationError, match="applies only to cylinders"):
+        cli.load_scenario(path)
+
+
 def test_three_node_resolution_rejected(tmp_path, capsys):
     manifold = json.loads(Path(PLANE_BUMP).read_text())["manifold"]
     manifold["resolution"] = [3, 3]
@@ -130,15 +163,17 @@ def test_three_node_resolution_rejected(tmp_path, capsys):
     assert "at least 4 nodes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scheme", ["implicit_midpoint", "euler"])
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint", "euler"])
 def test_only_rk4_integrator_accepted(tmp_path, capsys, scheme):
+    # RK4 is the one integrator, so integrator.scheme chose nothing and is
+    # gone: any value of it is an unknown key
     path = write_variant(
         tmp_path, PLANE_BUMP, integrator={"scheme": scheme, "h": 0.005}
     )
-    with pytest.raises(ValidationError, match="scheme must be 'rk4'"):
+    with pytest.raises(ValidationError, match=r"unknown keys \['scheme'\]"):
         cli.load_scenario(path)
     assert cli.main(["osc", "--config", path]) == 2
-    assert "scheme" in capsys.readouterr().err
+    assert "unknown keys ['scheme']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h", [-1, 0, math.nan])
@@ -146,7 +181,7 @@ def test_step_validated_without_hamiltonians(tmp_path, capsys, h):
     # with no hamiltonian no flow is built to check the step
     path = write_variant(
         tmp_path, CYLINDER_TWIST, hamiltonians={}, generators=[],
-        integrator={"scheme": "rk4", "h": h},
+        integrator={"h": h},
     )
     with pytest.raises(ValidationError, match="integrator.h"):
         cli.load_scenario(path)
@@ -197,6 +232,62 @@ def test_argparse_errors_map_to_exit_2(capsys):
     assert cli.main(["cocycle"]) == 2  # --config is required
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def subparsers():
+    parser = cli._build_parser()
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def long_options(subparser):
+    return {
+        s for a in subparser._actions for s in a.option_strings
+        if s.startswith("--") and s != "--help"
+    }
+
+
+# every flag of a command is one its handler reads
+OPTIONS = {
+    "cocycle": {"--config", "--out", "--tol", "--word", "--method"},
+    "calabi": {"--config", "--out", "--word"},
+    "polterovich": {"--config", "--out", "--tol", "--word", "--method",
+                    "--x", "--y", "--auto-fixed-points"},
+    "osc": {"--config", "--out", "--tol", "--word", "--method"},
+    "twist-check": {"--config", "--out", "--twist"},
+    "lift": {"--config", "--out", "--tol", "--word", "--periods"},
+    "flux": {"--config", "--out", "--tol", "--word", "--periods"},
+    "distortion": {"--config", "--out", "--tol", "--seed", "--word",
+                   "--method", "--n-max", "--x", "--y"},
+    "fixed-points": {"--config", "--out", "--word"},
+    "verify": {"--config", "--seed"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    commands = subparsers()
+    assert list(commands) == list(OPTIONS)
+    for name, sub in commands.items():
+        assert long_options(sub) == OPTIONS[name], name
+    assert sum(len(flags) for flags in OPTIONS.values()) == 48
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calabi", "--config", PLANE_BUMP, "--seed", "1"],
+        ["calabi", "--config", PLANE_BUMP, "--tol", "1e-6"],
+        ["cocycle", "--config", PLANE_BUMP, "--threads", "2"],
+        ["twist-check", "--config", CYLINDER_TWIST, "--tol", "1e-6"],
+        ["verify", "--config", PLANE_BUMP, "--out", "out/"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[3]}",
+)
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------
@@ -283,6 +374,17 @@ def test_polterovich_checks_points_before_the_cocycle(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("points", [["--x", "1,1"], ["--x", "1,1", "--y", "2,2"]])
+def test_auto_fixed_points_rejects_given_points(monkeypatch, capsys, points):
+    # the search would silently drop the points given
+    calls = []
+    monkeypatch.setattr(cli, "cocycle_by_action", lambda *a, **k: calls.append(a))
+    assert cli.main(["polterovich", "--config", DISJOINT_PAIR, "--word", "a",
+                     "--method", "action", "--auto-fixed-points", *points]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_points_with_a_negative_first_coordinate(tmp_path, capsys):
     # argparse reads "-2,0" as an option unless it is joined to its flag
     code = cli.main(["polterovich", "--config", DISJOINT_PAIR, "--word", "a",
@@ -324,16 +426,6 @@ def test_scalar_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("oscillation ")
     assert 0.2 < float(text.split()[1]) < 0.3
-
-
-def test_threads_flag_changes_nothing(tmp_path, capsys):
-    one = tmp_path / "one.txt"
-    four = tmp_path / "four.txt"
-    assert cli.main(["osc", "--config", PLANE_BUMP, "--out", str(one)]) == 0
-    assert cli.main(["osc", "--config", PLANE_BUMP, "--threads", "4",
-                     "--out", str(four)]) == 0
-    capsys.readouterr()
-    assert one.read_bytes() == four.read_bytes()
 
 
 # ------------------------------------------------------------
@@ -465,12 +557,12 @@ def test_distortion_rejects_negative_seed(tmp_path, capsys):
 
 
 def test_verify_rejects_an_invalid_tol_before_any_check(monkeypatch, capsys):
-    # verify ignores a valid --tol, but rejects an invalid one as every
-    # command does, before the gate starts
+    # the gate's tolerances are fixed, so verify has no --tol: any value
+    # is an argument error, raised before the gate starts
     ran = []
     monkeypatch.setattr(cli.verify_mod, "run_all", lambda seed: ran.append(seed))
     assert cli.main(["verify", "--config", PLANE_BUMP, "--tol", "-1"]) == 2
-    assert "--tol must be positive and finite" in capsys.readouterr().err
+    assert "unrecognized arguments: --tol -1" in capsys.readouterr().err
     assert ran == []
 
 
@@ -533,6 +625,37 @@ def test_flux_and_lift_on_compact_flow(tmp_path, capsys):
     assert len(lines) == 1 + 41 * (3 * 40 + 1)
 
 
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_flux_reads_the_tolerance_as_lift_does(tmp_path, capsys, source):
+    # no lifted grid of 41 nodes meets 1e-14, so both commands refuse it
+    if source == "flag":
+        config, flags = CYLINDER_TWIST, ["--tol", "1e-14"]
+    else:
+        config = write_variant(tmp_path, CYLINDER_TWIST,
+                               tolerances={"tol": 1e-14})
+        flags = []
+    for command in ("lift", "flux"):
+        code = cli.main([command, "--config", config, "--word", "rotate",
+                         "--out", str(tmp_path / command), *flags])
+        assert code == 3, command
+        assert "numerical error" in capsys.readouterr().err
+
+
+def test_flux_compare_hands_basepoint_and_tol_to_the_lift(monkeypatch):
+    seen = {}
+
+    def lifted(f, alpha, **kwargs):
+        seen.update(kwargs)
+        raise LookupError
+
+    monkeypatch.setattr(invariants, "lifted_cocycle", lifted)
+    sc = cli.load_scenario(CYLINDER_TWIST)
+    with pytest.raises(LookupError):
+        invariants.flux_compare(sc.maps["rotate"], sc.primitive, grid=sc.grid,
+                                basepoint=(0.5, 1.0), tol=1e-9)
+    assert (seen["basepoint"], seen["tol"]) == ((0.5, 1.0), 1e-9)
+
+
 def test_lift_requires_cylinder(capsys):
     assert cli.main(["lift", "--config", PLANE_BUMP]) == 2
     capsys.readouterr()
@@ -578,3 +701,23 @@ def test_readme_command_line_exits_0(argv, tmp_path, monkeypatch, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
+
+
+def readme_flag_lists():
+    """``{command: flags}`` from README's "Flags by command" list."""
+    section = (ROOT / "README.md").read_text().split(
+        "\nFlags by command", 1)[1].split("\n\n", 2)[1]
+    out = {}
+    for line in section.splitlines():
+        name, *flags = re.findall(r"`([^`]+)`", line)
+        out[name] = flags
+    return out
+
+
+def test_readme_flag_list_matches_the_parser():
+    readme = readme_flag_lists()
+    commands = subparsers()
+    assert list(readme) == list(commands)
+    for name, flags in readme.items():
+        assert len(set(flags)) == len(flags), name
+        assert set(flags) == long_options(commands[name]), name

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symcocycle import geometry
 from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
@@ -179,11 +180,12 @@ def test_quad_adaptive_kink():
     assert got == pytest.approx(exact, abs=1e-10)
 
 
-def test_quad_adaptive_depth_cap():
+def test_quad_adaptive_depth_cap(monkeypatch):
     # a discontinuity stalls refinement at the jump
+    monkeypatch.setattr(geometry, "QUAD_DEPTH_CAP", 8)
     step = lambda x: np.where(x < math.sqrt(0.5), 0.0, 1.0)
-    with pytest.raises(QuadratureNonconvergence):
-        quad_adaptive(step, 0.0, 1.0, tol=1e-15, depth_cap=8)
+    with pytest.raises(QuadratureNonconvergence, match=r"\[0\.70703125, 0\.7109375\]"):
+        quad_adaptive(step, 0.0, 1.0, tol=1e-15)
 
 
 def test_quad_adaptive_rejects_bad_tol():
