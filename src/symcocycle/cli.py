@@ -413,6 +413,8 @@ def _cmd_flux(args, sc):
 def _cmd_distortion(args, sc):
     if not sc.generator_names:
         raise ValidationError("distortion needs a nonempty generators list")
+    if args.n_max < 1:
+        raise ValidationError(f"--n-max must be at least 1, got {args.n_max}")
     if bool(args.x) != bool(args.y):
         raise ValidationError(
             "distortion needs both --x and --y, or neither for an automatic pair"

@@ -328,9 +328,7 @@ class FlowMap:
                 state = step(*state, t0 + k * h, h)
                 p, q = state[0], state[1]
                 if not escaped:
-                    escaped = not np.all(
-                        mani.window.contains(p, mani.wrap_q(q), slack=self._slack)
-                    )
+                    escaped = mani.escaped(p, q, self._slack)
                 if on_node is not None:
                     on_node(k + 1, t0 + (k + 1) * h, p, q)
         _require_finite(state, "the flow", "shrink the window or the step, or "

@@ -16,6 +16,7 @@ used by the grid-based code elsewhere in the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,55 @@ class GridSpec:
 # Manifold models
 # ============================================================
 
+#: The fewest points ``ManifoldModel.wrap_q`` hands to
+#: ``_floor_remainder``: below it the three reductions of the exactness
+#: test cost more than ``np.mod``'s per-point price saves (the two cross
+#: at about 600-800 points on a 2-core Xeon KVM guest).
+WRAP_FAST_MIN = 700
+
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def exact_multiples(c):
+    """The largest K <= 2**30 for which every j*c with |j| <= K is a
+    finite float equal to the exact product (10 for c = fl(2*pi)).
+
+    Write c = n * 2**e with n odd.  Then j*c is exact when the odd part
+    of j, times n, is below 2**53 and the product does not overflow; the
+    first j that fails is the least odd one at or above 2**53 / n.
+    """
+    num, den = float(c).as_integer_ratio()
+    odd = num // (num & -num)
+    first = -(-(1 << 53) // odd)
+    first += 1 - first % 2
+    return min(first - 1, 1 << 30, _FLOAT_MAX * den // num)
+
+
+def _floor_remainder(r, c, reach):
+    """``np.mod(r, c)`` for an array r and c > 0 as r - floor(r/c)*c,
+    or None when that might differ from it in any bit.
+
+    With every |r| <= reach*c (``reach`` from ``exact_multiples``), the
+    quotient k = floor(fl(r/c)) has |k| <= reach, so k*c is exact; and
+    k is never below the true floor, since fl is monotone and integers
+    of that size are floats.  When k is the true floor, r - k*c is, for
+    k >= 0, the exact remainder fmod returns, and for k < 0 one rounding
+    of fmod(r, c) + c, numpy's own correction; a zero comes out +0.0,
+    as numpy makes it.  A k past the true floor leaves r - k*c < 0, so
+    a nonnegative result shows that no quotient overshot.  NaN and
+    infinities fail the range test, so nothing here can overflow.
+    """
+    bound = reach * c
+    if not (-bound <= r.min() and r.max() <= bound):
+        return None
+    m = r / c
+    np.floor(m, out=m)
+    np.multiply(m, c, out=m)
+    np.subtract(r, m, out=m)
+    if not m.min() >= 0.0:
+        return None
+    return m
+
 
 @dataclass(frozen=True)
 class ManifoldModel:
@@ -169,21 +219,43 @@ class ManifoldModel:
                     f"q span {self.window.q_span} vs circumference "
                     f"{self.circumference}"
                 )
+            # set once here; the frozen dataclass does not compare it
+            object.__setattr__(
+                self, "_reach", exact_multiples(self.circumference)
+            )
 
     @property
     def is_cylinder(self):
         return self.kind == "cylinder"
 
     def wrap_q(self, q):
-        """Representative of q in [q_min, q_min + circumference)."""
+        """Representative of q in [q_min, q_min + circumference], bitwise
+        equal to ``q_min + np.mod(q - q_min, circumference)`` (the upper
+        end only where np.mod rounds up to it).  Batches of at least
+        WRAP_FAST_MIN points take ``_floor_remainder``; scalars, smaller
+        batches and batches it declines take ``np.mod``."""
         if not self.is_cylinder:
             return q
-        out = self.window.q_min + np.mod(
-            np.asarray(q, dtype=float) - self.window.q_min, self.circumference
-        )
+        q0, c = self.window.q_min, self.circumference
+        r = np.asarray(q, dtype=float) - q0
+        m = _floor_remainder(r, c, self._reach) if r.size >= WRAP_FAST_MIN else None
+        if m is None:
+            m = np.mod(r, c)
+        out = q0 + m
         if np.ndim(out) == 0:
             return float(out)
         return out
+
+    def escaped(self, p, q, slack):
+        """Whether any of the points lies outside the window grown by
+        ``slack``.  On the cylinder only p is read: a finite q wraps into
+        [q_min, q_min + circumference], inside the window plus any
+        positive slack, and a march whose q is not finite raises
+        NumericalError before it would warn."""
+        w = self.window
+        if self.is_cylinder:
+            return not np.all((w.p_min - slack <= p) & (p <= w.p_max + slack))
+        return not np.all(w.contains(p, q, slack))
 
     def wrap_delta(self, dq):
         """Smallest representative of a q-difference, in (-circ/2, circ/2]."""

@@ -361,6 +361,19 @@ def test_auto_fixed_points_needs_two_points(capsys):
     assert "fewer than two fixed points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_distortion_rejects_a_non_positive_n_max_before_any_work(
+    monkeypatch, capsys, n_max
+):
+    built = []
+    monkeypatch.setattr(cli, "GeneratorSet", lambda *a, **k: built.append(a))
+    code = cli.main(["distortion", "--config", DISJOINT_PAIR, "--word", "a",
+                     "--method", "action", f"--n-max={n_max}"])
+    assert code == 2
+    assert f"--n-max must be at least 1, got {n_max}" in capsys.readouterr().err
+    assert built == []
+
+
 def test_polterovich_needs_points_or_auto(capsys):
     assert cli.main(["polterovich", "--config", PLANE_BUMP]) == 2
     capsys.readouterr()

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import wrap_oracle
 from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import GridSpec, Primitive, Window, WrongManifold, cylinder, plane
-from symcocycle.dynamics import ComposedMap, FlowMap, HamiltonianSpec, IdentityMap, TwistMap
+from symcocycle.dynamics import (
+    ComposedMap,
+    FlowMap,
+    HamiltonianSpec,
+    IdentityMap,
+    TwistMap,
+    map_with_jacobian,
+)
 from symcocycle.cocycle import cocycle_by_path, hamiltonian_test
 from symcocycle.cover import (
     LiftedMap,
@@ -175,3 +183,17 @@ def test_lifted_matches_base_on_fundamental_domain():
     down_vals = K_down.samples
     diff = up_vals - down_vals
     assert np.max(diff) - np.min(diff) < 1e-4
+
+
+def test_lifted_jet_wraps_every_stage_without_np_mod(monkeypatch):
+    # a wrong exact_multiples or crossover would silently send the lifted
+    # grid of the benchmark's size back to np.mod, bit-identical but slow
+    declined = wrap_oracle.record_declines(monkeypatch)
+    flow = compact_flow(step=1e-2)
+    lifted = LiftedMap(flow, periods=3)
+    P, Q = lifted_grid(GridSpec(61, 61), 3).mesh(lifted.manifold.window)
+    assert P.size >= 11_000
+    map_with_jacobian(lifted, P, Q)
+    # one wrap per RK4 stage, none for the escape test
+    assert len(declined) == 4 * flow.n_steps()
+    assert not any(declined)

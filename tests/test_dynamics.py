@@ -204,6 +204,42 @@ def test_escape_warning():
         flow.apply(0.5, 0.1)  # q drifts to -0.9, far past the slack
 
 
+def escape_warnings(flow, p, q):
+    """The flow's images of (p, q) and the EscapedWindowWarnings issued."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = flow.apply(p, q)
+    return out, [w for w in seen if issubclass(w.category, EscapedWindowWarning)]
+
+
+def test_cylinder_escape_warns_once_when_p_leaves_the_band():
+    # p' = 5 carries p from 0 past 2 + slack (a quarter of 2*pi)
+    flow = FlowMap(HamiltonianSpec(parse("5*q")), CYL, step=1e-2)
+    q = np.linspace(0.0, 2 * math.pi, 50)
+    (yp, _), seen = escape_warnings(flow, np.zeros_like(q), q)
+    assert np.allclose(yp, 5.0)
+    assert len(seen) == 1
+
+
+def test_cylinder_winding_in_q_does_not_warn():
+    # q' = 50 winds q about 8 times round while p stays in the window
+    flow = FlowMap(HamiltonianSpec(parse("-50*p")), CYL, step=1e-2)
+    q = np.linspace(0.0, 2 * math.pi, 50)
+    (_, yq), seen = escape_warnings(flow, np.zeros_like(q), q)
+    assert np.allclose(yq - q, 50.0)
+    assert seen == []
+
+
+def test_cylinder_q_overflow_raises_without_warning():
+    # q' = 1e308: q overflows in the first step while p stays put
+    flow = FlowMap(HamiltonianSpec(parse("-1e308*p")), CYL, step=1e-2)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="non-finite"):
+            flow.apply(np.zeros(3), np.ones(3))
+    assert seen == []
+
+
 def test_bad_scheme_and_step():
     with pytest.raises(ValidationError):
         FlowMap(ROTATION, PLANE, step=0.0)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import wrap_oracle
 from symcocycle import geometry
 from symcocycle.errors import ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
     GridSpec,
+    ManifoldModel,
     Primitive,
     QuadratureNonconvergence,
     Window,
@@ -89,10 +91,147 @@ def test_wrap_q_and_wrap_delta():
 
 
 def test_manifold_kind_validation():
-    from symcocycle.geometry import ManifoldModel
-
     with pytest.raises(ValidationError):
         ManifoldModel("torus", unit_square())
+
+
+# ------------------------------------------------------------------
+# the q-wrap against the np.mod oracle, bit for bit
+# ------------------------------------------------------------------
+
+CIRCUMFERENCES = (2 * math.pi, 1.0, 0.7)
+Q_MINS = (-math.pi, -0.0)
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+            math.inf, -math.inf, math.nan, 1e300, -1e300)
+
+
+def cyl_model(c, q0):
+    return ManifoldModel("cylinder", Window(-1.0, 1.0, q0, q0 + c), c)
+
+
+def same_bits(a, b):
+    """Equal bit patterns, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return False
+    both_nan = np.isnan(a) & np.isnan(b)
+    return bool(np.all((a.view(np.uint64) == b.view(np.uint64)) | both_nan))
+
+
+def near_multiples(c):
+    """Each j*c with |j| <= 12 and its 60 nearest floats on either side."""
+    base = np.array([j * c for j in range(-12, 13)])
+    rows, up, down = [base], base, base
+    for _ in range(60):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        rows += [up, down]
+    return np.concatenate(rows)
+
+
+def hard_batch(c, q0, size, kind):
+    """``size`` values: the near multiples as offsets from q_min and as
+    values of q, then uniform draws over 13 periods.  ``kind`` "special"
+    puts the specials first; "reach" keeps only values whose offset
+    from q_min lies within ``exact_multiples(c)`` periods, draws
+    included, and drops negative offsets so small that r/c underflows
+    to -0.0, so that ``_floor_remainder`` can take the whole batch."""
+    near = near_multiples(c)
+    vals = np.concatenate([near + q0, near])
+    periods = 13
+    if kind == "special":
+        vals = np.concatenate([np.array(SPECIALS), vals])
+    elif kind == "reach":
+        periods = min(periods, geometry.exact_multiples(c))
+        r = vals - q0
+        vals = vals[(np.abs(r) <= periods * c) & ~((-1e-300 < r) & (r < 0))]
+    rng = np.random.default_rng(size)
+    fill = rng.uniform(-periods * c, periods * c, max(0, size - vals.size)) + q0
+    return np.concatenate([vals[:size], fill])
+
+
+@pytest.fixture
+def fast_calls(monkeypatch):
+    return wrap_oracle.record_declines(monkeypatch)
+
+
+def test_exact_multiples():
+    assert geometry.exact_multiples(2 * math.pi) == 10
+    assert geometry.exact_multiples(0.7) == 2
+    assert geometry.exact_multiples(1.0) == 2**30
+    # 2c overflows
+    assert geometry.exact_multiples(1.5e308) == 1
+    rng = np.random.default_rng(7)
+    for c in [2 * math.pi, 0.7, 0.1, 3.0, 5e-324, 1e-300, *rng.uniform(0.01, 100, 50)]:
+        c = float(c)
+        num, den = c.as_integer_ratio()
+        k = geometry.exact_multiples(c)
+        # every multiple up to K is exact, the next is not (below the cap)
+        for j in range(1, min(k, 64) + 1):
+            a, b = (j * c).as_integer_ratio()
+            assert a * den == j * num * b, (c, j)
+        if k < 64:
+            nxt = (k + 1) * c
+            if math.isfinite(nxt):
+                a, b = nxt.as_integer_ratio()
+                assert a * den != (k + 1) * num * b, c
+
+
+@pytest.mark.parametrize("c", CIRCUMFERENCES)
+@pytest.mark.parametrize("q0", Q_MINS)
+@pytest.mark.parametrize("size", [0, 1, 40, 11_041])
+def test_wrap_q_matches_the_mod_oracle(c, q0, size, fast_calls):
+    m = cyl_model(c, q0)
+    for kind in ("special", "near", "reach"):
+        q = hard_batch(c, q0, size, kind)
+        # np.mod warns on infinities, in the oracle as in wrap_q
+        with np.errstate(invalid="ignore"):
+            assert same_bits(m.wrap_q(q), wrap_oracle.wrap_q(m, q))
+            if size == 11_041:
+                grid = q.reshape(61, 181)
+                assert same_bits(m.wrap_q(grid), wrap_oracle.wrap_q(m, grid))
+    if size == 11_041:
+        # the batch within reach, flat and as a grid, took the fast path
+        assert fast_calls[-2:] == [False, False]
+
+
+@pytest.mark.parametrize("c", CIRCUMFERENCES)
+@pytest.mark.parametrize("q0", Q_MINS)
+def test_batch_wraps_as_each_point_alone(c, q0):
+    m = cyl_model(c, q0)
+    for kind in ("special", "near", "reach"):
+        q = hard_batch(c, q0, 11_041, kind)
+        with np.errstate(invalid="ignore"):
+            alone = np.array([m.wrap_q(float(x)) for x in q])
+            assert same_bits(m.wrap_q(q), alone)
+
+
+def test_every_wrapped_q_lies_in_the_closed_period():
+    m = cyl_model(2 * math.pi, -math.pi)
+    out = m.wrap_q(hard_batch(2 * math.pi, -math.pi, 11_041, "reach"))
+    assert np.all((-math.pi <= out) & (out <= -math.pi + 2 * math.pi))
+
+
+@pytest.mark.parametrize("c", CIRCUMFERENCES)
+def test_floor_remainder_takes_the_batches_it_can(c, fast_calls):
+    m = cyl_model(c, -0.0)
+    reach = geometry.exact_multiples(c)
+    rng = np.random.default_rng(3)
+    q = rng.uniform(-reach * c, reach * c, geometry.WRAP_FAST_MIN)
+    m.wrap_q(q)
+    m.wrap_q(q[:-1])  # below the crossover: np.mod, no call
+    assert fast_calls == [False]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, "beyond", -5e-324])
+def test_floor_remainder_declines_what_it_cannot_prove(bad, fast_calls):
+    # -5e-324 / c underflows to -0.0: a quotient past the true floor -1
+    c = 2 * math.pi
+    m = cyl_model(c, -0.0)
+    q = np.linspace(-3.0, 3.0, geometry.WRAP_FAST_MIN)
+    q[5] = (geometry.exact_multiples(c) + 1) * c if bad == "beyond" else bad
+    with np.errstate(invalid="ignore"):
+        assert same_bits(m.wrap_q(q), wrap_oracle.wrap_q(m, q))
+    assert fast_calls == [True]
 
 
 # ------------------------------------------------------------------
