@@ -7,21 +7,24 @@ that worst-case oscillation.  Read backwards, any nonzero fixed-point
 difference P certifies |w^n| >= n * |P| / m, a linear lower bound on
 word length that never needs the group's presentation.
 
-The companion oracle is a breadth-first search over freely reduced
-words, with map equality decided on a quasi-random probe set.  Exact
-functional equality of diffeomorphisms is out of reach numerically;
-forty probe images quantized at 1e-6 make the search finite, and a
-larger secondary probe set turns any spurious identification into a
-loud warning instead of a silent wrong answer.
+The companion oracle is a search over freely reduced words, with map
+equality decided on a quasi-random probe set.  Exact functional
+equality of diffeomorphisms is out of reach numerically; forty probe
+images quantized at 1e-6 make the search finite, and a larger secondary
+probe set turns any spurious identification into a loud warning instead
+of a silent wrong answer.
 
-The word ball does not depend on the target, so it is a value: the
-generator set keeps one ball per probe seed, a list of levels, and every
-search scans the levels earlier searches marched and marches only the
-ones it is first to need.  A level is marched with one ``apply`` per
+The search meets in the middle: a word of length at most 2r is u v^-1
+with |u|, |v| <= r, so marching the ball to radius r and the target
+over the images of its nodes finds every word up to 2r.  The ball does
+not depend on the target, so it is a value: the generator set keeps one
+per probe seed, a list of levels, and a search marches only the levels
+no earlier search needed.  A level is marched with one ``apply`` per
 letter on the stacked images of every frontier word that takes the
 letter, primary and secondary probes together, so a recheck reads
-images already in hand.  A march treats each point on its own, so
-stacking changes no image.
+images already in hand; the target marches once per piece over the
+stacked primary images of the nodes it has not seen.  A march treats
+each point on its own, so stacking changes no image.
 """
 
 from __future__ import annotations
@@ -56,12 +59,14 @@ FINGERPRINT_RESOLUTION = 1e-6
 MATCH_TOL = 2e-6
 
 #: Probe counts of the word-ball search: the primary set decides matches,
-#: the secondary set rechecks words of different lengths that collide.
+#: the secondary set rechecks words of different lengths that collide,
+#: and each search's least match.
 N_PROBES = 40
 N_SECONDARY = 200
 
-#: The largest search radius.  With two generators each level holds up to
-#: three times as many words as the one before.
+#: The largest radius cap.  The ball is marched to half of it; with two
+#: generators each level holds up to three times as many words as the one
+#: before.
 MAX_RADIUS = 8
 
 #: A fixed-point difference at most this large makes the bound vacuous.
@@ -74,9 +79,10 @@ class DegenerateBound(NumericalError):
 
 
 class FingerprintCollisionWarning(UserWarning):
-    """Two words of different lengths shared a fingerprint but disagree
-    on the secondary probe set: the probe resolution spuriously merged
-    two distinct maps, and the reported norm may undershoot."""
+    """Two words of different lengths shared a fingerprint, or the target
+    matched its least word on the primary probes, but they disagree on
+    the secondary probe set: the probe resolution spuriously merged two
+    distinct maps, and the reported norm may undershoot."""
 
 
 # ============================================================
@@ -280,7 +286,7 @@ def distortion_lower_bound(gens, word, x, y, n):
 
 
 # ============================================================
-# Word-ball oracle
+# Word-ball search
 # ============================================================
 
 
@@ -289,10 +295,15 @@ def distortion_lower_bound(gens, word, x, y, n):
 # letter), and the fingerprint of the primary images.
 _Node = namedtuple("_Node", "letters p q fp")
 
+# Probe coordinates one pairwise comparison holds at once: 2**20 doubles
+# (8 MB) per temporary, so a ball of about a thousand nodes is matched
+# against a few dozen target rows at a time.
+_PAIR_BLOCK = 2**20
+
 
 def _secondary_disagree(manifold, held, new):
-    """Whether two nodes of the ball differ on the secondary probes.  Both
-    carry their images already, so a recheck marches nothing."""
+    """Whether two nodes differ on the secondary probes.  Both carry their
+    images already, so a recheck marches nothing."""
     gap = _largest_gap(
         manifold,
         held.p[N_PROBES:] - new.p[N_PROBES:],
@@ -302,46 +313,51 @@ def _secondary_disagree(manifold, held, new):
 
 
 class _Ball:
-    """The word ball of one probe seed, a list of levels marched on demand.
+    """The word ball of one probe seed, grown one level at a time on demand.
 
-    ``levels[k]`` holds the candidates of length k + 1 in search order,
-    node-major and letter-minor with free reduction, each as ``(node,
-    held)``: the new node and the node already held under its key, or
-    None when the node is new and so joins ``seen`` and the ``frontier``.
-    The first ``checked`` candidates have been passed by some search and
-    rechecked then.
+    ``nodes`` holds each distinct map (by fingerprint key) under the first
+    word that reached it, so at its least length, level by level in search
+    order: node-major, letter-minor, with free reduction.  ``ends[k]``
+    counts the nodes of length at most k, and ``p``, ``q`` and ``lengths``
+    stack their primary images and lengths, one row per node.  A target's
+    images of those rows are kept under every prefix of its pieces, so a
+    target that extends an earlier one marches only the pieces it adds,
+    and a larger radius only the rows that are new.
     """
 
-    def __init__(self, gens, seed, identity):
+    def __init__(self, gens, seed):
         self.letters = []
         for name in gens.names:
             self.letters.append((name, 1, gens.maps[name]))
             self.letters.append((name, -1, gens.maps[name].inverse()))
         self.manifold = gens.manifold
-        sec_ps, sec_qs = probe_points(self.manifold.window, N_SECONDARY, seed,
-                                      inset=0.04)
-        root = _Node(
-            (),
-            np.concatenate([identity.p_images, sec_ps]),
-            np.concatenate([identity.q_images, self.manifold.wrap_q(sec_qs)]),
-            identity,
-        )
+        window = self.manifold.window
+        ps, qs = probe_points(window, N_PROBES, seed)
+        sec_ps, sec_qs = probe_points(window, N_SECONDARY, seed, inset=0.04)
+        p = np.concatenate([ps, sec_ps])
+        q = self.manifold.wrap_q(np.concatenate([qs, sec_qs]))
+        root = _Node((), p, q, Fingerprint(p[:N_PROBES], q[:N_PROBES]))
         self.seen = {root.fp.key: root}
+        self.nodes = [root]
         self.frontier = [root]
-        self.levels = []
-        self.checked = 0
+        self.ends = [1]
+        self.p, self.q = p[None, :N_PROBES], q[None, :N_PROBES]
+        self.lengths = np.zeros(1, dtype=int)
+        self._images = {}  # target piece prefix -> its images of the rows
 
-    def level(self, length):
-        """The candidates of ``length`` letters, marching missing levels."""
-        while len(self.levels) < length:
+    def grow(self, radius):
+        """The number of nodes of length at most ``radius``, marching the
+        missing levels."""
+        while len(self.ends) <= radius:
             self._march()
-        return self.levels[length - 1]
+        return self.ends[radius]
 
     def _march(self):
         """Add the next level: one ``apply`` per letter on the stacked
-        images of every frontier node that takes the letter.  Only the
-        marches can raise, and they come first, so a march that raises
-        leaves the ball as it was."""
+        images of every frontier node that takes the letter.  A candidate
+        whose key is held by a node of another length is rechecked on the
+        secondary probes.  Only the marches can raise, and they come
+        first, so a march that raises leaves the ball as it was."""
         frontier = self.frontier
         images = {}  # (frontier index, letter index) -> images
         for j, (name, e, m) in enumerate(self.letters):
@@ -359,7 +375,8 @@ class _Ball:
                 images.update(zip(
                     ((i, j) for i in takers), zip(pim.reshape(qim.shape), qim)
                 ))
-        candidates, self.frontier = [], []
+        length = len(self.ends)
+        fresh, collisions = [], []
         for i, j in sorted(images):  # node-major, letter-minor
             p, q = images[i, j]
             new = _Node(
@@ -367,75 +384,143 @@ class _Ball:
                 Fingerprint(p[:N_PROBES], q[:N_PROBES]),
             )
             held = self.seen.get(new.fp.key)
-            candidates.append((new, held))
             if held is None:
                 self.seen[new.fp.key] = new
-                self.frontier.append(new)
-        self.levels.append(candidates)
+                fresh.append(new)
+            elif len(held.letters) != length and _secondary_disagree(
+                self.manifold, held, new
+            ):
+                collisions.append(
+                    f"words {GroupWord(held.letters[::-1])} (length "
+                    f"{len(held.letters)}) and {GroupWord(new.letters[::-1])} "
+                    f"(length {length}) share a fingerprint but differ on "
+                    "the secondary probes"
+                )
+        self.frontier = fresh
+        self.nodes += fresh
+        self.ends.append(len(self.nodes))
+        if fresh:
+            self.p = np.concatenate([self.p] + [n.p[None, :N_PROBES] for n in fresh])
+            self.q = np.concatenate([self.q] + [n.q[None, :N_PROBES] for n in fresh])
+            self.lengths = np.concatenate([self.lengths, np.full(len(fresh), length)])
+        # warned once the level is in place, so a warning turned into an
+        # error cannot leave the ball half grown
+        for text in collisions:
+            warnings.warn(text, FingerprintCollisionWarning, stacklevel=4)
+
+    def images(self, pieces, stop):
+        """Images of the first ``stop`` rows under ``pieces`` applied in
+        order, unwrapped: each piece marches once, on the rows its prefix
+        has not taken yet."""
+        if not pieces:
+            return self.p[:stop], self.q[:stop]
+        held = self._images.get(pieces)
+        have = 0 if held is None else len(held[0])
+        if have < stop:
+            p, q = self.images(pieces[:-1], stop)
+            pim, qim = pieces[-1].apply(p[have:].ravel(), q[have:].ravel())
+            rows = pim.reshape(-1, N_PROBES), qim.reshape(-1, N_PROBES)
+            if held is not None:
+                rows = tuple(np.concatenate(pair) for pair in zip(held, rows))
+            held = self._images[pieces] = rows
+        return held[0][:stop], held[1][:stop]
+
+
+def _least_match(manifold, ball, tp, tq):
+    """``(|u| + |v|, u, v)`` for the least such sum over the rows u, v of
+    the target's images ``tp``, ``tq`` where the image of row v sits
+    within the match tolerance of row u on every primary probe; None when
+    no pair matches.  Ties go to the first pair in v-major order."""
+    stop = len(tp)
+    step = max(1, _PAIR_BLOCK // (stop * N_PROBES))
+    up, uq = ball.p[None, :stop], ball.q[None, :stop]
+    best = None
+    for a in range(0, stop, step):
+        gap = np.maximum(
+            np.abs(tp[a:a + step, None] - up).max(axis=2),
+            np.abs(manifold.wrap_delta(tq[a:a + step, None] - uq)).max(axis=2),
+        )
+        vs, us = np.nonzero(gap <= MATCH_TOL)
+        if len(vs):
+            sums = ball.lengths[vs + a] + ball.lengths[us]
+            k = int(np.argmin(sums))
+            if best is None or sums[k] < best[0]:
+                best = (int(sums[k]), int(us[k]), int(vs[k]) + a)
+    return best
 
 
 def word_ball_norm(gens, target, radius_cap=6, seed=0):
     """Least word length realizing ``target``, or None past the cap.
 
-    Breadth-first search over freely reduced words in the generators
-    and their inverses, one length at a time, deduplicated by
-    fingerprint key.  ``target`` is anything with an ``apply(p, q)``
-    method on the same manifold.  A node matches when its probe images
-    sit within the match tolerance of the target's, wrap-aware on the
-    cylinder; searching in length order makes the first match minimal.
+    Meet in the middle over freely reduced words in the generators and
+    their inverses: a word of length L <= 2r is u v^-1 with |u|, |v| <= r,
+    and it realizes the target when target(v(x)) equals u(x).  So for
+    r = 1, 2, ... up to ceil(cap / 2) the search grows the ball B_r of
+    distinct maps (one per fingerprint key, each at its least length),
+    marches the target over the primary probe images of its new nodes,
+    and returns the least |u| + |v| over the pairs that match within the
+    match tolerance, wrap-aware on the cylinder, if it is at most the cap.
+    The identity paired with itself gives 0.  ``target`` is anything with
+    an ``apply(p, q)`` method and the generators' manifold model.
 
-    When two words of different lengths land on the same fingerprint
-    key, they are rechecked on a secondary probe set: agreement there
-    means a genuine relation between the generators (kept, no fuss),
-    disagreement means the probe resolution merged distinct maps and a
-    FingerprintCollisionWarning is issued because the returned norm may
-    then undershoot.
+    The secondary probes recheck two things.  When a level is marched, a
+    word whose key a word of another length holds is rechecked:
+    agreement is a genuine relation between the generators, disagreement
+    means the probe resolution merged distinct maps and issues a
+    FingerprintCollisionWarning, since a norm may then undershoot.  And
+    the least match is rechecked by one march of the target over v's
+    secondary images; a disagreement warns the same way, and the norm is
+    still returned.
 
-    The ball does not depend on the target, so the generator set keeps
-    one per probe seed: a search scans the levels earlier searches
-    marched and marches only levels none of them needed.  A level whose
-    march raises is not kept, so the next search marches it again.  Each
-    candidate is rechecked once, by the first search that passes it
-    without a match, so collision warnings come once per ball.
+    The generator set keeps one ball per probe seed, so a search marches
+    only the levels no earlier search needed, and each collision warns
+    once per ball.  A level whose march raises is not kept.  The target's
+    images are kept per prefix of its pieces, so each power of a word
+    costs one march of the word per node.
     """
     radius_cap = int(radius_cap)
     if not (0 <= radius_cap <= MAX_RADIUS):
         raise ValidationError(
             f"radius_cap must be between 0 and {MAX_RADIUS}, got {radius_cap}"
         )
-    seed = int(seed)
     manifold = gens.manifold
-    ps, qs = probe_points(manifold.window, N_PROBES, seed)
-    target_fp = Fingerprint.of_map(target, ps, qs, manifold)
-
-    identity_fp = Fingerprint(
-        np.array(ps, dtype=float), manifold.wrap_q(np.array(qs, dtype=float))
-    )
-    if identity_fp.matches(target_fp, manifold):
-        return 0
+    if target.manifold != manifold:
+        raise ValidationError(
+            "the target lives on a different manifold model than the generators"
+        )
+    seed = int(seed)
     ball = gens._balls.get(seed)
     if ball is None:
-        ball = gens._balls[seed] = _Ball(gens, seed, identity_fp)
-    passed = 0
-    for length in range(1, radius_cap + 1):
-        for new, held in ball.level(length):
-            if new.fp.matches(target_fp, manifold):
-                return length
-            passed += 1
-            if passed <= ball.checked:
-                continue  # an earlier search rechecked it
-            ball.checked = passed
-            if held is None or len(held.letters) == length:
-                continue
-            if _secondary_disagree(manifold, held, new):
+        ball = gens._balls[seed] = _Ball(gens, seed)
+    pieces = tuple(getattr(target, "factors", (target,)))
+    for radius in range(min(1, radius_cap), (radius_cap + 1) // 2 + 1):
+        tp, tq = ball.images(pieces, ball.grow(radius))
+        tq = manifold.wrap_q(tq)
+        # pairs of old rows matched nothing at the last radius, and their
+        # images are the same bits, so comparing them again changes nothing
+        match = _least_match(manifold, ball, tp, tq)
+        if match is not None:
+            length, iu, iv = match
+            if length > radius_cap:
+                return None
+            u, v = ball.nodes[iu], ball.nodes[iv]
+            sp, sq = target.apply(v.p[N_PROBES:], v.q[N_PROBES:])
+            image = _Node(
+                v.letters, np.concatenate([tp[iv], sp]),
+                np.concatenate([tq[iv], manifold.wrap_q(sq)]), None,
+            )
+            if _secondary_disagree(manifold, u, image):
+                word = GroupWord(
+                    u.letters[::-1] + tuple((n, -e) for n, e in v.letters)
+                )
                 warnings.warn(
-                    f"words {GroupWord(held.letters[::-1])} (length "
-                    f"{len(held.letters)}) and {GroupWord(new.letters[::-1])} "
-                    f"(length {length}) share a fingerprint but differ on "
-                    "the secondary probes",
+                    f"the target matches {word} (length {length}) on the "
+                    "primary probes but differs from it on the secondary "
+                    "probes",
                     FingerprintCollisionWarning,
                     stacklevel=2,
                 )
+            return length
     return None
 
 

@@ -261,6 +261,16 @@ def test_word_ball_radius_cap_guard():
         word_ball_norm(gens, IdentityMap(PLANE), radius_cap=9)
 
 
+def test_word_ball_rejects_a_target_on_another_manifold():
+    gens = center_gens()
+    for target in (
+        IdentityMap(plane(Window(-1.0, 1.0, -1.0, 1.0))),
+        TwistMap(parse("0"), CYL),
+    ):
+        with pytest.raises(ValidationError, match="different manifold"):
+            word_ball_norm(gens, target)
+
+
 def test_word_ball_not_found_returns_none():
     gens = center_gens()
     target = TwistMap(parse("1"), PLANE)
@@ -295,7 +305,8 @@ def test_word_ball_collision_warning():
 
 def test_collision_warning_names_words_in_product_order(monkeypatch):
     # every key shared across lengths is reported as a collision; the
-    # commuting pair supplies them, x y x^-1 landing on y
+    # commuting pair supplies them, x y x^-1 landing on y, so the ball
+    # must reach level 3: a cap of 6
     rechecked = []
 
     def disagree(manifold, held, new):
@@ -310,7 +321,7 @@ def test_collision_warning_names_words_in_product_order(monkeypatch):
     gens = GeneratorSet(coarse, grid=GridSpec(21, 21), method="action")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert word_ball_norm(gens, TwistMap(parse("1"), PLANE), radius_cap=4) is None
+        assert word_ball_norm(gens, TwistMap(parse("1"), PLANE), radius_cap=6) is None
     texts = [
         str(w.message) for w in caught
         if issubclass(w.category, FingerprintCollisionWarning)
@@ -362,7 +373,7 @@ def test_distortion_table_sound_and_ratio_constant():
 
 
 # ============================================================
-# The batched walk against the sequential oracle
+# The meet-in-the-middle search against the breadth-first oracle
 # ============================================================
 
 CYL = cylinder(Window(-2.0, 2.0, 0.0, 2.0 * np.pi))
@@ -381,10 +392,16 @@ def flows(manifold, step, **exprs):
 
 @functools.lru_cache(maxsize=None)
 def ball_set(name):
-    """Generators and targets of one differential comparison."""
+    """Generators and targets of one differential comparison; the last two
+    targets match no word and the empty word."""
     if name == "disjoint":
         maps = flows(PLANE, 0.1, a=LEFT_BUMP, b=RIGHT_BUMP)
         words = ("a b", "a^-1 b^2", "b a^-1 b^-1 a")
+        manifold, far = PLANE, TwistMap(parse("1"), PLANE)
+    elif name == "pair":
+        # the generators of scenarios/disjoint_pair.json at a finer step
+        maps = flows(PLANE, 0.05, a=LEFT_BUMP, b=RIGHT_BUMP)
+        words = ("a b", "a b a b")
         manifold, far = PLANE, TwistMap(parse("1"), PLANE)
     elif name == "sneak":
         maps = {"c": bump_flow(SNEAK_BUMP)}
@@ -409,23 +426,25 @@ BALL_SETS = ["disjoint", "sneak", "cylinder", "deck"]
 
 
 def small_gens(maps):
-    # a new generator set is a new walk; the search never reads the grid
+    # a new generator set is a new ball; the search never reads the grid
     return GeneratorSet(maps, grid=GridSpec(4, 4), method="action")
 
 
 def record_rechecks(monkeypatch):
-    """A list that collects the word pairs every search rechecks, both
-    words as letter tuples in application order."""
+    """A list that collects every recheck of both searches: the two words
+    as letter tuples in application order, and the verdict."""
     pairs = []
     new, old = distortion._secondary_disagree, word_search_oracle._secondary_disagree
 
     def new_recheck(manifold, held, node):
-        pairs.append((held.letters, node.letters))
-        return new(manifold, held, node)
+        verdict = new(manifold, held, node)
+        pairs.append((held.letters, node.letters, verdict))
+        return verdict
 
     def old_recheck(gens, letters_a, letters_b, ps, qs):
-        pairs.append((letters_a, letters_b))
-        return old(gens, letters_a, letters_b, ps, qs)
+        verdict = old(gens, letters_a, letters_b, ps, qs)
+        pairs.append((letters_a, letters_b, verdict))
+        return verdict
 
     monkeypatch.setattr(distortion, "_secondary_disagree", new_recheck)
     monkeypatch.setattr(word_search_oracle, "_secondary_disagree", old_recheck)
@@ -434,7 +453,7 @@ def record_rechecks(monkeypatch):
 
 def recorded(search, gens, target, cap, seed, rechecks):
     """The norm a search returns, the texts of its collision warnings and
-    the word pairs it rechecks."""
+    its rechecks."""
     rechecks.clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -446,24 +465,61 @@ def recorded(search, gens, target, cap, seed, rechecks):
     return norm, texts, list(rechecks)
 
 
+def without_match(norm, texts, rechecks):
+    """The collision warnings and rechecks of a search, and the verdict
+    of its match recheck (None without a norm).  A search that returns a
+    norm rechecks its least match u v^-1 last, as the pair (u, v), and
+    warns last when the two disagree."""
+    if norm is None:
+        return texts, rechecks, None
+    *rechecks, (u, v, disagree) = rechecks
+    assert len(u) + len(v) == norm
+    if disagree:
+        assert texts[-1].startswith("the target matches ")
+        texts = texts[:-1]
+    return texts, rechecks, disagree
+
+
+def marched_levels(gens, seed):
+    return len(gens._balls[seed].ends) - 1
+
+
+def oracle_levels(gens, far, levels, seed, rechecks):
+    """The oracle's collision warnings and rechecks on the first
+    ``levels`` levels, each passed whole: a search for a target that
+    matches no word."""
+    return recorded(word_search_oracle.word_ball_norm, gens, far, levels,
+                    seed, rechecks)[1:]
+
+
 @pytest.mark.parametrize("name", BALL_SETS)
 def test_batched_walk_matches_sequential_oracle(name, monkeypatch):
     maps, targets = ball_set(name)
     rechecks = record_rechecks(monkeypatch)
-    warned = rechecked = 0
+    warned = rechecked = mismatched = 0
     for seed in (0, 3):
         for cap in range(5):
             for target in targets:
                 gens = small_gens(maps)
                 args = (gens, target, cap, seed, rechecks)
-                got = recorded(word_ball_norm, *args)
-                want = recorded(word_search_oracle.word_ball_norm, *args)
-                assert got == want, (seed, cap)
-                warned += len(want[1])
-                rechecked += len(want[2])
-    # the sneak bump exercises the recheck that warns, the others
-    # rechecks that find genuine relations
-    assert (warned > 0) == (name == "sneak")
+                norm, texts, pairs = recorded(word_ball_norm, *args)
+                assert norm == recorded(word_search_oracle.word_ball_norm, *args)[0]
+                texts, pairs, disagree = without_match(norm, texts, pairs)
+                mismatched += bool(disagree)
+                # the ball reaches half the norm found, else half the cap
+                levels = marched_levels(gens, seed)
+                half = (cap + 1) // 2 if norm is None else max(1, (norm + 1) // 2)
+                assert levels == min(cap, half), (seed, cap)
+                # each level marched is rechecked whole, as the oracle
+                # passes it
+                want = oracle_levels(gens, targets[-2], levels, seed, rechecks)
+                assert (texts, pairs) == want, (seed, cap)
+                warned += len(want[0])
+                rechecked += len(want[1]) + (disagree is not None)
+    # the sneak bump exercises the rechecks that warn, both of a collision
+    # in the ball and of a match; the others rechecks that find genuine
+    # relations
+    assert (warned > 0) == (mismatched > 0) == (name == "sneak")
     assert rechecked > 0
 
 
@@ -472,19 +528,61 @@ def test_shared_walk_differs_only_by_repeated_warnings(name, monkeypatch):
     maps, targets = ball_set(name)
     rechecks = record_rechecks(monkeypatch)
     gens = small_gens(maps)
-    got_all, want_all = ([], []), ([], [])
-    for cap in (1, 0, 3, 2, 4):
+    texts_all, pairs_all = [], []
+    for cap in (1, 0, 3, 2, 5, 4):
         for target in targets:
             args = (gens, target, cap, 3, rechecks)
-            got = recorded(word_ball_norm, *args)
-            want = recorded(word_search_oracle.word_ball_norm, *args)
-            assert got[0] == want[0], cap
-            for acc, part in zip(got_all + want_all, got[1:] + want[1:]):
-                acc += part
-    # each warning and recheck comes once per walk, from the first search
-    # reaching it
-    for got, want in zip(got_all, want_all):
-        assert got == list(dict.fromkeys(want))
+            norm, texts, pairs = recorded(word_ball_norm, *args)
+            assert norm == recorded(word_search_oracle.word_ball_norm, *args)[0], cap
+            texts, pairs, _ = without_match(norm, texts, pairs)
+            texts_all += texts
+            pairs_all += pairs
+    # each collision warning and recheck comes once per ball, from the
+    # search that marches its level
+    want = oracle_levels(gens, targets[-2], marched_levels(gens, 3), 3, rechecks)
+    assert marched_levels(gens, 3) == 3
+    assert (texts_all, pairs_all) == want
+
+
+def freely_reduced(letters):
+    out = []
+    for name, e in letters:
+        if out and out[-1] == (name, -e):
+            out.pop()
+        else:
+            out.append((name, e))
+    return GroupWord(tuple(out))
+
+
+@functools.lru_cache(maxsize=None)
+def shared_gens(name):
+    return small_gens(ball_set(name)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_norm(name, word):
+    # the oracle scans in length order, so a smaller cap only cuts its
+    # answer off: None when the norm at cap 6 exceeds it
+    maps, targets = ball_set(name)
+    target = compose(word, maps, targets[-1].manifold)
+    return word_search_oracle.word_ball_norm(small_gens(maps), target, radius_cap=6)
+
+
+@pytest.mark.parametrize("name", BALL_SETS + ["pair"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_norms_equal_the_oracle_on_random_words(name, data):
+    maps, targets = ball_set(name)
+    letter = st.tuples(st.sampled_from(sorted(maps)), st.sampled_from((1, -1)))
+    word = freely_reduced(data.draw(st.lists(letter, max_size=6)))
+    target = compose(word, maps, targets[-1].manifold)
+    gens = shared_gens(name)  # one ball for every word and cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = oracle_norm(name, word)
+        for cap in range(7):
+            expected = want if want is not None and want <= cap else None
+            assert word_ball_norm(gens, target, radius_cap=cap) == expected, cap
 
 
 @functools.lru_cache(maxsize=None)
@@ -524,52 +622,8 @@ def test_apply_on_stacked_blocks_equals_blockwise(which, blocks):
 # ============================================================
 
 
-def test_walk_that_raises_is_dropped():
-    # p' = -0.1 p^2 blows up in time 10/|p|: the probes at the left edge
-    # survive two applications and overflow in the third
-    target = TwistMap(parse("1"), PLANE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EscapedWindowWarning)
-        gens = small_gens(flows(PLANE, 0.05, x="0.1*p^2*q"))
-        assert word_ball_norm(gens, target, radius_cap=2) is None
-        with pytest.raises(NumericalError, match="overflowed") as first:
-            word_ball_norm(gens, target, radius_cap=3)
-        with pytest.raises(NumericalError) as again:
-            word_ball_norm(gens, target, radius_cap=3)
-        with pytest.raises(NumericalError):
-            word_search_oracle.word_ball_norm(gens, target, radius_cap=3)
-    assert str(again.value) == str(first.value)
-
-
-def test_level_that_raises_is_marched_again_alone(monkeypatch):
-    marched = []
-    march = FlowMap._march
-
-    def counted(flow, p, q, t0, t1, on_node=None):
-        marched.append(np.size(p))
-        return march(flow, p, q, t0, t1, on_node)
-
-    target = TwistMap(parse("1"), PLANE)  # a target that marches nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EscapedWindowWarning)
-        gens = small_gens(flows(PLANE, 0.05, x="0.1*p^2*q"))
-        monkeypatch.setattr(FlowMap, "_march", counted)
-        assert word_ball_norm(gens, target, radius_cap=2) is None
-        assert len(marched) == 4
-        del marched[:]
-        with pytest.raises(NumericalError, match="overflowed"):
-            word_ball_norm(gens, target, radius_cap=3)
-        failed = list(marched)
-        del marched[:]
-        with pytest.raises(NumericalError, match="overflowed"):
-            word_ball_norm(gens, target, radius_cap=3)
-    # levels 1 and 2 are kept; only the third is marched again
-    assert failed and marched == failed
-    assert len(failed) <= 2
-
-
-def test_second_search_marches_only_new_levels(monkeypatch):
-    gens = small_gens(flows(PLANE, 0.05, g=CENTER_BUMP))
+def count_marches(monkeypatch):
+    """A list of the number of points of every flow march."""
     marched = []
     march = FlowMap._march
 
@@ -578,18 +632,112 @@ def test_second_search_marches_only_new_levels(monkeypatch):
         return march(flow, p, q, t0, t1, on_node)
 
     monkeypatch.setattr(FlowMap, "_march", counted)
+    return marched
+
+
+def test_walk_that_raises_is_dropped():
+    # p' = -0.1 p^2 blows up in time 10/|p|: the probes at the left edge
+    # survive two applications and overflow in the third, which the ball
+    # reaches at a cap of 5
+    target = TwistMap(parse("1"), PLANE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapedWindowWarning)
+        gens = small_gens(flows(PLANE, 0.05, x="0.1*p^2*q"))
+        assert word_ball_norm(gens, target, radius_cap=4) is None
+        with pytest.raises(NumericalError, match="overflowed") as first:
+            word_ball_norm(gens, target, radius_cap=5)
+        with pytest.raises(NumericalError) as again:
+            word_ball_norm(gens, target, radius_cap=5)
+        with pytest.raises(NumericalError):
+            word_search_oracle.word_ball_norm(gens, target, radius_cap=3)
+    assert str(again.value) == str(first.value)
+
+
+def test_level_that_raises_is_marched_again_alone(monkeypatch):
+    target = TwistMap(parse("1"), PLANE)  # a target that marches nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapedWindowWarning)
+        gens = small_gens(flows(PLANE, 0.05, x="0.1*p^2*q"))
+        marched = count_marches(monkeypatch)
+        assert word_ball_norm(gens, target, radius_cap=4) is None
+        assert len(marched) == 4
+        del marched[:]
+        with pytest.raises(NumericalError, match="overflowed"):
+            word_ball_norm(gens, target, radius_cap=6)
+        failed = list(marched)
+        del marched[:]
+        with pytest.raises(NumericalError, match="overflowed"):
+            word_ball_norm(gens, target, radius_cap=6)
+    # levels 1 and 2 are kept; only the third is marched again
+    assert failed and marched == failed
+    assert len(failed) <= 2
+
+
+def test_second_search_marches_only_new_levels(monkeypatch):
+    gens = small_gens(flows(PLANE, 0.05, g=CENTER_BUMP))
+    marched = count_marches(monkeypatch)
     twist = TwistMap(parse("1"), PLANE)  # a target that marches nothing
     assert word_ball_norm(gens, twist, radius_cap=2) is None
-    # one march per letter and level, on every probe of the frontier
-    assert marched == [N_PROBES + N_SECONDARY] * 4
+    # one march per letter and level, on every probe of the frontier; a
+    # cap of 2 needs level 1 alone, a cap of 3 level 2 too
+    assert marched == [N_PROBES + N_SECONDARY] * 2
     assert word_ball_norm(gens, twist, radius_cap=3) is None
-    assert len(marched) == 6
+    assert len(marched) == 4
     assert word_ball_norm(gens, twist, radius_cap=3) is None
     assert word_ball_norm(gens, twist, radius_cap=1) is None
-    assert len(marched) == 6
+    assert len(marched) == 4
     square = gens.realize(GroupWord.from_string("g^2"))
     assert word_ball_norm(gens, square, radius_cap=3) == 2
-    assert marched[6:] == [N_PROBES, N_PROBES]  # the target's two flows
+    # the target's two flows on the primary probes of the three words of
+    # length at most 1, then on the secondary probes of the matched g^-1
+    assert marched[4:] == [3 * N_PROBES] * 2 + [N_SECONDARY] * 2
+
+
+def test_fresh_ball_marches_half_the_norm(monkeypatch):
+    gens = small_gens(flows(PLANE, 0.1, a=LEFT_BUMP, b=RIGHT_BUMP))
+    square = gens.realize(GroupWord.from_string("a b").power(2))
+    marched = count_marches(monkeypatch)
+    assert word_ball_norm(gens, square) == 4
+    ends = gens._balls[0].ends
+    assert len(ends) == 3  # the identity and levels 1 and 2, of cap 6's 3
+    b1, level2 = ends[1], ends[2] - ends[1]
+    per_node = N_PROBES + N_SECONDARY
+    assert marched == (
+        [per_node] * 4  # level 1: each letter on the identity
+        + [b1 * N_PROBES] * 4  # the target's 4 flows on B_1
+        + [3 * per_node] * 4  # level 2: each letter on 3 of the 4 words
+        + [level2 * N_PROBES] * 4  # the target's 4 flows on level 2
+        + [N_SECONDARY] * 4  # the target on the matched v
+    )
+
+
+def test_each_power_marches_the_word_once_per_node_set(monkeypatch):
+    gens = GeneratorSet(
+        {"g": bump_flow(CENTER_BUMP)}, grid=GridSpec(21, 21), method="action"
+    )
+    every, marched = count_marches(monkeypatch), []
+    search = distortion.word_ball_norm
+
+    def counted(*args, **kwargs):
+        # the marches of the searches alone, not of the fixed-point checks
+        start = len(every)
+        norm = search(*args, **kwargs)
+        marched.append(every[start:])
+        return norm
+
+    monkeypatch.setattr(distortion, "word_ball_norm", counted)
+    rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)
+    assert [r[2] for r in rows] == [1, 2, 3]
+    per_node, b1, level2 = N_PROBES + N_SECONDARY, 3 * N_PROBES, 2 * N_PROBES
+    assert marched == [
+        # g: level 1, g on B_1, g on the matched v's secondary probes
+        [per_node] * 2 + [b1] + [N_SECONDARY],
+        # g^2: one more g on B_1, then the recheck
+        [b1] + [N_SECONDARY] * 2,
+        # g^3: one more g on B_1; level 2, where g^3 is g^2 (g^-1)^-1,
+        # and three g on its two words, one for each power
+        [b1] + [per_node] * 2 + [level2] * 3 + [N_SECONDARY] * 3,
+    ]
 
 
 def test_distortion_table_makes_one_walk(monkeypatch):
@@ -599,9 +747,9 @@ def test_distortion_table_makes_one_walk(monkeypatch):
     started = []
 
     class Counted(distortion._Ball):
-        def __init__(self, gens, seed, identity):
+        def __init__(self, gens, seed):
             started.append(seed)
-            super().__init__(gens, seed, identity)
+            super().__init__(gens, seed)
 
     monkeypatch.setattr(distortion, "_Ball", Counted)
     rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)

@@ -1,10 +1,12 @@
-"""The sequential word-ball search that ``distortion.word_ball_norm`` used
-before it walked the ball in batched levels, kept verbatim as the oracle
-of the differential tests.
+"""The sequential breadth-first word-ball search that
+``distortion.word_ball_norm`` used before it walked the ball in batched
+levels and then met in the middle, kept verbatim as the oracle of the
+differential tests.
 
-Each search walks the ball again from the identity: one ``apply`` per
-frontier node per letter on the forty primary probes, and each recheck
-realizes both words from scratch on the secondary probes.
+Each search walks the ball again from the identity, out to the full cap:
+one ``apply`` per frontier node per letter on the forty primary probes,
+and each recheck realizes both words from scratch on the secondary
+probes.
 """
 
 import warnings
