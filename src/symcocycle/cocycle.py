@@ -485,18 +485,35 @@ def _action_stream(flow, fap, faq, p0, q0):
     ff = flow.spec.F.fn
     field = flow.field.fn
     wrap = manifold.wrap_q
-    acc = np.zeros(np.shape(p0))
+    acc = np.zeros(np.broadcast(p0, q0).shape)
+    first = None  # node 0's integrand
+    held = None  # [mask, integrand, sum] of the points the march holds
 
-    def on_node(k, t, pv, qv):
+    def integrand(pv, qv, t):
         qe = wrap(qv)
         pdot, qdot = field(pv, qe, t)
         line = fap(pv, qe, 0.0) * pdot + faq(pv, qe, 0.0) * qdot
         # F itself is evaluated at the unwrapped representative so that
         # chart Hamiltonians with periodic fields but multivalued F (the
         # translation family) accumulate their honest lifted action
-        ham = ff(pv, qv, t)
-        nonlocal acc
-        acc = acc + weights[k] * (line + ham)
+        return line + ff(pv, qv, t)
+
+    def on_node(k, t, pv, qv, moving):
+        nonlocal acc, first, held
+        if moving is not None:
+            if held is None:
+                # a held point's integrand is node 0's at every node: it
+                # reads the same point, and an autonomous F no t; its sum
+                # is still added term by term, as the full march adds it
+                mask = ~moving
+                held = [mask, np.broadcast_to(first, mask.shape)[mask], acc[mask]]
+                acc = acc[moving]
+            held[2] = held[2] + weights[k] * held[1]
+        if pv.size:
+            c = integrand(pv, qv, t)
+            if k == 0:
+                first = c
+            acc = acc + weights[k] * c
 
     end_p, end_q = flow._march(
         np.asarray(p0, dtype=float).copy(),
@@ -505,6 +522,12 @@ def _action_stream(flow, fap, faq, p0, q0):
         duration,
         on_node=on_node,
     )
+    if held is not None:
+        mask, _, total = held
+        out = np.empty(mask.shape)
+        out[mask] = total
+        out[~mask] = acc
+        acc = out
     return acc, end_p, end_q
 
 

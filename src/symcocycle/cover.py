@@ -84,8 +84,12 @@ def _march_watching_gaps(flow, p, q, tangent):
     prev = None
     worst = 0.0
 
-    def on_node(k, t, pv, qv):
+    def on_node(k, t, pv, qv, moving):
         nonlocal prev, worst
+        if k == 1 and moving is not None:
+            # the march reports its moving points only; a held point's q
+            # does not change, so its gap is 0
+            prev = prev[moving]
         if prev is not None:
             worst = max(worst, float(np.max(np.abs(qv - prev), initial=0.0)))
         prev = np.asarray(qv, dtype=float)

@@ -173,6 +173,38 @@ def _require_finite(state, what, remedy):
     return state
 
 
+def _keeps(x):
+    """Where adding +0.0 or -0.0 gives ``x`` back to the bit: everywhere
+    but at -0.0, since ``-0.0 + 0.0`` is ``+0.0``."""
+    return (x != 0.0) | ~np.signbit(x)
+
+
+def _held(state, k1):
+    """The points of ``state`` that a march of an autonomous field leaves
+    where they are, as a mask of the batch's shape, or None for none.
+
+    ``k1`` is the field at the points, for a jet with its derivatives
+    ``u, v, s``.  Where all of it is +-0 and no coordinate is -0.0, every
+    RK4 stage of a step from x is evaluated at ``x + c*h*(+-0) = x`` and,
+    as the field reads no t, gives the same +-0; the step returns
+    ``x + sixth*(+-0) = x``, and each later step starts there again.  A
+    tangent entry d has the stages ``u*dP + v*dQ`` and ``s*dP - u*dQ``,
+    +-0 where dP and dQ are finite (``0*inf`` is nan), and comes back as
+    ``d + sixth*(+-0) = d`` unless it is -0.0.
+    """
+    held = k1[0] == 0.0
+    for x in k1[1:]:
+        held = held & (x == 0.0)
+    if not np.any(held):
+        return None
+    held = held & _keeps(state[0]) & _keeps(state[1])
+    for x in state[2:]:
+        # dP and dQ hold their two input directions on a leading axis
+        held = held & (np.isfinite(x) & _keeps(x)).all(axis=0)
+    held = np.broadcast_to(held, np.shape(state[0]))
+    return held if held.any() else None
+
+
 def _as_float_pair(p, q, out_p, out_q):
     if np.ndim(out_p) == 0 and np.ndim(p) == 0:
         return float(out_p), float(out_q)
@@ -235,7 +267,10 @@ class FlowMap:
     Integrated by RK4 with the fixed step ``step`` (the last step is
     shortened to land exactly).  Trajectories that stray past the window
     plus a quarter of its longer side trigger one EscapedWindowWarning per
-    call; trajectories that overflow raise NumericalError.
+    call; trajectories that overflow raise NumericalError.  A march of an
+    autonomous field leaves the points where the field (and, for a jet,
+    its derivatives) is exactly 0 where they are, bitwise as a full march
+    would, and steps only the others.
     """
 
     def __init__(self, spec, manifold, step=DEFAULT_STEP):
@@ -273,9 +308,10 @@ class FlowMap:
 
     # -- stepping ------------------------------------------------
 
-    def _step_rk4(self, p, q, t, h):
+    def _step_rk4(self, p, q, t, h, k1=None):
+        """One RK4 step; ``k1``, when given, is the field at (p, q, t)."""
         field, w = self.field.fn, self.manifold.wrap_q
-        k1p, k1q = field(p, w(q), t)
+        k1p, k1q = field(p, w(q), t) if k1 is None else k1
         tm = t + 0.5 * h
         k2p, k2q = field(p + 0.5 * h * k1p, w(q + 0.5 * h * k1q), tm)
         k3p, k3q = field(p + 0.5 * h * k2p, w(q + 0.5 * h * k2q), tm)
@@ -286,13 +322,14 @@ class FlowMap:
             q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q),
         )
 
-    def _step_tangent(self, p, q, dP, dQ, t, h):
+    def _step_tangent(self, p, q, dP, dQ, t, h, k1=None):
         """``_step_rk4`` with the tangent: the same RK4 stages applied to
         the variational equation, so the tangent moves by the exact
         derivative of the step's map.  The position arithmetic is
-        ``_step_rk4``'s, term for term."""
+        ``_step_rk4``'s, term for term; ``k1``, when given, is the
+        ``tangent_field`` at (p, q, t)."""
         field, w = self.tangent_field.fn, self.manifold.wrap_q
-        k1p, k1q, u, v, s = field(p, w(q), t)
+        k1p, k1q, u, v, s = field(p, w(q), t) if k1 is None else k1
         k1P, k1Q = _linearized(u, v, s, dP, dQ)
         tm = t + 0.5 * h
         k2p, k2q, u, v, s = field(p + 0.5 * h * k1p, w(q + 0.5 * h * k1q), tm)
@@ -309,28 +346,56 @@ class FlowMap:
             dQ + sixth * (k1Q + 2.0 * (k2Q + k3Q) + k4Q),
         )
 
-    def _run(self, step, state, t0, t1, on_node):
-        """The march loop: ``state`` is (p, q) or (p, q, dP, dQ), advanced
-        by ``step(*state, t, h)``; ``on_node(k, t, p, q)`` sees every time
-        node.  One EscapedWindowWarning per call; NumericalError when an
-        end point or its tangent is not finite."""
+    def _run(self, state, t0, t1, on_node):
+        """The march loop: ``state`` is (p, q), stepped by ``_step_rk4``,
+        or (p, q, dP, dQ), stepped by ``_step_tangent``.
+
+        The first step's k1 also splits the batch: for an autonomous
+        field the points ``_held`` finds keep their inputs and only the
+        others are stepped.  ``on_node(k, t, p, q, moving)`` sees every
+        time node: at node 0 every point, with ``moving`` None; after it,
+        the points of the mask ``moving``, or every point when it is
+        None, since a held point sits at node 0's place throughout.  One
+        EscapedWindowWarning per call, and NumericalError when an end
+        point or its tangent is not finite, both over the whole batch.
+        """
         span = t1 - t0
         n = max(1, math.ceil(abs(span) / self.step))
         h = span / n
         mani = self.manifold
-        escaped = False
+        jet = len(state) > 2
+        step = self._step_tangent if jet else self._step_rk4
+        if np.shape(state[0]) != np.shape(state[1]):
+            state = (*np.broadcast_arrays(state[0], state[1]), *state[2:])
+        whole, moving, escaped = state, None, False
         # an overflowing field turns into inf and nan silently; the single
         # finiteness check after the last step reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if on_node is not None:
-                on_node(0, t0, state[0], state[1])
+                on_node(0, t0, state[0], state[1], None)
+            field = (self.tangent_field if jet else self.field).fn
+            k1 = field(state[0], mani.wrap_q(state[1]), t0)
+            held = _held(state, k1) if self.spec.autonomous else None
+            if held is not None:
+                moving = ~held
+                # a held point sits at its input after every step
+                escaped = mani.escaped(state[0][held], state[1][held], self._slack)
+                state = tuple(x[..., moving] for x in state)
+                k1 = tuple(np.broadcast_to(x, held.shape)[moving] for x in k1)
+            live = moving is None or moving.any()
             for k in range(n):
-                state = step(*state, t0 + k * h, h)
-                p, q = state[0], state[1]
-                if not escaped:
-                    escaped = mani.escaped(p, q, self._slack)
+                if live:
+                    state = step(*state, t0 + k * h, h, k1)
+                    k1 = None
+                    if not escaped:
+                        escaped = mani.escaped(state[0], state[1], self._slack)
                 if on_node is not None:
-                    on_node(k + 1, t0 + (k + 1) * h, p, q)
+                    on_node(k + 1, t0 + (k + 1) * h, state[0], state[1], moving)
+        if moving is not None:
+            out = tuple(x.copy() for x in whole)
+            for o, x in zip(out, state):
+                o[..., moving] = x
+            state = out
         _require_finite(state, "the flow", "shrink the window or the step, or "
                         "tame the Hamiltonian")
         if escaped:
@@ -344,7 +409,7 @@ class FlowMap:
         return state
 
     def _march(self, p, q, t0, t1, on_node=None):
-        return self._run(self._step_rk4, (p, q), t0, t1, on_node)
+        return self._run((p, q), t0, t1, on_node)
 
     # -- public surface ------------------------------------------
 
@@ -362,8 +427,7 @@ class FlowMap:
             p, q = self._march(p, q, 0.0, self.spec.duration, on_node)
             return p, q, None
         p, q, dP, dQ = self._run(
-            self._step_tangent, (p, q) + tuple(tangent), 0.0,
-            self.spec.duration, on_node,
+            (p, q) + tuple(tangent), 0.0, self.spec.duration, on_node
         )
         return p, q, (dP, dQ)
 

@@ -363,26 +363,32 @@ def _iflte(a, b, then, then_args, other, other_args):
     if cond.ndim == 0:
         return then(*then_args) if cond else other(*other_args)
     shape = cond.shape
-    outs = None
     selected = np.count_nonzero(cond)
-    if selected:
-        values = then(*(_select(cond, v, shape) for v in then_args))
-        outs = _place(outs, cond, values)
-    if selected < cond.size:
-        rest = ~cond
-        values = other(*(_select(rest, v, shape) for v in other_args))
-        outs = _place(outs, rest, values)
+    # every point takes one branch: elementwise, the whole arrays give
+    # the bits the selected ones would
+    if selected == cond.size or not selected:
+        fn, args = (then, then_args) if selected else (other, other_args)
+        args = [np.asarray(v, dtype=float) for v in args]
+        return _whole(fn(*args), args, shape)
+    rest = ~cond
+    then_values = then(*(_select(cond, v, shape) for v in then_args))
+    other_values = other(*(_select(rest, v, shape) for v in other_args))
+    outs = [np.empty(shape) for _ in then_values]
+    for out, u, v in zip(outs, then_values, other_values):
+        out[cond] = u
+        out[rest] = v
     return outs
 
 
-def _place(outs, mask, values):
-    """Write each of ``values`` into its output array where ``mask``
-    holds; the arrays are made on the first call."""
-    if outs is None:
-        outs = [np.empty(mask.shape, dtype=float) for _ in values]
-    for out, v in zip(outs, values):
-        out[mask] = v
-    return outs
+def _whole(values, args, shape):
+    """A branch's values on every point, each as a float array of
+    ``shape`` of its own: a constant, a broadcast value or an argument
+    returned as it is becomes a fresh copy."""
+    return [
+        v if type(v) is np.ndarray and v.shape == shape and v.dtype == float
+        and not any(v is x for x in args) else np.full(shape, v, dtype=float)
+        for v in values
+    ]
 
 
 # the names generated code calls; checked operations go through the

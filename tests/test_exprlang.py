@@ -638,3 +638,100 @@ def test_iflte_whose_branch_can_raise_keeps_its_own_call(monkeypatch):
     got = safe.fn(x, x, 0.0)
     for value, f in zip(got, oracle):
         assert value.tobytes() == f(x, x, 0.0).tobytes()
+
+
+def _select_and_place(a, b, then, then_args, other, other_args):
+    """``_iflte`` without its one-branch path: each branch on the points
+    it selects, placed into fresh arrays."""
+    cond = np.less_equal(a, b)
+    shape = cond.shape
+    outs = None
+    for mask, fn, args in ((cond, then, then_args), (~cond, other, other_args)):
+        if not mask.any():
+            continue
+        values = fn(*(np.broadcast_to(np.asarray(v, dtype=float), shape)[mask]
+                      for v in args))
+        if outs is None:
+            outs = [np.empty(shape) for _ in values]
+        for out, v in zip(outs, values):
+            out[mask] = v
+    return outs
+
+
+def _branches():
+    def then(p, q):
+        return np.exp(-0.6 * (p * p + q * q)) * q, 3.0, p, -p
+
+    def other(p, q):
+        return np.tanh(p) / (1.0 + q * q), p, q, np.float64(-0.0)
+
+    return then, other
+
+
+@pytest.mark.parametrize("shapes", [((7,), (7,)), ((4, 1), (1, 3)), ((5,), ())])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_uniform_branch_equals_select_and_place(shapes, side):
+    # every point on one side of the comparison: the branch runs on the
+    # whole arrays, bitwise as on the selected points
+    rng = np.random.default_rng(7)
+    p = rng.uniform(-2.0, 2.0, shapes[0])
+    q = rng.uniform(-2.0, 2.0, shapes[1])
+    a = side * (1.0 + np.abs(p) + np.abs(q))
+    then, other = _branches()
+    got = exprlang._iflte(a, 0.0, then, (p, q), other, (p, q))
+    want = _select_and_place(a, 0.0, then, (p, q), other, (p, q))
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert type(g) is np.ndarray and g.dtype == float
+        assert g.shape == w.shape == np.shape(a)
+        assert g.tobytes() == w.tobytes()
+        assert not any(np.shares_memory(g, x) for x in (p, q, a))
+
+
+def test_uniform_constant_branch_is_a_fresh_float_array():
+    p = np.array([-1.0, -2.0, -3.0])
+    for text, want in (("iflte(p, 0, 3, p)", 3.0), ("iflte(p, 0, -0.0*q, 2)", -0.0)):
+        e = parse(text)
+        first, second = e.fn(p, 0.5, 0.0), e.fn(p, 0.5, 0.0)
+        assert type(first) is np.ndarray and first.dtype == float
+        assert first.shape == p.shape
+        assert np.full(3, want).tobytes() == first.tobytes()
+        assert first is not second
+        first[0] = 7.0
+        assert second[0] == want
+
+
+def test_uniform_branch_returns_no_argument_itself():
+    # a branch that is a variable hands back its argument; the result is
+    # a copy of it
+    p = np.array([-1.0, -2.0, 0.0])
+    q = np.array([4.0, 5.0, 6.0])
+    for text, src in (("iflte(p, 0, p, q)", p), ("iflte(q, 0, p, q)", q)):
+        out = parse(text).fn(p, q, 0.0)
+        assert out.tobytes() == src.tobytes()
+        assert not np.shares_memory(out, p) and not np.shares_memory(out, q)
+    then, other = _branches()
+    for out in exprlang._iflte(p, 1.0, then, (p, q), other, (p, q)):
+        assert not np.shares_memory(out, p) and not np.shares_memory(out, q)
+
+
+def test_nan_comparisons_take_the_other_branch():
+    e = parse("iflte(p, 0, 1, 2)")
+    nan = np.nan
+    assert e.fn(np.array([nan, nan]), 0.0, 0.0).tolist() == [2.0, 2.0]
+    assert e.fn(np.array([nan, -1.0, 1.0]), 0.0, 0.0).tolist() == [2.0, 1.0, 2.0]
+    # the shielded branch is not evaluated on a nan comparison either
+    shielded = parse("iflte(p, 0, 1/q, 5)")
+    assert shielded.fn(np.array([nan, nan]), 0.0, 0.0).tolist() == [5.0, 5.0]
+    with pytest.raises(DomainError):
+        shielded.fn(np.array([nan, -1.0]), 0.0, 0.0)
+
+
+def test_empty_batch_evaluates_to_empty_arrays():
+    # no point selects either branch; the comparison's shape is kept
+    for text in ("iflte(p, 0, 1, 2)", "iflte(p, q, p^2, -q)"):
+        out = parse(text).fn(np.array([]), np.array([]), 0.0)
+        assert type(out) is np.ndarray and out.shape == (0,)
+    F = parse("0.05*max(0, 1 - (p^2 + q^2)/6)^4")
+    field = fused(F.diff("q"), -F.diff("p")).fn(np.zeros((0, 3)), 0.0, 0.0)
+    assert [x.shape for x in field] == [(0, 3), (0, 3)]
