@@ -104,10 +104,12 @@ def test_apply_and_carry_equal_the_full_march(case):
         for got in (m.apply(ps, qs), m.carry(ps, qs, None)[:2]):
             assert_bits(got[0], want[0])
             assert_bits(got[1], want[1])
-    # a mesh batch, and one point at a time as scalars
+    # a mesh batch, a column against a row, and one point at a time as
+    # scalars
     P, Q = ps[:143].reshape(13, 11), qs[:143].reshape(13, 11)
-    for got, want in zip(f.apply(P, Q), oracle.apply(f, P, Q)):
-        assert_bits(got, want)
+    for pair in ((P, Q), (P[:, :1], Q[:1]), (ps, 0.0)):
+        for got, want in zip(f.apply(*pair), oracle.apply(f, *pair)):
+            assert_bits(got, want)
     for x, y in zip(ps[-len(SPECIAL):], qs[-len(SPECIAL):]):
         got, want = f.apply(x, y), oracle.apply(f, x, y)
         assert type(got[0]) is float
@@ -128,6 +130,13 @@ def test_action_values_equal_the_full_march(case):
         for m in (f, ComposedMap([f, f.inverse()])):
             assert_bits(action_values(m, alpha, ps, qs),
                         oracle.action_values(m, alpha, ps, qs))
+    # a column against a row: the values come back in the batch's shape,
+    # where the full march left those of a field that moves nothing
+    # (flat) in p's
+    P, Q = ps[:143].reshape(13, 11)[:, :1], qs[:11][None, :]
+    got = action_values(f, Primitive.p_dq(), P, Q)
+    assert got.shape == (13, 11)
+    assert_bits(got, np.broadcast_to(oracle.action_values(f, Primitive.p_dq(), P, Q), got.shape))
 
 
 def test_tangents_with_negative_zeros_equal_the_full_march():
