@@ -252,9 +252,12 @@ def _point_arg(text, flag):
     if len(parts) != 2:
         raise ValidationError(f"{flag} expects 'p,q', got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        point = (float(parts[0]), float(parts[1]))
     except ValueError:
         raise ValidationError(f"{flag} expects numbers, got {text!r}") from None
+    if not np.isfinite(point).all():
+        raise ValidationError(f"{flag} expects finite numbers, got {text!r}")
+    return point
 
 
 def _point_pair(args):

@@ -465,88 +465,77 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
 # ============================================================
 
 
-def _action_stream(flow, fap, faq, p0, q0):
-    """March one flow, accumulating its action; returns (values, end_p, end_q).
-
-    Per start point x the value is the line integral of the form along
-    the orbit of x plus the time integral of F(orbit(t), t); both use
-    composite Simpson weights on the integrator's own time nodes.
-    """
-    manifold = flow.manifold
-    n = flow.n_steps()
-    if n < 2:
-        raise ValidationError(
-            "action quadrature needs at least two time steps; decrease the "
-            "integrator step"
-        )
-    duration = flow.spec.duration
-    h = duration / n
-    weights = simpson_weights(n + 1, h)
-    ff = flow.spec.F.fn
-    field = flow.field.fn
-    wrap = manifold.wrap_q
-    acc = np.zeros(np.broadcast(p0, q0).shape)
-    first = None  # node 0's integrand
-    held = None  # [mask, integrand, sum] of the points the march holds
-
-    def integrand(pv, qv, t):
-        qe = wrap(qv)
-        pdot, qdot = field(pv, qe, t)
-        line = fap(pv, qe, 0.0) * pdot + faq(pv, qe, 0.0) * qdot
-        # F itself is evaluated at the unwrapped representative so that
-        # chart Hamiltonians with periodic fields but multivalued F (the
-        # translation family) accumulate their honest lifted action
-        return line + ff(pv, qv, t)
-
-    def on_node(k, t, pv, qv, moving):
-        nonlocal acc, first, held
-        if moving is not None:
-            if held is None:
-                # a held point's integrand is node 0's at every node: it
-                # reads the same point, and an autonomous F no t; its sum
-                # is still added term by term, as the full march adds it
-                mask = ~moving
-                held = [mask, np.broadcast_to(first, mask.shape)[mask], acc[mask]]
-                acc = acc[moving]
-            held[2] = held[2] + weights[k] * held[1]
-        if pv.size:
-            c = integrand(pv, qv, t)
-            if k == 0:
-                first = c
-            acc = acc + weights[k] * c
-
-    end_p, end_q = flow._march(
-        np.asarray(p0, dtype=float).copy(),
-        np.asarray(q0, dtype=float).copy(),
-        0.0,
-        duration,
-        on_node=on_node,
-    )
-    if held is not None:
-        mask, _, total = held
-        out = np.empty(mask.shape)
-        out[mask] = total
-        out[~mask] = acc
-        acc = out
-    return acc, end_p, end_q
-
-
 def action_values(flow, alpha, ps, qs):
     """Action-route cocycle values at arbitrary points.
 
-    ``flow`` may be a FlowMap or a composition of FlowMaps; factors
-    accumulate sequentially, each along the orbits started where the
-    previous factor ended.  Values are defined modulo one constant.
+    ``flow`` may be a FlowMap or a composition of FlowMaps.  Per start
+    point x and flow piece, the value is the line integral of the form
+    along the orbit of x plus the time integral of F(orbit(t), t), both
+    by composite Simpson weights on the integrator's own time nodes.
+    The pieces are walked in turn, each along the orbits started where
+    the previous one ended, and each piece's own sum is added to the
+    total at its last node.  Values are defined modulo one constant.
     """
     a_p, a_q = _form_components(alpha)
     fap, faq = a_p.fn, a_q.fn
-    flows = flow_pieces(flow)
-    p = np.asarray(ps, dtype=float).copy()
-    q = np.asarray(qs, dtype=float).copy()
+    flow_pieces(flow)
+    p = np.asarray(ps, dtype=float)
     total = np.zeros(p.shape)
-    for factor in flows:
-        inc, p, q = _action_stream(factor, fap, faq, p, q)
-        total = total + inc
+
+    def watch(piece):
+        n = piece.n_steps()
+        if n < 2:
+            raise ValidationError(
+                "action quadrature needs at least two time steps; decrease "
+                "the integrator step"
+            )
+        weights = simpson_weights(n + 1, piece.spec.duration / n)
+        ff = piece.spec.F.fn
+        field = piece.field.fn
+        wrap = piece.manifold.wrap_q
+        acc = first = None  # the sum and node 0's integrand
+        held = None  # [mask, integrand, sum] of the points the march holds
+
+        def integrand(pv, qv, t):
+            qe = wrap(qv)
+            pdot, qdot = field(pv, qe, t)
+            line = fap(pv, qe, 0.0) * pdot + faq(pv, qe, 0.0) * qdot
+            # F itself is evaluated at the unwrapped representative so that
+            # chart Hamiltonians with periodic fields but multivalued F (the
+            # translation family) accumulate their honest lifted action
+            return line + ff(pv, qv, t)
+
+        def on_node(k, t, pv, qv, moving):
+            nonlocal acc, first, held, total
+            if k == 0:
+                acc = np.zeros(pv.shape)
+            elif moving is not None:
+                if held is None:
+                    # a held point's integrand is node 0's at every node: it
+                    # reads the same point, and an autonomous F no t; its
+                    # sum is still added term by term, as the full march
+                    # adds it
+                    mask = ~moving
+                    held = [mask, np.broadcast_to(first, mask.shape)[mask], acc[mask]]
+                    acc = acc[moving]
+                held[2] = held[2] + weights[k] * held[1]
+            if pv.size:
+                c = integrand(pv, qv, t)
+                if k == 0:
+                    first = c
+                acc = acc + weights[k] * c
+            if k == n:
+                if held is not None:
+                    mask, _, sums = held
+                    out = np.empty(mask.shape)
+                    out[mask] = sums
+                    out[~mask] = acc
+                    acc = out
+                total = total + acc
+
+        return on_node
+
+    flow.carry(p, np.asarray(qs, dtype=float), None, watch)
     return total
 
 

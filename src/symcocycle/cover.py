@@ -5,9 +5,9 @@ unbounded q coordinate; computations use a window spanning a few
 fundamental domains.  A map downstairs lifts once isotopy data is in
 hand: flows carry their own trajectories, twists come with an explicit
 one-parameter family, and both already return unwrapped q, so the lift
-carries points, and a tangent for its jet, through the map's isotopy
-pieces in turn and only watches the flow trajectories for unwrapping
-gaps.  Plain callables carry no isotopy data and are rejected.
+is the base map's ``carry`` of points, and a tangent for its jet, with a
+watcher on the flow trajectories for unwrapping gaps.  Plain callables
+carry no isotopy data and are rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonconvergenceError, ValidationError
 from .geometry import GridSpec, Window, WrongManifold, plane
-from .dynamics import FlowMap, _as_float_pair, isotopy
+from .dynamics import _as_float_pair, isotopy
 from .cocycle import PATH_TOL, cocycle_by_path
 
 
@@ -77,31 +77,29 @@ def deck_stride(K, circumference):
 # ============================================================
 
 
-def _march_watching_gaps(flow, p, q, tangent):
-    """``flow.carry`` of the points and ``tangent``, which may be None, raising
-    TrajectoryGap when q jumps by over half the circumference in a step."""
+def _watch_gaps(flow):
+    """The ``on_node`` of a lifted flow's march: raises TrajectoryGap at
+    the first step in which q jumps by over half the circumference."""
     half = 0.5 * flow.manifold.circumference
     prev = None
-    worst = 0.0
 
     def on_node(k, t, pv, qv, moving):
-        nonlocal prev, worst
+        nonlocal prev
         if k == 1 and moving is not None:
             # the march reports its moving points only; a held point's q
             # does not change, so its gap is 0
             prev = prev[moving]
         if prev is not None:
-            worst = max(worst, float(np.max(np.abs(qv - prev), initial=0.0)))
+            gap = float(np.max(np.abs(qv - prev), initial=0.0))
+            if gap > half:
+                raise TrajectoryGap(
+                    f"trajectory q jumped by {gap:.3e} in one step, "
+                    f"more than half the circumference ({half:.3e}); the "
+                    "integrator step is too coarse to unwrap"
+                )
         prev = np.asarray(qv, dtype=float)
 
-    out = flow.carry(p, q, tangent, on_node=on_node)
-    if worst > half:
-        raise TrajectoryGap(
-            f"trajectory q jumped by {worst:.3e} in one step, "
-            f"more than half the circumference ({half:.3e}); the "
-            "integrator step is too coarse to unwrap"
-        )
-    return out
+    return on_node
 
 
 class LiftedMap:
@@ -125,14 +123,9 @@ class LiftedMap:
         return _as_float_pair(p, q, yp, yq)
 
     def carry(self, p, q, tangent):
-        """Images of float arrays and the tangent pushed forward (or None),
-        piece by piece, the flows under the gap monitor."""
-        for piece in self._pieces:
-            if isinstance(piece, FlowMap):
-                p, q, tangent = _march_watching_gaps(piece, p, q, tangent)
-            else:
-                p, q, tangent = piece.carry(p, q, tangent)
-        return p, q, tangent
+        """Images of float arrays and the tangent pushed forward (or None)
+        by the base map's ``carry``, its flows under the gap watcher."""
+        return self.base.carry(p, q, tangent, _watch_gaps)
 
 
 # ============================================================

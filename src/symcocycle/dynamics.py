@@ -23,9 +23,11 @@ and twists are their own single piece, a composition lists the pieces
 of its factors, flattened when it is built, and the identity is the
 composition of none.
 ``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
-An atomic piece also answers ``carry(p, q, tangent)``: its images,
-by ``apply``'s march, and the tangent pushed forward, or None for None;
-``map_with_jacobian`` and the lift chain it through the pieces.
+Every map also answers ``carry(p, q, tangent, watch=None)``: its images
+and the tangent pushed forward, or None for None; a flow passes
+``watch(flow)`` to its march as ``on_node``, a twist calls nothing.
+``ComposedMap.carry`` is the one walk over isotopy pieces, which
+``apply``, ``map_with_jacobian``, the lift and the action route share.
 
 All map objects work in unwrapped cylinder coordinates: outputs continue
 the input representative continuously, which is what lifting to the
@@ -237,11 +239,13 @@ class TwistMap:
             out = _as_float_pair(p, q, p, np.asarray(q, dtype=float) + shift)
         return _require_finite(out, "the twist", self._REMEDY)
 
-    def carry(self, p, q, tangent):
+    def carry(self, p, q, tangent, watch=None):
         """Images of float arrays and the tangent ``(dP, dQ)`` pushed
         forward by the closed-form jacobian [[1, 0], [t'(p), 1]]; for a
-        None tangent, ``apply``'s images and None."""
-        yp, yq = self.apply(p, q)
+        None tangent, ``apply``'s images and None.  A twist has no time
+        nodes, so ``watch`` is not called."""
+        # apply gives floats for a 0-d batch; the next piece needs arrays
+        yp, yq = map(np.asarray, self.apply(p, q))
         if tangent is None:
             return yp, yq, None
         if self._slope is None:
@@ -348,7 +352,8 @@ class FlowMap:
 
     def _run(self, state, t0, t1, on_node):
         """The march loop: ``state`` is (p, q), stepped by ``_step_rk4``,
-        or (p, q, dP, dQ), stepped by ``_step_tangent``.
+        or (p, q, dP, dQ), stepped by ``_step_tangent``: a flow's part of
+        ``carry``, which every map answers and one walk chains.
 
         The first step's k1 also splits the batch: for an autonomous
         field the points ``_held`` finds keep their inputs and only the
@@ -418,11 +423,13 @@ class FlowMap:
                           0.0, self.spec.duration)
         return _as_float_pair(p, q, out[0], out[1])
 
-    def carry(self, p, q, tangent, on_node=None):
+    def carry(self, p, q, tangent, watch=None):
         """Images of float arrays, bitwise equal to ``apply``'s, and the
         tangent ``(dP, dQ)`` pushed forward by the exact derivative of the
         numerical flow, or ``_march``'s images and None for a None
-        tangent; ``on_node`` as for ``_run``."""
+        tangent.  ``watch(self)``, when a watch is given, is the march's
+        ``on_node`` (see ``_run``)."""
+        on_node = None if watch is None else watch(self)
         if tangent is None:
             p, q = self._march(p, q, 0.0, self.spec.duration, on_node)
             return p, q, None
@@ -451,8 +458,9 @@ class ComposedMap:
 
     ``factors`` holds the atomic pieces in application order: nested
     compositions are flattened and identities dropped at construction.
-    A map without ``factors`` stays one opaque piece; the composition
-    still applies, but ``isotopy`` rejects it.
+    A map without ``factors`` stays one opaque piece, which ``isotopy``,
+    and so ``carry`` and ``apply``, reject.  Every map answers
+    ``carry``, and this class's is the one walk over isotopy pieces.
     """
 
     def __init__(self, factors, manifold=None):
@@ -473,11 +481,16 @@ class ComposedMap:
         )
         self.manifold = manifold
 
+    def carry(self, p, q, tangent, watch=None):
+        """Each piece's ``carry`` of float arrays and the tangent (or None),
+        in application order, with the same ``watch``."""
+        for piece in isotopy(self):
+            p, q, tangent = piece.carry(p, q, tangent, watch)
+        return p, q, tangent
+
     def apply(self, p, q):
-        out_p, out_q = p, q
-        for f in self.factors:
-            out_p, out_q = f.apply(out_p, out_q)
-        return _as_float_pair(p, q, out_p, out_q)
+        yp, yq, _ = self.carry(np.asarray(p, float), np.asarray(q, float), None)
+        return _as_float_pair(p, q, yp, yq)
 
     def inverse(self):
         return ComposedMap(
@@ -650,14 +663,15 @@ def map_with_jacobian(m, P, Q):
     """Evaluate a map and its jacobian on a batch.
 
     The jacobian is exact for the map as computed: a tangent, the
-    identity at first, is carried through the map's isotopy pieces in
-    application order.  Flows march it by RK4 on the variational
-    equation, twists apply their closed form, so the jet of a
-    composition is one march per piece.  A map that carries a tangent
-    itself (a lifted map, whose flows stay under its gap monitor) is its
-    own single piece; any other map without isotopy data is rejected.
-    The images are bitwise equal to ``m.apply``'s.
+    identity at first, goes through one ``m.carry``, which every map
+    answers (a composition's is the one walk over its isotopy pieces).
+    Flows march it by RK4 on the variational equation, twists apply
+    their closed form, so the jet of a composition is one march per
+    piece.  A map without isotopy data is rejected.  The images are
+    bitwise equal to ``m.apply``'s.
     """
+    if not hasattr(m, "carry"):
+        isotopy(m)  # raises: a map that cannot carry has no isotopy data
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     shape = np.broadcast(P, Q).shape
@@ -667,8 +681,5 @@ def map_with_jacobian(m, P, Q):
     dP = np.zeros((2,) + shape)
     dQ = np.zeros((2,) + shape)
     dP[0] = dQ[1] = 1.0
-    tangent = (dP, dQ)
-    for piece in (m,) if hasattr(m, "carry") else isotopy(m):
-        p, q, tangent = piece.carry(p, q, tangent)
-    dP, dQ = tangent
+    p, q, (dP, dQ) = m.carry(p, q, (dP, dQ))
     return MapJet(yp=p, yq=q, dpp=dP[0], dpq=dP[1], dqp=dQ[0], dqq=dQ[1])

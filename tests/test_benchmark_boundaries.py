@@ -187,6 +187,50 @@ def test_jet_span_covers_every_jet(monkeypatch):
         assert calls, name
 
 
+def test_node_callbacks_belong_to_their_callers_layer(monkeypatch):
+    # the march wrapper names an on_node span after the callback's
+    # __module__: the action watcher is cocycle's, the gap watcher cover's;
+    # a jet reaches _run without _march, so the lifted jet is read there
+    marched, ran = [], []
+    raw_march, raw_run = FlowMap._march, FlowMap._run
+
+    def march(flow, p, q, t0, t1, on_node=None):
+        marched.append(getattr(on_node, "__module__", None))
+        return raw_march(flow, p, q, t0, t1, on_node)
+
+    def run(flow, state, t0, t1, on_node):
+        ran.append(getattr(on_node, "__module__", None))
+        return raw_run(flow, state, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", march)
+    monkeypatch.setattr(FlowMap, "_run", run)
+    cyl = cylinder(Window(-2, 2, 0, 2 * np.pi))
+    spec = HamiltonianSpec(parse("0.1*exp(-0.8*p^2)*(1 - cos(q))"))
+    flow = FlowMap(spec, cyl, step=0.1)
+    word = ComposedMap([flow, TwistMap(parse("0.5*p"), cyl), flow.inverse()])
+    ps, qs = np.linspace(-1.0, 1.0, 7), np.linspace(0.5, 5.5, 7)
+    cases = {
+        "action_values": (
+            lambda: action_values(ComposedMap([flow, flow.inverse()]), Primitive.p_dq(), ps, qs),
+            ["symcocycle.cocycle"] * 2, ["symcocycle.cocycle"] * 2,
+        ),
+        "lifted apply": (
+            lambda: LiftedMap(word).apply(ps, qs),
+            ["symcocycle.cover"] * 2, ["symcocycle.cover"] * 2,
+        ),
+        "lifted jet": (
+            lambda: map_with_jacobian(LiftedMap(word), ps, qs),
+            [], ["symcocycle.cover"] * 2,
+        ),
+        "apply": (lambda: word.apply(ps, qs), [None] * 2, [None] * 2),
+    }
+    for name, (call, want_marched, want_ran) in cases.items():
+        marched.clear()
+        ran.clear()
+        call()
+        assert (marched, ran) == (want_marched, want_ran), name
+
+
 def test_every_image_march_goes_through_march(monkeypatch):
     # the benchmark's dynamics.march span and its cover.lifted_point_steps
     # count see flow images only through FlowMap._march; jets march the

@@ -425,6 +425,15 @@ def test_a_flag_without_its_point_stays_an_error(capsys, command):
     assert "argument --x: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["polterovich", "distortion"])
+@pytest.mark.parametrize("point", ["nan,0", "inf,0", "1e400,0", "0,nan"])
+def test_a_non_finite_point_is_bad_input(capsys, command, point):
+    # it would otherwise reach the march and read as an overflow (exit 3)
+    config = PLANE_BUMP if command == "polterovich" else DISJOINT_PAIR
+    assert cli.main([command, "--config", config, "--x", point, "--y", "0,0"]) == 2
+    assert f"--x expects finite numbers, got '{point}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--x", "--y"])
 def test_distortion_needs_both_points_or_neither(capsys, flag):
     assert cli.main(["distortion", "--config", DISJOINT_PAIR, flag, "0.5,0.5"]) == 2

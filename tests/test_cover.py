@@ -130,6 +130,20 @@ def test_trajectory_gap_on_coarse_step():
     # the lifted jet marches its flows under the same monitor
     with pytest.raises(TrajectoryGap):
         lifted_cocycle(f, PDQ, grid=GridSpec(11, 11))
+    # the watcher reaches every flow piece, here one after a gentle flow
+    # and a twist
+    word = ComposedMap([compact_flow(), TwistMap(parse("0.5*p"), CYL), f])
+    with pytest.raises(TrajectoryGap):
+        LiftedMap(word).apply(0.5, 0.0)
+    with pytest.raises(TrajectoryGap):
+        lifted_cocycle(word, PDQ, grid=GridSpec(11, 11))
+
+
+def test_lift_of_a_twist_then_a_held_flow_takes_a_single_point():
+    # the compact flow's field is exactly 0 at the twist's image of
+    # (0, 0), so its march holds the 0-d point the twist hands on
+    word = ComposedMap([TwistMap(parse("0.5*p"), CYL), compact_flow()])
+    assert LiftedMap(word).apply(0.0, 0.0) == (0.0, 0.0)
 
 
 # ------------------------------------------------------------------

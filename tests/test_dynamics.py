@@ -424,6 +424,18 @@ def test_composed_inverse():
     assert back[1] == pytest.approx(-0.2, abs=1e-8)
 
 
+def test_a_held_flow_after_a_twist_takes_a_single_point():
+    # a twist hands the next piece arrays for a 0-d batch too; the hinge's
+    # field is exactly 0 at (3.5, 0.1), so its march holds the point
+    pl = plane(Window(-4, 4, -4, 4))
+    hinge = FlowMap(HamiltonianSpec(parse("0.05*max(0, 1 - (p^2 + q^2)/6)^4")), pl)
+    m = ComposedMap([TwistMap(parse("0.1"), pl), hinge])
+    assert m.apply(3.5, 0.0) == (3.5, 0.1)
+    jet = map_with_jacobian(m, 3.5, 0.0)
+    assert (jet.yp, jet.yq) == (3.5, 0.1)
+    assert (jet.dpp, jet.dpq, jet.dqp, jet.dqq) == (1.0, 0.0, 0.0, 1.0)
+
+
 def test_map_with_jacobian_matches_rotation():
     flow = FlowMap(HamiltonianSpec(parse("(p^2 + q^2)/2"), duration=1.0), PLANE)
     jet = map_with_jacobian(flow, np.array([0.5]), np.array([-0.3]))

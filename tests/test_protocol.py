@@ -107,6 +107,9 @@ def test_opaque_map_rejected_by_every_consumer(wrap):
         map_with_jacobian(m, np.zeros(3), np.zeros(3))
     with pytest.raises(ValidationError, match="no isotopy data"):
         hamiltonian_test(m, Primitive.p_dq())
+    # a composition applies by the one walk over its pieces, so it too
+    with pytest.raises(ValidationError, match="Opaque carries no isotopy data"):
+        ComposedMap([drift_flow(), Opaque()]).apply(np.zeros(3), np.zeros(3))
     # the plane has no loop for the exactness test to integrate around,
     # but the map is checked all the same
     flow = FlowMap(HamiltonianSpec(parse("0.1*p")), PLANE, step=0.5)
