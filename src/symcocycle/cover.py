@@ -124,7 +124,8 @@ class LiftedMap:
 
     def carry(self, p, q, tangent):
         """Images of float arrays and the tangent pushed forward (or None)
-        by the base map's ``carry``, its flows under the gap watcher."""
+        by the base map's ``carry``, its flows under the gap watcher.  A
+        lifted map is no isotopy piece, so no walk hands it a ``watch``."""
         return self.base.carry(p, q, tangent, _watch_gaps)
 
 

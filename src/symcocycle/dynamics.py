@@ -23,8 +23,9 @@ and twists are their own single piece, a composition lists the pieces
 of its factors, flattened when it is built, and the identity is the
 composition of none.
 ``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
-Every map also answers ``carry(p, q, tangent, watch=None)``: its images
-and the tangent pushed forward, or None for None; a flow passes
+Every map also answers ``carry(p, q, tangent)``, and a piece or a
+composition ``carry(p, q, tangent, watch=None)``: its images and the
+tangent pushed forward, or None for None; a flow passes
 ``watch(flow)`` to its march as ``on_node``, a twist calls nothing.
 ``ComposedMap.carry`` is the one walk over isotopy pieces, which
 ``apply``, ``map_with_jacobian``, the lift and the action route share.
@@ -244,7 +245,7 @@ class TwistMap:
         forward by the closed-form jacobian [[1, 0], [t'(p), 1]]; for a
         None tangent, ``apply``'s images and None.  A twist has no time
         nodes, so ``watch`` is not called."""
-        # apply gives floats for a 0-d batch; the next piece needs arrays
+        # apply gives floats for a 0-d batch, carry float arrays
         yp, yq = map(np.asarray, self.apply(p, q))
         if tangent is None:
             return yp, yq, None
@@ -370,6 +371,8 @@ class FlowMap:
         mani = self.manifold
         jet = len(state) > 2
         step = self._step_tangent if jet else self._step_rk4
+        # the split below indexes and scatters: no scalars for a 0-d batch
+        state = tuple(np.asarray(x, dtype=float) for x in state)
         if np.shape(state[0]) != np.shape(state[1]):
             state = (*np.broadcast_arrays(state[0], state[1]), *state[2:])
         whole, moving, escaped = state, None, False
@@ -419,8 +422,7 @@ class FlowMap:
     # -- public surface ------------------------------------------
 
     def apply(self, p, q):
-        out = self._march(np.asarray(p, dtype=float), np.asarray(q, dtype=float),
-                          0.0, self.spec.duration)
+        out = self._march(p, q, 0.0, self.spec.duration)
         return _as_float_pair(p, q, out[0], out[1])
 
     def carry(self, p, q, tangent, watch=None):
@@ -670,8 +672,7 @@ def map_with_jacobian(m, P, Q):
     piece.  A map without isotopy data is rejected.  The images are
     bitwise equal to ``m.apply``'s.
     """
-    if not hasattr(m, "carry"):
-        isotopy(m)  # raises: a map that cannot carry has no isotopy data
+    carry = getattr(m, "carry", None) or isotopy(m)  # isotopy raises
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     shape = np.broadcast(P, Q).shape
@@ -681,5 +682,5 @@ def map_with_jacobian(m, P, Q):
     dP = np.zeros((2,) + shape)
     dQ = np.zeros((2,) + shape)
     dP[0] = dQ[1] = 1.0
-    p, q, (dP, dQ) = m.carry(p, q, (dP, dQ))
+    p, q, (dP, dQ) = carry(p, q, (dP, dQ))
     return MapJet(yp=p, yq=q, dpp=dP[0], dpq=dP[1], dqp=dQ[0], dqq=dQ[1])

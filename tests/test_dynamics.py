@@ -424,15 +424,23 @@ def test_composed_inverse():
     assert back[1] == pytest.approx(-0.2, abs=1e-8)
 
 
-def test_a_held_flow_after_a_twist_takes_a_single_point():
-    # a twist hands the next piece arrays for a 0-d batch too; the hinge's
-    # field is exactly 0 at (3.5, 0.1), so its march holds the point
+@pytest.mark.parametrize("first", ["twist", "flow"])
+def test_a_held_flow_after_a_moving_piece_takes_a_single_point(first):
+    # a twist hands the next piece floats from apply, a flow numpy scalars
+    # from its arithmetic; the hinge's field is exactly 0 where either
+    # puts (3.5, 0), so its march holds the 0-d point
     pl = plane(Window(-4, 4, -4, 4))
     hinge = FlowMap(HamiltonianSpec(parse("0.05*max(0, 1 - (p^2 + q^2)/6)^4")), pl)
-    m = ComposedMap([TwistMap(parse("0.1"), pl), hinge])
-    assert m.apply(3.5, 0.0) == (3.5, 0.1)
+    if first == "twist":
+        mover = TwistMap(parse("0.1"), pl)
+    else:
+        mover = FlowMap(HamiltonianSpec(parse("0.1*p")), pl)
+    m = ComposedMap([mover, hinge])
+    want = mover.apply(3.5, 0.0)
+    assert want[1] != 0.0
+    assert m.apply(3.5, 0.0) == want
     jet = map_with_jacobian(m, 3.5, 0.0)
-    assert (jet.yp, jet.yq) == (3.5, 0.1)
+    assert (jet.yp, jet.yq) == want
     assert (jet.dpp, jet.dpq, jet.dqp, jet.dqq) == (1.0, 0.0, 0.0, 1.0)
 
 
