@@ -116,7 +116,7 @@ class LiftedMap:
         self.base_manifold = base.manifold
         self.periods = int(periods)
         self.manifold = plane(lifted_window(base.manifold, periods))
-        self._pieces = isotopy(base)
+        isotopy(base)  # rejects a base without isotopy data
 
     def apply(self, p, q):
         yp, yq, _ = self.carry(np.asarray(p, float), np.asarray(q, float), None)

@@ -38,6 +38,7 @@ wrapped q internally.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,6 +69,20 @@ __all__ = [
 #: The flow duration and the RK4 step when none is given.
 DEFAULT_DURATION = 1.0
 DEFAULT_STEP = 1e-3
+
+
+def _keep_freed_memory():
+    """Keep what a march frees in glibc's heap, for its next step to reuse."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: a grid's arrays come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: freed memory is not handed back
+    except (OSError, AttributeError, TypeError):  # no glibc: defaults stand
+        pass
+
+
+_keep_freed_memory()
 
 
 class EscapedWindowWarning(UserWarning):

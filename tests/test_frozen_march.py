@@ -23,6 +23,7 @@ from symcocycle.dynamics import (
     HamiltonianSpec,
     TwistMap,
     _held,
+    isotopy,
     map_with_jacobian,
 )
 from symcocycle.errors import NumericalError
@@ -211,7 +212,7 @@ def test_lifted_map_of_a_held_band_equals_the_full_march():
     lifted = LiftedMap(ComposedMap([f, TwistMap(parse("0.5*p"), CYL), f.inverse()]))
     ps, qs = points(lifted.manifold)
     want_p, want_q = ps, qs
-    for piece in lifted._pieces:
+    for piece in isotopy(lifted.base):
         want_p, want_q, _ = oracle.carry(piece, want_p, want_q, None)
     got_p, got_q = lifted.apply(ps, qs)
     assert_bits(got_p, want_p)
