@@ -273,13 +273,19 @@ def _emit_csv(args, header, rows, what):
     out = args.out
     path = Path("out" if out is None else out)
     if out is None or out.endswith("/") or path.is_dir():
-        path.mkdir(parents=True, exist_ok=True)
         path = path / f"{args.command}.csv"
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({what})")
+
+
+def _write(path, text):
+    """Write ``text`` to ``path``, making its directories; failing is bad input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline="\n")
+    except OSError as e:
+        raise ValidationError(f"--out: cannot write {path}: {e}") from None
 
 
 def _fmt(v):
@@ -300,11 +306,11 @@ def _grid_rows(K):
 
 def _emit_scalar(args, text):
     if args.out is None:
-        print(text)
-    else:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", newline="\n")
+        return print(text)
+    if args.out.endswith("/") or Path(args.out).is_dir():
+        raise ValidationError(f"--out {args.out!r} names a directory; "
+                              f"{args.command} writes one line to a file")
+    _write(Path(args.out), text + "\n")
 
 
 def _auto_pair(m, K, sc):

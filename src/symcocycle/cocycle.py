@@ -314,19 +314,28 @@ def _pullback_defect(f, form, ps, qs):
 
     The pullback uses the exact jacobian of f from ``map_with_jacobian``.
     Images are wrapped on the cylinder before the form is evaluated there.
+    A component that is not finite at some point raises NumericalError.
     """
     a_p, a_q = _form_components(form)
     fp, fq = a_p.fn, a_q.fn
     jet = map_with_jacobian(f, ps, qs)
     yq = f.manifold.wrap_q(jet.yq)
-    shape = jet.yp.shape
-    ap_f = np.broadcast_to(np.asarray(fp(jet.yp, yq, 0.0), float), shape)
-    aq_f = np.broadcast_to(np.asarray(fq(jet.yp, yq, 0.0), float), shape)
-    ap_here = np.broadcast_to(np.asarray(fp(ps, qs, 0.0), float), shape)
-    aq_here = np.broadcast_to(np.asarray(fq(ps, qs, 0.0), float), shape)
-    theta_p = ap_f * jet.dpp + aq_f * jet.dqp - ap_here
-    theta_q = ap_f * jet.dpq + aq_f * jet.dqq - aq_here
-    return theta_p, theta_q
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap_f, aq_f = fp(jet.yp, yq, 0.0), fq(jet.yp, yq, 0.0)
+        # the jacobian entries give the batch's shape to constant components
+        theta_p = ap_f * jet.dpp + aq_f * jet.dqp - fp(ps, qs, 0.0)
+        theta_q = ap_f * jet.dpq + aq_f * jet.dqq - fq(ps, qs, 0.0)
+    return _finite("the pullback defect", theta_p, theta_q)
+
+
+def _finite(what, *values):
+    """``values``, or NumericalError naming how many points are not finite."""
+    lost = np.count_nonzero(~np.isfinite(values).all(axis=0))
+    if lost:
+        raise NumericalError(f"{what} overflowed: it is not finite at {lost} of "
+                             f"{np.size(values[0])} points; tame the Hamiltonian "
+                             "or the primitive, or shrink the window")
+    return values
 
 
 def pullback_difference(f, form, grid=None):
@@ -474,8 +483,8 @@ def action_values(flow, alpha, ps, qs):
     by composite Simpson weights on the integrator's own time nodes.
     The pieces are walked in turn, each along the orbits started where
     the previous one ended, and each piece's own sum is added to the
-    total at its last node.  Values are defined modulo one constant.
-    """
+    total at its last node.  Values are defined modulo one constant; a
+    value that is not finite raises NumericalError."""
     a_p, a_q = _form_components(alpha)
     fap, faq = a_p.fn, a_q.fn
     flow_pieces(flow)
@@ -536,7 +545,7 @@ def action_values(flow, alpha, ps, qs):
         return on_node
 
     flow.carry(p, np.asarray(qs, dtype=float), None, watch)
-    return total
+    return _finite("the action", total)[0]
 
 
 def cocycle_by_action(flow, alpha, grid=None):

@@ -8,9 +8,11 @@ contracting the field into dp^dq gives dF:
 
 so F = p translates q downward and F = (p^2 + q^2)/2 rotates clockwise.
 Flows integrate this field with classical fixed-step RK4 (the symplectic
-defect is monitored, not enforced).  Inverse maps integrate the
-time-reversed field rather than inverting pointwise, so group identities
-hold at the flow level.
+defect is monitored, not enforced): one step, ``_step``, marches images
+with the field as their rates (``FlowMap._rates``) and a jet with the
+variational equation as well (``FlowMap._jet_rates``).  Inverse maps
+integrate the time-reversed field rather than inverting pointwise, so
+group identities hold at the flow level.
 
 Twist maps (p, q) -> (p, q + t(p)) are applied exactly from their profile
 expression, never integrated.  Words over named generators compose in
@@ -172,11 +174,6 @@ class HamiltonianSpec:
 # ============================================================
 
 
-def _linearized(u, v, s, dP, dQ):
-    """The linearized field [[u, v], [s, -u]] applied to a tangent."""
-    return u * dP + v * dQ, s * dP - u * dQ
-
-
 def _require_finite(state, what, remedy):
     """Return ``state``, (p, q) or (p, q, dP, dQ), if every point and
     tangent in it is finite; raise NumericalError otherwise."""
@@ -197,28 +194,43 @@ def _keeps(x):
     return (x != 0.0) | ~np.signbit(x)
 
 
+def _step(rates, state, t, h, k1=None):
+    """One classical RK4 step of ``state``, a list of arrays, whose rates
+    of change at time t are ``rates(state, t)``, one per entry; ``k1``,
+    when given, is the rates at (state, t)."""
+    k1 = rates(state, t) if k1 is None else k1
+    half = 0.5 * h
+    tm = t + half
+    k2 = rates([x + half * k for x, k in zip(state, k1)], tm)
+    k3 = rates([x + half * k for x, k in zip(state, k2)], tm)
+    k4 = rates([x + h * k for x, k in zip(state, k3)], t + h)
+    sixth = h / 6.0
+    return [x + sixth * (a + 2.0 * (b + c) + d)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
 def _held(state, k1):
     """The points of ``state`` that a march of an autonomous field leaves
     where they are, as a mask of the batch's shape, or None for none.
 
-    ``k1`` is the field at the points, for a jet with its derivatives
-    ``u, v, s``.  Where all of it is +-0 and no coordinate is -0.0, every
-    RK4 stage of a step from x is evaluated at ``x + c*h*(+-0) = x`` and,
-    as the field reads no t, gives the same +-0; the step returns
-    ``x + sixth*(+-0) = x``, and each later step starts there again.  A
-    tangent entry d has the stages ``u*dP + v*dQ`` and ``s*dP - u*dQ``,
-    +-0 where dP and dQ are finite (``0*inf`` is nan), and comes back as
-    ``d + sixth*(+-0) = d`` unless it is -0.0.
+    ``k1`` is the step's own rates at the points.  Where every rate is
+    +-0 and no state entry is -0.0, every RK4 stage of a step from x is
+    evaluated at ``x + c*h*(+-0) = x`` and, as the rates read no t, gives
+    the same +-0; the step returns ``x + sixth*(+-0) = x``, and each later
+    step starts there again.  A tangent rate that reads a tangent entry
+    that is not finite is not 0 (``0*inf`` is nan); for an invertible
+    tangent the rates are 0 exactly where the field and its derivatives
+    are.
     """
-    held = k1[0] == 0.0
-    for x in k1[1:]:
-        held = held & (x == 0.0)
+    held = (k1[0] == 0.0) & (k1[1] == 0.0)
+    for k in k1[2:]:
+        # dP and dQ hold their two input directions on a leading axis
+        held = held & (k == 0.0).all(axis=0)
     if not np.any(held):
         return None
     held = held & _keeps(state[0]) & _keeps(state[1])
     for x in state[2:]:
-        # dP and dQ hold their two input directions on a leading axis
-        held = held & (np.isfinite(x) & _keeps(x)).all(axis=0)
+        held = held & _keeps(x).all(axis=0)
     held = np.broadcast_to(held, np.shape(state[0]))
     return held if held.any() else None
 
@@ -288,9 +300,9 @@ class FlowMap:
     shortened to land exactly).  Trajectories that stray past the window
     plus a quarter of its longer side trigger one EscapedWindowWarning per
     call; trajectories that overflow raise NumericalError.  A march of an
-    autonomous field leaves the points where the field (and, for a jet,
-    its derivatives) is exactly 0 where they are, bitwise as a full march
-    would, and steps only the others.
+    autonomous field leaves the points where the first step's rates (the
+    field and, for a jet, the tangent's) are exactly 0 where they are,
+    bitwise as a full march would, and steps only the others.
     """
 
     def __init__(self, spec, manifold, step=DEFAULT_STEP):
@@ -306,12 +318,12 @@ class FlowMap:
         if manifold.is_cylinder:
             # checked on the function the march calls, generated here once
             for tv in (0.0, 0.37 * spec.duration, spec.duration):
-                gap = q_jump(manifold, self.field.fn, tv)
-                if gap is not None:
+                why = q_jump(manifold, self.field.fn, tv)
+                if why is not None:
                     raise ValidationError(
                         "vector field is not periodic in q on the cylinder "
-                        f"(a component jumps by {gap:.3e}); the flow "
-                        "would not descend to the quotient"
+                        f"(a component {why}); the flow would not descend "
+                        "to the quotient"
                     )
 
     @property
@@ -328,48 +340,25 @@ class FlowMap:
 
     # -- stepping ------------------------------------------------
 
-    def _step_rk4(self, p, q, t, h, k1=None):
-        """One RK4 step; ``k1``, when given, is the field at (p, q, t)."""
-        field, w = self.field.fn, self.manifold.wrap_q
-        k1p, k1q = field(p, w(q), t) if k1 is None else k1
-        tm = t + 0.5 * h
-        k2p, k2q = field(p + 0.5 * h * k1p, w(q + 0.5 * h * k1q), tm)
-        k3p, k3q = field(p + 0.5 * h * k2p, w(q + 0.5 * h * k2q), tm)
-        k4p, k4q = field(p + h * k3p, w(q + h * k3q), t + h)
-        sixth = h / 6.0
-        return (
-            p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p),
-            q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q),
-        )
+    def _rates(self, state, t):
+        """The rates of a point march: the field at (p, wrap(q))."""
+        p, q = state
+        return self.field.fn(p, self.manifold.wrap_q(q), t)
 
-    def _step_tangent(self, p, q, dP, dQ, t, h, k1=None):
-        """``_step_rk4`` with the tangent: the same RK4 stages applied to
-        the variational equation, so the tangent moves by the exact
-        derivative of the step's map.  The position arithmetic is
-        ``_step_rk4``'s, term for term; ``k1``, when given, is the
-        ``tangent_field`` at (p, q, t)."""
-        field, w = self.tangent_field.fn, self.manifold.wrap_q
-        k1p, k1q, u, v, s = field(p, w(q), t) if k1 is None else k1
-        k1P, k1Q = _linearized(u, v, s, dP, dQ)
-        tm = t + 0.5 * h
-        k2p, k2q, u, v, s = field(p + 0.5 * h * k1p, w(q + 0.5 * h * k1q), tm)
-        k2P, k2Q = _linearized(u, v, s, dP + 0.5 * h * k1P, dQ + 0.5 * h * k1Q)
-        k3p, k3q, u, v, s = field(p + 0.5 * h * k2p, w(q + 0.5 * h * k2q), tm)
-        k3P, k3Q = _linearized(u, v, s, dP + 0.5 * h * k2P, dQ + 0.5 * h * k2Q)
-        k4p, k4q, u, v, s = field(p + h * k3p, w(q + h * k3q), t + h)
-        k4P, k4Q = _linearized(u, v, s, dP + h * k3P, dQ + h * k3Q)
-        sixth = h / 6.0
-        return (
-            p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p),
-            q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q),
-            dP + sixth * (k1P + 2.0 * (k2P + k3P) + k4P),
-            dQ + sixth * (k1Q + 2.0 * (k2Q + k3Q) + k4Q),
-        )
+    def _jet_rates(self, state, t):
+        """The rates of a jet march: the field at (p, wrap(q)) and the
+        variational equation, the linearized field [[u, v], [s, -u]]
+        applied to the tangent, so RK4 moves the tangent by the exact
+        derivative of its own step."""
+        p, q, dP, dQ = state
+        xp, xq, u, v, s = self.tangent_field.fn(p, self.manifold.wrap_q(q), t)
+        return xp, xq, u * dP + v * dQ, s * dP - u * dQ
 
     def _run(self, state, t0, t1, on_node):
-        """The march loop: ``state`` is (p, q), stepped by ``_step_rk4``,
-        or (p, q, dP, dQ), stepped by ``_step_tangent``: a flow's part of
-        ``carry``, which every map answers and one walk chains.
+        """The march loop: ``state`` is (p, q), whose rates are
+        ``_rates``, or (p, q, dP, dQ), whose rates are ``_jet_rates``, each
+        stepped by ``_step``: a flow's part of ``carry``, which every map
+        answers and one walk chains.
 
         The first step's k1 also splits the batch: for an autonomous
         field the points ``_held`` finds keep their inputs and only the
@@ -384,38 +373,35 @@ class FlowMap:
         n = max(1, math.ceil(abs(span) / self.step))
         h = span / n
         mani = self.manifold
-        jet = len(state) > 2
-        step = self._step_tangent if jet else self._step_rk4
+        rates = self._jet_rates if len(state) > 2 else self._rates
         # the split below indexes and scatters: no scalars for a 0-d batch
-        state = tuple(np.asarray(x, dtype=float) for x in state)
-        if np.shape(state[0]) != np.shape(state[1]):
-            state = (*np.broadcast_arrays(state[0], state[1]), *state[2:])
+        state = [np.asarray(x, dtype=float) for x in state]
+        state[:2] = np.broadcast_arrays(state[0], state[1])
         whole, moving, escaped = state, None, False
         # an overflowing field turns into inf and nan silently; the single
         # finiteness check after the last step reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if on_node is not None:
                 on_node(0, t0, state[0], state[1], None)
-            field = (self.tangent_field if jet else self.field).fn
-            k1 = field(state[0], mani.wrap_q(state[1]), t0)
+            k1 = rates(state, t0)
             held = _held(state, k1) if self.spec.autonomous else None
             if held is not None:
                 moving = ~held
                 # a held point sits at its input after every step
                 escaped = mani.escaped(state[0][held], state[1][held], self._slack)
-                state = tuple(x[..., moving] for x in state)
-                k1 = tuple(np.broadcast_to(x, held.shape)[moving] for x in k1)
+                k1 = [np.broadcast_to(k, x.shape)[..., moving] for x, k in zip(state, k1)]
+                state = [x[..., moving] for x in state]
             live = moving is None or moving.any()
             for k in range(n):
                 if live:
-                    state = step(*state, t0 + k * h, h, k1)
+                    state = _step(rates, state, t0 + k * h, h, k1)
                     k1 = None
                     if not escaped:
                         escaped = mani.escaped(state[0], state[1], self._slack)
                 if on_node is not None:
                     on_node(k + 1, t0 + (k + 1) * h, state[0], state[1], moving)
         if moving is not None:
-            out = tuple(x.copy() for x in whole)
+            out = [x.copy() for x in whole]
             for o, x in zip(out, state):
                 o[..., moving] = x
             state = out
@@ -448,11 +434,8 @@ class FlowMap:
         ``on_node`` (see ``_run``)."""
         on_node = None if watch is None else watch(self)
         if tangent is None:
-            p, q = self._march(p, q, 0.0, self.spec.duration, on_node)
-            return p, q, None
-        p, q, dP, dQ = self._run(
-            (p, q) + tuple(tangent), 0.0, self.spec.duration, on_node
-        )
+            return (*self._march(p, q, 0.0, self.spec.duration, on_node), None)
+        p, q, dP, dQ = self._run([p, q, *tangent], 0.0, self.spec.duration, on_node)
         return p, q, (dP, dQ)
 
     def inverse(self):

@@ -290,10 +290,11 @@ class ManifoldModel:
 
 
 def q_jump(manifold, fn, t):
-    """How far ``fn(p, q, t)``, or a component of the tuple it returns,
-    jumps across one circumference in q on a 13x13 grid of the window, or
-    None when every component's jumps stay within 1e-9*(1 + max|value|):
-    the test that a field descends to the cylinder."""
+    """How ``fn(p, q, t)``, or a component of the tuple it returns, fails
+    to repeat across one circumference in q on a 13x13 grid of the window,
+    as text (a sample that is not finite fails), or None when every
+    component's jumps stay within 1e-9*(1 + max|value|): the test that a
+    field descends to the cylinder."""
     P, Q = GridSpec(13, 13).mesh(manifold.window)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         here = fn(P, Q, t)
@@ -302,12 +303,14 @@ def q_jump(manifold, fn, t):
         here, there = (here,), (there,)
     worst = None
     for a, b in zip(here, there):
-        a = np.broadcast_to(np.asarray(a, dtype=float), P.shape)
-        b = np.broadcast_to(np.asarray(b, dtype=float), P.shape)
+        a, b = (np.broadcast_to(np.asarray(x, dtype=float), P.shape) for x in (a, b))
+        lost = np.count_nonzero(~(np.isfinite(a) & np.isfinite(b)))
+        if lost:
+            return f"is not finite at {lost} of {P.size} samples or their translates"
         gap = float(np.max(np.abs(a - b)))
         if gap > 1e-9 * (1.0 + float(np.max(np.abs(a)))):
             worst = gap if worst is None else max(worst, gap)
-    return worst
+    return None if worst is None else f"jumps by {worst:.3e} across one circumference"
 
 
 def plane(window):
@@ -388,12 +391,11 @@ class Primitive:
             )
         if manifold.is_cylinder:
             for label, comp in (("a_p", self.a_p), ("a_q", self.a_q)):
-                gap = q_jump(manifold, comp, 0.0)
-                if gap is not None:
+                why = q_jump(manifold, comp, 0.0)
+                if why is not None:
                     raise ValidationError(
                         f"primitive {self.name!r} is not periodic in q on the "
-                        f"cylinder: component {label} jumps by {gap:.3e} "
-                        f"across one circumference"
+                        f"cylinder: component {label} {why}"
                     )
         return self
 

@@ -541,6 +541,67 @@ def test_overflowing_flow_exits_3(tmp_path, capsys, method):
     assert "the twist overflowed" in err and "non-finite" in err
 
 
+def _runs_without_runtime_warnings(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return cli.main(argv)
+
+
+def test_overflowing_primitive_on_the_path_route_exits_3(tmp_path, capsys):
+    # the map is finite; the form overflows near q = 2, so the pullback
+    # defect is not finite there and its NaN path disagreement must not
+    # pass for a number
+    path = write_variant(
+        tmp_path, PLANE_BUMP,
+        manifold={
+            "kind": "plane",
+            "window": {"p_min": -2.0, "p_max": 2.0, "q_min": -2.0, "q_max": 2.0},
+            "resolution": [21, 21],
+        },
+        primitive={"a_p": "0", "a_q": "p + exp(400*q)"},
+    )
+    assert _runs_without_runtime_warnings(["osc", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "the pullback defect overflowed: it is not finite at 42 of 441 points" in err
+
+
+def test_overflowing_action_exits_3(tmp_path, capsys):
+    # the field (0, -0.1) is finite, F itself is not
+    path = write_variant(
+        tmp_path, PLANE_BUMP,
+        hamiltonians={"g": {"expression": "exp(710) + 0.1*p"}},
+        manifold={
+            "kind": "plane",
+            "window": {"p_min": -2.0, "p_max": 2.0, "q_min": -2.0, "q_max": 2.0},
+            "resolution": [11, 11],
+        },
+    )
+    code = _runs_without_runtime_warnings(["osc", "--config", path, "--method", "action"])
+    assert code == 3
+    assert "the action overflowed: it is not finite at 121 of 121 points" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_written_is_bad_input(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    folder = tmp_path / "D"
+    folder.mkdir()
+    cases = [
+        (["osc", "--config", PLANE_BUMP], blocker / "x.txt", "cannot write"),
+        (["cocycle", "--config", PLANE_BUMP], f"{blocker}/", "cannot write"),
+        (["twist-check", "--config", CYLINDER_TWIST, "--twist", "quad"], folder,
+         "names a directory"),
+        (["twist-check", "--config", CYLINDER_TWIST, "--twist", "quad"],
+         f"{tmp_path / 'new'}/", "names a directory"),
+    ]
+    for argv, out, why in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert "validation error: --out" in err and why in err, err
+    assert blocker.read_text() == "" and not list(folder.iterdir())
+    assert not (tmp_path / "new").exists()
+
+
 def test_cocycle_action_route_succeeds(tmp_path, capsys):
     out = tmp_path / "k.csv"
     code = cli.main(["cocycle", "--config", DISJOINT_PAIR, "--word", "a",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcocycle.errors import ValidationError
+from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
 from symcocycle.dynamics import (
@@ -525,6 +525,15 @@ def test_hamiltonian_test_compact_flow_yes():
     )
     rep = hamiltonian_test(f, PDQ)
     assert rep.in_ham_hat
+
+
+def test_hamiltonian_test_of_an_overflowing_form_is_a_numerical_error():
+    # the form passes no validation here: the period must not come back
+    # as nan with in_ham_hat False
+    alpha = Primitive("big", parse("0"), parse("p + exp(800*sin(q))"))
+    f = FlowMap(HamiltonianSpec(parse("0.1*exp(-0.8*p^2)*(1 - cos(q))")), CYL, step=0.1)
+    with pytest.raises(NumericalError, match="not finite at 157 of 1024 points"):
+        hamiltonian_test(f, alpha)
 
 
 # ------------------------------------------------------------------

@@ -264,6 +264,14 @@ def test_custom_primitive():
         Primitive.custom("t*p", "p")
 
 
+def test_primitive_not_finite_on_the_cylinder_is_rejected_as_such():
+    # exp(800*sin(q)) overflows where sin(q) > 0.89: the gap across one
+    # circumference there is inf - inf = nan, which must not pass
+    m = cylinder(Window(-2, 2, 0, 2 * math.pi))
+    with pytest.raises(ValidationError, match="component a_q is not finite at 13 of 169"):
+        Primitive.custom("0", "p + exp(800*sin(q))").validate(m)
+
+
 def test_named_primitive_lookup():
     assert Primitive.named("p_dq").name == "p_dq"
     with pytest.raises(ValidationError):
