@@ -267,23 +267,39 @@ def _point_pair(args):
     return None
 
 
-def _emit_csv(args, header, rows, what):
-    """Write the rows to --out, or to <command>.csv in a directory --out
-    names (``./out/`` by default), and report the path."""
-    out = args.out
-    path = Path("out" if out is None else out)
-    if out is None or out.endswith("/") or path.is_dir():
+def _out_file(args):
+    """The file a command writes, checked before it runs: a table's --out,
+    or <command>.csv in a directory it names (``./out/`` by default); a
+    scalar's --out, which names no directory, or None for stdout."""
+    table = args.command in ("cocycle", "lift", "distortion", "fixed-points")
+    out = "out/" if args.out is None and table else args.out
+    if out is None:
+        return None
+    path = Path(out)
+    if out.endswith("/") or path.is_dir():
+        if not table:
+            raise ValidationError(f"--out {out!r} names a directory; "
+                                  f"{args.command} writes one line to a file")
         path = path / f"{args.command}.csv"
+    if any(a.exists() and not a.is_dir() for a in path.parents):
+        _write(path, None)  # a file is in the way: fails as the write would
+    return path
+
+
+def _emit_csv(args, header, rows, what):
+    """Write the rows to the command's file and report the path."""
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
-    print(f"wrote {path} ({what})")
+    _write(args.out, "\n".join(lines) + "\n")
+    print(f"wrote {args.out} ({what})")
 
 
 def _write(path, text):
-    """Write ``text`` to ``path``, making its directories; failing is bad input."""
+    """Write ``text`` to ``path``, making its directories, or with None
+    only make them; failing is bad input."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, newline="\n")
+        if text is not None:
+            path.write_text(text, newline="\n")
     except OSError as e:
         raise ValidationError(f"--out: cannot write {path}: {e}") from None
 
@@ -307,10 +323,7 @@ def _grid_rows(K):
 def _emit_scalar(args, text):
     if args.out is None:
         return print(text)
-    if args.out.endswith("/") or Path(args.out).is_dir():
-        raise ValidationError(f"--out {args.out!r} names a directory; "
-                              f"{args.command} writes one line to a file")
-    _write(Path(args.out), text + "\n")
+    _write(args.out, text + "\n")
 
 
 def _auto_pair(m, K, sc):
@@ -562,7 +575,8 @@ def _joined_points(argv):
 def main(argv=None):
     """Run one subcommand.  Every command, ``verify`` included, loads and
     validates the scenario first; on the commands that run the path route,
-    a given ``--tol`` then replaces the scenario's tolerance.  ``verify``
+    a given ``--tol`` then replaces the scenario's tolerance, and a command
+    that writes checks its ``--out`` (``_out_file``).  ``verify``
     computes nothing from the scenario, because the gate's grids, steps
     and tolerances are fixed."""
     argv = _joined_points(sys.argv[1:] if argv is None else argv)
@@ -574,6 +588,8 @@ def main(argv=None):
         sc = load_scenario(args.config)
         if getattr(args, "tol", None) is not None:
             sc.tol = positive(args.tol, "--tol")
+        if hasattr(args, "out"):
+            args.out = _out_file(args)
         return args.func(args, sc)
     except ValidationError as e:
         print(f"{args.command}: validation error: {e}", file=sys.stderr)

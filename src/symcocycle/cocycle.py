@@ -488,7 +488,7 @@ def action_values(flow, alpha, ps, qs):
     a_p, a_q = _form_components(alpha)
     fap, faq = a_p.fn, a_q.fn
     flow_pieces(flow)
-    p = np.asarray(ps, dtype=float)
+    p, q = np.broadcast_arrays(np.asarray(ps, dtype=float), np.asarray(qs, dtype=float))
     total = np.zeros(p.shape)
 
     def watch(piece):
@@ -500,51 +500,29 @@ def action_values(flow, alpha, ps, qs):
             )
         weights = simpson_weights(n + 1, piece.spec.duration / n)
         ff = piece.spec.F.fn
-        field = piece.field.fn
         wrap = piece.manifold.wrap_q
-        acc = first = None  # the sum and node 0's integrand
-        held = None  # [mask, integrand, sum] of the points the march holds
+        acc, c = np.zeros(p.shape), np.zeros(p.shape)  # the sum, the integrand
 
-        def integrand(pv, qv, t):
-            qe = wrap(qv)
-            pdot, qdot = field(pv, qe, t)
-            line = fap(pv, qe, 0.0) * pdot + faq(pv, qe, 0.0) * qdot
-            # F itself is evaluated at the unwrapped representative so that
-            # chart Hamiltonians with periodic fields but multivalued F (the
-            # translation family) accumulate their honest lifted action
-            return line + ff(pv, qv, t)
-
-        def on_node(k, t, pv, qv, moving):
-            nonlocal acc, first, held, total
-            if k == 0:
-                acc = np.zeros(pv.shape)
-            elif moving is not None:
-                if held is None:
-                    # a held point's integrand is node 0's at every node: it
-                    # reads the same point, and an autonomous F no t; its
-                    # sum is still added term by term, as the full march
-                    # adds it
-                    mask = ~moving
-                    held = [mask, np.broadcast_to(first, mask.shape)[mask], acc[mask]]
-                    acc = acc[moving]
-                held[2] = held[2] + weights[k] * held[1]
+        def on_node(k, t, pv, qv, moving, k1):
+            nonlocal acc, total
             if pv.size:
-                c = integrand(pv, qv, t)
-                if k == 0:
-                    first = c
-                acc = acc + weights[k] * c
+                qe = wrap(qv)
+                # the march's own field; it steps on from every node but the last
+                pdot, qdot = piece._rates((pv, qv), t) if k1 is None else k1[:2]
+                line = fap(pv, qe, 0.0) * pdot + faq(pv, qe, 0.0) * qdot
+                # F is read at the unwrapped q, so chart Hamiltonians with
+                # periodic fields but multivalued F (the translation family)
+                # accumulate their honest lifted action.  A held point keeps
+                # node 0's integrand (same point, an autonomous F reads no
+                # t), still added term by term as the full march adds it
+                c[... if moving is None else moving] = line + ff(pv, qv, t)
+            acc = acc + weights[k] * c
             if k == n:
-                if held is not None:
-                    mask, _, sums = held
-                    out = np.empty(mask.shape)
-                    out[mask] = sums
-                    out[~mask] = acc
-                    acc = out
                 total = total + acc
 
         return on_node
 
-    flow.carry(p, np.asarray(qs, dtype=float), None, watch)
+    flow.carry(p, q, None, watch)
     return _finite("the action", total)[0]
 
 

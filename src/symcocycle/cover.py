@@ -83,7 +83,7 @@ def _watch_gaps(flow):
     half = 0.5 * flow.manifold.circumference
     prev = None
 
-    def on_node(k, t, pv, qv, moving):
+    def on_node(k, t, pv, qv, moving, k1):
         nonlocal prev
         if k == 1 and moving is not None:
             # the march reports its moving points only; a held point's q

@@ -27,8 +27,9 @@ composition of none.
 ``isotopy`` reads that tuple and rejects maps that carry no isotopy data.
 Every map also answers ``carry(p, q, tangent)``, and a piece or a
 composition ``carry(p, q, tangent, watch=None)``: its images and the
-tangent pushed forward, or None for None; a flow passes
-``watch(flow)`` to its march as ``on_node``, a twist calls nothing.
+tangent pushed forward, or None for None; a flow passes ``watch(flow)``
+to its march as ``on_node(k, t, p, q, moving, k1)``, called at every
+time node with the rates it steps on from there; a twist calls nothing.
 ``ComposedMap.carry`` is the one walk over isotopy pieces, which
 ``apply``, ``map_with_jacobian``, the lift and the action route share.
 
@@ -194,11 +195,10 @@ def _keeps(x):
     return (x != 0.0) | ~np.signbit(x)
 
 
-def _step(rates, state, t, h, k1=None):
+def _step(rates, state, t, h, k1):
     """One classical RK4 step of ``state``, a list of arrays, whose rates
-    of change at time t are ``rates(state, t)``, one per entry; ``k1``,
-    when given, is the rates at (state, t)."""
-    k1 = rates(state, t) if k1 is None else k1
+    of change at time t are ``rates(state, t)``, one per entry; ``k1`` is
+    the rates at (state, t), which the march has already computed."""
     half = 0.5 * h
     tm = t + half
     k2 = rates([x + half * k for x, k in zip(state, k1)], tm)
@@ -362,12 +362,14 @@ class FlowMap:
 
         The first step's k1 also splits the batch: for an autonomous
         field the points ``_held`` finds keep their inputs and only the
-        others are stepped.  ``on_node(k, t, p, q, moving)`` sees every
-        time node: at node 0 every point, with ``moving`` None; after it,
-        the points of the mask ``moving``, or every point when it is
-        None, since a held point sits at node 0's place throughout.  One
-        EscapedWindowWarning per call, and NumericalError when an end
-        point or its tangent is not finite, both over the whole batch.
+        others are stepped.  ``on_node(k, t, p, q, moving, k1)`` sees
+        every time node: at node 0 every point, with ``moving`` None;
+        after it, the points of the mask ``moving``, or every point when
+        it is None, since a held point sits at node 0's place throughout.
+        ``k1`` is the march's own rates at those points, which it steps
+        on from (node 0's before the split), or None where it steps no
+        further.  One EscapedWindowWarning per call, and NumericalError
+        when an end point or its tangent is not finite, over the batch.
         """
         span = t1 - t0
         n = max(1, math.ceil(abs(span) / self.step))
@@ -381,9 +383,9 @@ class FlowMap:
         # an overflowing field turns into inf and nan silently; the single
         # finiteness check after the last step reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            if on_node is not None:
-                on_node(0, t0, state[0], state[1], None)
             k1 = rates(state, t0)
+            if on_node is not None:
+                on_node(0, t0, state[0], state[1], None, k1)
             held = _held(state, k1) if self.spec.autonomous else None
             if held is not None:
                 moving = ~held
@@ -395,11 +397,11 @@ class FlowMap:
             for k in range(n):
                 if live:
                     state = _step(rates, state, t0 + k * h, h, k1)
-                    k1 = None
                     if not escaped:
                         escaped = mani.escaped(state[0], state[1], self._slack)
+                k1 = rates(state, t0 + (k + 1) * h) if live and k + 1 < n else None
                 if on_node is not None:
-                    on_node(k + 1, t0 + (k + 1) * h, state[0], state[1], moving)
+                    on_node(k + 1, t0 + (k + 1) * h, state[0], state[1], moving, k1)
         if moving is not None:
             out = [x.copy() for x in whole]
             for o, x in zip(out, state):

@@ -21,7 +21,7 @@ from .geometry import (
     quad_adaptive,
     simpson_weights,
 )
-from .dynamics import FlowMap, HamiltonianSpec, isotopy, map_with_jacobian
+from .dynamics import FlowMap, HamiltonianSpec, flow_pieces, isotopy, map_with_jacobian
 from .cocycle import PATH_TOL, _form_components, _pullback_defect, action_values
 from .cover import LiftedMap, growth_rate, lifted_cocycle
 
@@ -356,8 +356,11 @@ def find_fixed_points(f, grid=None, alpha=None):
     ps = np.array([cand[0] for cand in kept])
     qs = np.array([cand[1] for cand in kept])
     actions = contractible = [None] * len(kept)
-    pieces = getattr(f, "factors", None)
-    if pieces is not None and all(isinstance(piece, FlowMap) for piece in pieces):
+    try:
+        flow_pieces(f)
+    except ValidationError:
+        pass  # no generating Hamiltonian, so no action
+    else:
         actions = action_values(f, alpha or Primitive.p_dq(), ps, qs).tolist()
     if not mani.is_cylinder:
         contractible = [True] * len(kept)

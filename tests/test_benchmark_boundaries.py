@@ -127,11 +127,12 @@ def test_flow_field_is_one_traced_call_per_rk4_stage(monkeypatch):
     # exactly 0 at the bump's center (0, 0), which is held, and the other
     # six points are marched
     assert sizes == [7] + [6] * (4 * n - 1)
-    # the action route adds, per time node, one field call and one call
+    # the action route reads the march's own field at every node but the
+    # last, so it adds one field call there and, per time node, one call
     # each for F and the two form components
     sizes.clear()
     action_values(flow, Primitive.p_dq(), ps, qs)
-    assert len(sizes) == 4 * n + 4 * (n + 1)
+    assert len(sizes) == 4 * n + 1 + 3 * (n + 1)
 
 
 def test_flow_jet_is_one_traced_call_per_rk4_stage(monkeypatch):

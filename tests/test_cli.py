@@ -602,6 +602,34 @@ def test_out_that_cannot_be_written_is_bad_input(tmp_path, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_out_that_cannot_be_written_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def computed(*a, **k):
+        raise AssertionError("the command ran before its --out was checked")
+
+    for name in ("cocycle_by_path", "cocycle_by_action", "twist_boundary_difference"):
+        monkeypatch.setattr(cli, name, computed)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    folder = tmp_path / "D"
+    folder.mkdir()
+    twist = ["twist-check", "--config", CYLINDER_TWIST, "--twist", "quad"]
+    cases = [
+        (["cocycle", "--config", PLANE_BUMP], blocker / "x.csv", "cannot write"),
+        (["cocycle", "--config", PLANE_BUMP, "--method", "action"],
+         blocker / "sub" / "x.csv", "cannot write"),
+        (["osc", "--config", PLANE_BUMP], blocker / "x.txt", "cannot write"),
+        (twist, folder, "names a directory"),
+        (twist, f"{tmp_path / 'new'}/", "names a directory"),
+        (twist, blocker / "x.txt", "cannot write"),
+    ]
+    for argv, out, why in cases:
+        assert cli.main(argv + ["--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert "validation error: --out" in err and why in err, err
+    assert blocker.read_text() == "" and not list(folder.iterdir())
+    assert not (tmp_path / "new").exists()
+
+
 def test_cocycle_action_route_succeeds(tmp_path, capsys):
     out = tmp_path / "k.csv"
     code = cli.main(["cocycle", "--config", DISJOINT_PAIR, "--word", "a",

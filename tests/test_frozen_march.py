@@ -216,6 +216,48 @@ def test_negative_zero_coordinates_are_stepped():
         assert_bits(got, want)
 
 
+@pytest.mark.parametrize("name, manifold, jet, holds", [
+    ("hinge", PLANE, False, True),
+    ("gauss", PLANE, False, False),
+    ("band", CYL, False, True),
+    ("hinge", PLANE, True, True),
+], ids=["hinge", "gauss", "band", "hinge-jet"])
+def test_watcher_gets_the_march_s_own_rates(name, manifold, jet, holds):
+    # at nodes 0..n-1 the march hands its watcher the rates it steps from
+    # there, over the points the node reports; the last node gets None
+    f = flow({**PLANE_FIELDS, **CYL_FIELDS}[name], manifold)
+    ps, qs = points(manifold)
+    if name == "gauss":
+        # the bump's center is a zero of the field, which would be held
+        keep = (ps != 0.0) | (qs != 0.0)
+        ps, qs = ps[keep], qs[keep]
+    tangent = None
+    if jet:
+        tangent = (np.array([np.ones(ps.size), np.zeros(ps.size)]),
+                   np.array([np.zeros(ps.size), np.ones(ps.size)]))
+    seen = []
+
+    def watch(piece):
+        assert piece is f
+
+        def on_node(k, t, pv, qv, moving, k1):
+            seen.append((k, t, pv.copy(), qv.copy(), moving, k1))
+
+        return on_node
+
+    f.carry(ps, qs, tangent, watch)
+    n = f.n_steps()
+    assert [node[0] for node in seen] == list(range(n + 1))
+    assert seen[0][4] is None and seen[0][2].size == ps.size
+    assert (seen[1][4] is not None) == holds
+    for k, t, pv, qv, moving, k1 in seen[:-1]:
+        assert len(k1) == (4 if jet else 2)
+        want = f.field.fn(pv, manifold.wrap_q(qv), t)
+        for got, w in zip(k1[:2], want):
+            assert_bits(np.broadcast_to(got, pv.shape), np.broadcast_to(w, pv.shape))
+    assert seen[-1][5] is None
+
+
 def test_time_dependent_field_holds_nothing(monkeypatch):
     f = flow(PLANE_FIELDS["decay"], PLANE)
     assert not f.spec.autonomous
