@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, positive
+from .errors import NumericalError, ValidationError, finite, positive
 from .exprlang import as_expr
 from .dynamics import flow_pieces, isotopy, map_with_jacobian
 from .geometry import (
@@ -72,6 +72,8 @@ TRUNCATION_ORDER = 2.0
 QUADRATURE_ORDER = 4.0
 #: Roache's factor of safety on a Richardson error estimate.
 RICHARDSON_SAFETY = 1.25
+#: What to do about a defect or an action that overflows.
+_REMEDY = "tame the Hamiltonian or the primitive, or shrink the window"
 
 
 class NonExactForm(NumericalError):
@@ -325,17 +327,7 @@ def _pullback_defect(f, form, ps, qs):
         # the jacobian entries give the batch's shape to constant components
         theta_p = ap_f * jet.dpp + aq_f * jet.dqp - fp(ps, qs, 0.0)
         theta_q = ap_f * jet.dpq + aq_f * jet.dqq - fq(ps, qs, 0.0)
-    return _finite("the pullback defect", theta_p, theta_q)
-
-
-def _finite(what, *values):
-    """``values``, or NumericalError naming how many points are not finite."""
-    lost = np.count_nonzero(~np.isfinite(values).all(axis=0))
-    if lost:
-        raise NumericalError(f"{what} overflowed: it is not finite at {lost} of "
-                             f"{np.size(values[0])} points; tame the Hamiltonian "
-                             "or the primitive, or shrink the window")
-    return values
+    return finite("the pullback defect", _REMEDY, theta_p, theta_q)
 
 
 def pullback_difference(f, form, grid=None):
@@ -523,7 +515,7 @@ def action_values(flow, alpha, ps, qs):
         return on_node
 
     flow.carry(p, q, None, watch)
-    return _finite("the action", total)[0]
+    return finite("the action", _REMEDY, total)[0]
 
 
 def cocycle_by_action(flow, alpha, grid=None):

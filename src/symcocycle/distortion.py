@@ -139,11 +139,11 @@ class Fingerprint:
 
     The ``key`` is the byte string of every coordinate rounded to the
     nearest multiple of the resolution, so equal keys force agreement
-    within one cell on every probe.  Distances are wrap-aware in q on
-    the cylinder.  Quantization can split a pair of maps that agree to
-    within a cell across a rounding boundary; that costs a duplicate
-    search node at worst, never a wrong match, because matching is done
-    on true distances rather than on keys.
+    within one cell on every probe.  Quantization can split a pair of maps
+    that agree to within a cell across a rounding boundary; that costs a
+    duplicate search node at worst, never a wrong match, because matching
+    is done on true distances (``_largest_gap``, wrap-aware in q on the
+    cylinder) rather than on keys.
     """
 
     __slots__ = ("p_images", "q_images", "key")
@@ -156,22 +156,6 @@ class Fingerprint:
             / FINGERPRINT_RESOLUTION
         ).astype(np.int64)
         self.key = quantized.tobytes()
-
-    @classmethod
-    def of_map(cls, m, ps, qs, manifold):
-        pim, qim = m.apply(np.array(ps, dtype=float), np.array(qs, dtype=float))
-        return cls(pim, manifold.wrap_q(qim))
-
-    def distance(self, other, manifold):
-        """Largest coordinate-wise gap to ``other`` over all probes, with
-        q-gaps wrapped on the manifold."""
-        return _largest_gap(
-            manifold, self.p_images - other.p_images,
-            self.q_images - other.q_images,
-        )
-
-    def matches(self, other, manifold):
-        return self.distance(other, manifold) <= MATCH_TOL
 
 
 # ============================================================

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, positive
+from .errors import ValidationError, finite, positive
 from .exprlang import Expr, as_expr, fused
 from .geometry import GridSpec, Window, q_jump
 
@@ -137,8 +137,8 @@ class HamiltonianSpec:
 
     def validate_support(self, manifold):
         """Check |F| <= 1e-12 on the part of the window outside the claim,
-        sampled on a 41x41 grid at 5 times; a sample that is not finite
-        violates the claim."""
+        sampled on a 41x41 grid at 5 times; NumericalError when F is not
+        finite there."""
         tol = 1e-12
         claim = self.support_claim
         if claim is None:
@@ -151,16 +151,13 @@ class HamiltonianSpec:
         outside = ~claim.contains(P, Q)
         if not outside.any():
             return self
-        vals = np.concatenate([
+        vals = [
             np.broadcast_to(self.F(P, Q, float(tv)), P.shape)[outside]
             for tv in np.linspace(0.0, self.duration, 5)
-        ])
-        bad = np.count_nonzero(~np.isfinite(vals))
-        if bad:
-            raise SupportClaimError(
-                f"claimed compact support is violated: F is not finite at "
-                f"{bad} of {vals.size} samples outside the claimed region"
-            )
+        ]
+        # a point outside the claim counts once over the five times
+        finite("F outside the claimed support", "tame the Hamiltonian or "
+               "correct the claim", *vals)
         worst = float(np.max(np.abs(vals)))
         if worst > tol:
             raise SupportClaimError(
@@ -173,20 +170,6 @@ class HamiltonianSpec:
 # ============================================================
 # Maps
 # ============================================================
-
-
-def _require_finite(state, what, remedy):
-    """Return ``state``, (p, q) or (p, q, dP, dQ), if every point and
-    tangent in it is finite; raise NumericalError otherwise."""
-    finite = np.isfinite(state[0]) & np.isfinite(state[1])
-    for x in state[2:]:
-        # dP and dQ hold their two input directions on a leading axis
-        finite = finite & np.isfinite(x).all(axis=0)
-    lost = finite.size - np.count_nonzero(finite)
-    if lost:
-        raise NumericalError(f"{what} overflowed: {lost} of {finite.size} "
-                             f"trajectories end at non-finite points; {remedy}")
-    return state
 
 
 def _keeps(x):
@@ -265,7 +248,7 @@ class TwistMap:
         with np.errstate(over="ignore", invalid="ignore"):
             shift = self.profile.fn(p, 0.0, 0.0)
             out = _as_float_pair(p, q, p, np.asarray(q, dtype=float) + shift)
-        return _require_finite(out, "the twist", self._REMEDY)
+        return finite("the twist", self._REMEDY, *out)
 
     def carry(self, p, q, tangent, watch=None):
         """Images of float arrays and the tangent ``(dP, dQ)`` pushed
@@ -281,7 +264,8 @@ class TwistMap:
         dP, dQ = tangent
         with np.errstate(over="ignore", invalid="ignore"):
             dQ = dQ + self._slope.fn(p, 0.0, 0.0) * dP
-        _require_finite((yp, yq, dP, dQ), "the twist", self._REMEDY)
+        # apply checked the images
+        finite("the twist", self._REMEDY, *dP, *dQ)
         return yp, yq, (dP, dQ)
 
     def inverse(self):
@@ -318,7 +302,8 @@ class FlowMap:
         if manifold.is_cylinder:
             # checked on the function the march calls, generated here once
             for tv in (0.0, 0.37 * spec.duration, spec.duration):
-                why = q_jump(manifold, self.field.fn, tv)
+                why = q_jump(manifold, self.field.fn, tv, "the vector field",
+                             "tame the Hamiltonian or shrink the window")
                 if why is not None:
                     raise ValidationError(
                         "vector field is not periodic in q on the cylinder "
@@ -407,8 +392,8 @@ class FlowMap:
             for o, x in zip(out, state):
                 o[..., moving] = x
             state = out
-        _require_finite(state, "the flow", "shrink the window or the step, or "
-                        "tame the Hamiltonian")
+        finite("the flow", "shrink the window or the step, or tame the "
+               "Hamiltonian", *state)
         if escaped:
             warnings.warn(
                 EscapedWindowWarning(

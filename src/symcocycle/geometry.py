@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError, NumericalError, ValidationError
+from .errors import NonconvergenceError, NumericalError, ValidationError, finite
 from .exprlang import Expr, as_expr
 
 __all__ = [
@@ -289,24 +289,24 @@ class ManifoldModel:
         return np.full_like(qs, w.center[0]), qs
 
 
-def q_jump(manifold, fn, t):
+def q_jump(manifold, fn, t, what, remedy):
     """How ``fn(p, q, t)``, or a component of the tuple it returns, fails
     to repeat across one circumference in q on a 13x13 grid of the window,
-    as text (a sample that is not finite fails), or None when every
-    component's jumps stay within 1e-9*(1 + max|value|): the test that a
-    field descends to the cylinder."""
+    as text, or None when every component's jumps stay within
+    1e-9*(1 + max|value|): the test that a field descends to the cylinder.
+    A sample or its translate that is not finite raises NumericalError
+    naming ``what``."""
     P, Q = GridSpec(13, 13).mesh(manifold.window)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         here = fn(P, Q, t)
         there = fn(P, Q + manifold.circumference, t)
     if not isinstance(here, tuple):
         here, there = (here,), (there,)
+    here, there = ([np.broadcast_to(np.asarray(x, dtype=float), P.shape) for x in xs]
+                   for xs in (here, there))
+    finite(what, remedy, *here, *there)
     worst = None
     for a, b in zip(here, there):
-        a, b = (np.broadcast_to(np.asarray(x, dtype=float), P.shape) for x in (a, b))
-        lost = np.count_nonzero(~(np.isfinite(a) & np.isfinite(b)))
-        if lost:
-            return f"is not finite at {lost} of {P.size} samples or their translates"
         gap = float(np.max(np.abs(a - b)))
         if gap > 1e-9 * (1.0 + float(np.max(np.abs(a)))):
             worst = gap if worst is None else max(worst, gap)
@@ -379,10 +379,11 @@ class Primitive:
         P, Q = GridSpec(13, 13).mesh(manifold.window)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             curl = self.a_q.diff("p")(P, Q, 0.0) - self.a_p.diff("q")(P, Q, 0.0)
-        deviation = np.abs(np.asarray(curl) - 1.0)
-        # a NaN deviation fails too: np.max and np.argmax both pick it
+        remedy = "tame the primitive or shrink the window"
+        curl = finite("d(alpha)", remedy, np.broadcast_to(curl, P.shape))[0]
+        deviation = np.abs(curl - 1.0)
         dev = float(np.max(deviation))
-        if not dev <= tol:
+        if dev > tol:
             i = int(np.argmax(deviation))
             bad = (float(P.ravel()[i]), float(Q.ravel()[i]))
             raise ValidationError(
@@ -391,7 +392,8 @@ class Primitive:
             )
         if manifold.is_cylinder:
             for label, comp in (("a_p", self.a_p), ("a_q", self.a_q)):
-                why = q_jump(manifold, comp, 0.0)
+                why = q_jump(manifold, comp, 0.0,
+                             f"primitive {self.name!r} component {label}", remedy)
                 if why is not None:
                     raise ValidationError(
                         f"primitive {self.name!r} is not periodic in q on the "

@@ -27,6 +27,7 @@ from .geometry import GridSpec, Primitive, Window, cylinder, plane
 from .exprlang import parse
 from .dynamics import ComposedMap, FlowMap, GroupWord, HamiltonianSpec, TwistMap
 from .cocycle import (
+    NotConstantOutsideSupport,
     cocycle_by_action,
     cocycle_by_path,
     hamiltonian_test,
@@ -239,7 +240,7 @@ def _check_dehn_twist(bench):
     try:
         normalize_compact(K, Window(-1.05, 1.05, 0.0, 2.0 * np.pi))
         normalized = True
-    except Exception:
+    except NotConstantOutsideSupport:
         normalized = False
     ok = e_quad < 1e-6 and e_sine < 1e-6 and normalized
     return ok, (

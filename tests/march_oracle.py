@@ -20,9 +20,9 @@ from symcocycle.dynamics import (
     FlowMap,
     MapJet,
     _as_float_pair,
-    _require_finite,
     isotopy,
 )
+from symcocycle.errors import finite
 
 
 def _linearized(u, v, s, dP, dQ):
@@ -83,8 +83,8 @@ def march(flow, state, t0, t1, on_node=None):
                 escaped = mani.escaped(p, q, flow._slack)
             if on_node is not None:
                 on_node(k + 1, t0 + (k + 1) * h, p, q)
-    _require_finite(state, "the flow", "shrink the window or the step, or "
-                    "tame the Hamiltonian")
+    finite("the flow", "shrink the window or the step, or tame the "
+           "Hamiltonian", *state)
     if escaped:
         warnings.warn(EscapedWindowWarning("a trajectory left the window plus slack"))
     return state

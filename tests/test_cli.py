@@ -11,7 +11,7 @@ import pytest
 from symcocycle import cli, invariants
 from symcocycle.cocycle import cocycle_by_action
 from symcocycle.dynamics import FlowMap, TwistMap
-from symcocycle.errors import ValidationError
+from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.invariants import NoFixedPointFound
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,13 +93,16 @@ def test_violated_support_claim_rejected(tmp_path):
     assert cli.main(["osc", "--config", str(path)]) == 2
 
 
-def test_support_claim_violated_by_nan_exits_2(tmp_path, capsys):
+def test_support_claim_violated_by_nan_exits_3(tmp_path, capsys):
+    # F is inf*0 = NaN outside the claim: a numerical failure, not a
+    # violated claim
     claim = {"p_min": -1.0, "p_max": 1.0, "q_min": -1.0, "q_max": 1.0}
     path = write_variant(tmp_path, PLANE_BUMP, hamiltonians={
         "g": {"expression": "exp(900*p^2)*0", "support_claim": claim},
     })
-    assert cli.main(["osc", "--config", path]) == 2
-    assert "F is not finite at" in capsys.readouterr().err
+    assert cli.main(["osc", "--config", path]) == 3
+    assert "F outside the claimed support overflowed: it is not finite at" in (
+        capsys.readouterr().err)
 
 
 def test_calabi_of_an_overflowing_flow_exits_3(tmp_path, capsys):
@@ -123,18 +126,18 @@ def test_removed_fd_h_key_is_unknown(tmp_path, capsys):
 
 
 def test_non_finite_primitive_curl_rejected(tmp_path, capsys):
-    # the curl is 1 + inf - inf = NaN wherever exp(900*p^2) overflows, and a
-    # NaN deviation is no smaller than the tolerance
+    # the curl is 1 + inf - inf = NaN wherever exp(900*p^2) overflows: a
+    # numerical failure, not a deviation from the area form
     path = write_variant(tmp_path, PLANE_BUMP, primitive={
         "a_p": "0", "a_q": "p + exp(900*p^2) - exp(900*p^2)",
     })
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValidationError, match="deviates from the area form by nan"):
+        with pytest.raises(NumericalError, match=r"d\(alpha\) overflowed: it is not finite"):
             cli.load_scenario(path)
-        assert cli.main(["osc", "--config", path]) == 2
+        assert cli.main(["osc", "--config", path]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "osc: validation error: d(alpha)" in capsys.readouterr().err
+    assert "osc: numerical error: d(alpha) overflowed" in capsys.readouterr().err
 
 
 def test_unknown_manifold_kind_exits_2(tmp_path, capsys):
@@ -524,7 +527,7 @@ def test_overflowing_flow_exits_3(tmp_path, capsys, method):
                          "--out", str(tmp_path / "k.csv")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "non-finite" in err
+    assert "the flow overflowed: it is not finite at" in err
 
     # a twist whose profile overflows follows the same rule on the path
     # route (the action route takes flows only)
@@ -538,7 +541,7 @@ def test_overflowing_flow_exits_3(tmp_path, capsys, method):
                          "--out", str(tmp_path / "k.csv")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "the twist overflowed" in err and "non-finite" in err
+    assert "the twist overflowed: it is not finite at" in err
 
 
 def _runs_without_runtime_warnings(argv):
@@ -563,6 +566,41 @@ def test_overflowing_primitive_on_the_path_route_exits_3(tmp_path, capsys):
     assert _runs_without_runtime_warnings(["osc", "--config", path]) == 3
     err = capsys.readouterr().err
     assert "the pullback defect overflowed: it is not finite at 42 of 441 points" in err
+
+
+# one fault, one kind: a field or a primitive that overflows on the window
+# exits 3 on both manifolds, whether the plane's march or path route meets
+# it or the cylinder's load-time check does
+OVERFLOWING_FIELD = "1e-300*exp(800*sin(q))"
+OVERFLOWING_FORM = {"a_p": "0", "a_q": "p + exp(800*sin(q))"}
+
+
+def _on_manifold(tmp_path, kind, **changes):
+    manifold = json.loads(Path(CYLINDER_TWIST).read_text())["manifold"]
+    manifold["resolution"] = [21, 21]
+    if kind == "plane":
+        manifold = {"kind": "plane", "window": manifold["window"], "resolution": [21, 21]}
+    base = {"hamiltonians": {"g": {"expression": "0.1*exp(-(p^2))"}}, "twists": {},
+            "generators": ["g"], "integrator": {"h": 0.05}}
+    return write_variant(tmp_path, CYLINDER_TWIST, manifold=manifold, **{**base, **changes})
+
+
+@pytest.mark.parametrize("kind", ["plane", "cylinder"])
+def test_overflowing_field_exits_3_on_both_manifolds(tmp_path, capsys, kind):
+    path = _on_manifold(tmp_path, kind, hamiltonians={"g": {"expression": OVERFLOWING_FIELD}})
+    assert _runs_without_runtime_warnings(["osc", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "not finite" in err
+    assert "periodic" not in err
+
+
+@pytest.mark.parametrize("kind", ["plane", "cylinder"])
+def test_overflowing_primitive_exits_3_on_both_manifolds(tmp_path, capsys, kind):
+    path = _on_manifold(tmp_path, kind, primitive=OVERFLOWING_FORM)
+    assert _runs_without_runtime_warnings(["osc", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "not finite" in err
+    assert "periodic" not in err
 
 
 def test_overflowing_action_exits_3(tmp_path, capsys):

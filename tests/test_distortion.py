@@ -14,7 +14,6 @@ from symcocycle.distortion import (
     N_PROBES,
     N_SECONDARY,
     DegenerateBound,
-    Fingerprint,
     FingerprintCollisionWarning,
     GeneratorSet,
     distortion_lower_bound,
@@ -103,22 +102,25 @@ def test_probe_points_validation():
         probe_points(WIN, 40, seed=-1)
 
 
+def _gap_to_identity(m, ps, qs):
+    """The ball's match distance between a map's probe images and the
+    probes themselves."""
+    yp, yq = m.apply(ps, qs)
+    return distortion._largest_gap(m.manifold, yp - ps, yq - qs)
+
+
 def test_fingerprint_match_tolerance():
     ps, qs = probe_points(WIN, 40, 0)
-    base = Fingerprint.of_map(IdentityMap(PLANE), ps, qs, PLANE)
-    near = Fingerprint.of_map(TwistMap(parse("0.0000001"), PLANE), ps, qs, PLANE)
-    far = Fingerprint.of_map(TwistMap(parse("0.001"), PLANE), ps, qs, PLANE)
-    assert base.distance(near, PLANE) == pytest.approx(1e-7, rel=1e-9)
-    assert base.matches(near, PLANE)
-    assert not base.matches(far, PLANE)
+    near = _gap_to_identity(TwistMap(parse("0.0000001"), PLANE), ps, qs)
+    assert near == pytest.approx(1e-7, rel=1e-9)
+    assert near <= distortion.MATCH_TOL
+    assert _gap_to_identity(TwistMap(parse("0.001"), PLANE), ps, qs) > distortion.MATCH_TOL
 
 
 def test_fingerprint_wraps_q_on_cylinder():
     cyl = cylinder(Window(-2.0, 2.0, 0.0, 2.0 * np.pi))
     ps, qs = probe_points(cyl.window, 40, 0)
-    base = Fingerprint.of_map(IdentityMap(cyl), ps, qs, cyl)
-    turned = Fingerprint.of_map(TwistMap(parse("2*pi"), cyl), ps, qs, cyl)
-    assert base.matches(turned, cyl)
+    assert _gap_to_identity(TwistMap(parse("2*pi"), cyl), ps, qs) <= distortion.MATCH_TOL
 
 
 # ============================================================

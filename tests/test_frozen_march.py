@@ -349,4 +349,4 @@ def test_overflow_of_a_moving_point_counts_the_whole_batch():
     ):
         got = _outcome(run)
         assert got == _outcome(full)
-        assert got[1] is not None and "1 of 5 trajectories" in got[1]
+        assert got[1] is not None and "not finite at 1 of 5 points" in got[1]

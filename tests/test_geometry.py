@@ -5,7 +5,7 @@ import pytest
 
 import wrap_oracle
 from symcocycle import geometry
-from symcocycle.errors import ValidationError
+from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
     GridSpec,
@@ -265,11 +265,13 @@ def test_custom_primitive():
 
 
 def test_primitive_not_finite_on_the_cylinder_is_rejected_as_such():
-    # exp(800*sin(q)) overflows where sin(q) > 0.89: the gap across one
-    # circumference there is inf - inf = nan, which must not pass
+    # exp(800*sin(q)) overflows where sin(q) > 0.89: a numerical failure,
+    # not a gap across one circumference
     m = cylinder(Window(-2, 2, 0, 2 * math.pi))
-    with pytest.raises(ValidationError, match="component a_q is not finite at 13 of 169"):
+    with pytest.raises(NumericalError, match="component a_q overflowed: it is not "
+                       "finite at 13 of 169 points") as caught:
         Primitive.custom("0", "p + exp(800*sin(q))").validate(m)
+    assert "periodic" not in str(caught.value)
 
 
 def test_named_primitive_lookup():

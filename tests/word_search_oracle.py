@@ -19,10 +19,23 @@ from symcocycle.distortion import (
     N_SECONDARY,
     Fingerprint,
     FingerprintCollisionWarning,
+    _largest_gap,
     probe_points,
 )
 from symcocycle.dynamics import GroupWord
 from symcocycle.errors import ValidationError
+
+
+def _fingerprint_of_map(m, ps, qs, manifold):
+    pim, qim = m.apply(np.array(ps, dtype=float), np.array(qs, dtype=float))
+    return Fingerprint(pim, manifold.wrap_q(qim))
+
+
+def _matches(a, b, manifold):
+    """Whether two fingerprints agree within MATCH_TOL on every probe,
+    with q-gaps wrapped on the manifold."""
+    gap = _largest_gap(manifold, a.p_images - b.p_images, a.q_images - b.q_images)
+    return gap <= MATCH_TOL
 
 
 def _secondary_disagree(gens, letters_a, letters_b, ps, qs):
@@ -30,10 +43,10 @@ def _secondary_disagree(gens, letters_a, letters_b, ps, qs):
     realize maps that differ on the probes."""
     mani = gens.manifold
     fa, fb = (
-        Fingerprint.of_map(gens.realize(GroupWord(letters[::-1])), ps, qs, mani)
+        _fingerprint_of_map(gens.realize(GroupWord(letters[::-1])), ps, qs, mani)
         for letters in (letters_a, letters_b)
     )
-    return fa.distance(fb, mani) > MATCH_TOL
+    return not _matches(fa, fb, mani)
 
 
 def word_ball_norm(gens, target, radius_cap=6, seed=0):
@@ -63,12 +76,12 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
     sec_ps, sec_qs = probe_points(
         manifold.window, N_SECONDARY, seed, inset=0.04
     )
-    target_fp = Fingerprint.of_map(target, ps, qs, manifold)
+    target_fp = _fingerprint_of_map(target, ps, qs, manifold)
 
     identity_fp = Fingerprint(
         np.array(ps, dtype=float), manifold.wrap_q(np.array(qs, dtype=float))
     )
-    if identity_fp.matches(target_fp, manifold):
+    if _matches(identity_fp, target_fp, manifold):
         return 0
 
     letters = []
@@ -88,7 +101,7 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
                 new_word = word + ((name, e),)
                 pim, qim = m.apply(fp.p_images, fp.q_images)
                 new_fp = Fingerprint(pim, manifold.wrap_q(qim))
-                if new_fp.matches(target_fp, manifold):
+                if _matches(new_fp, target_fp, manifold):
                     return length
                 held = seen.get(new_fp.key)
                 if held is not None:
