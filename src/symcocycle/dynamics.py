@@ -181,15 +181,33 @@ def _keeps(x):
 def _step(rates, state, t, h, k1):
     """One classical RK4 step of ``state``, a list of arrays, whose rates
     of change at time t are ``rates(state, t)``, one per entry; ``k1`` is
-    the rates at (state, t), which the march has already computed."""
+    the rates at (state, t), which the march has already computed.  Each
+    stage input and the result are arrays of the step's own, one product
+    each, summed in place in the order of x + c*k."""
+
+    def stage(c, k):
+        out = []
+        for x, r in zip(state, k):
+            y = r * c
+            y += x
+            out.append(y)
+        return out
+
     half = 0.5 * h
     tm = t + half
-    k2 = rates([x + half * k for x, k in zip(state, k1)], tm)
-    k3 = rates([x + half * k for x, k in zip(state, k2)], tm)
-    k4 = rates([x + h * k for x, k in zip(state, k3)], t + h)
-    sixth = h / 6.0
-    return [x + sixth * (a + 2.0 * (b + c) + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    k2 = rates(stage(half, k1), tm)
+    k3 = rates(stage(half, k2), tm)
+    k4 = rates(stage(h, k3), t + h)
+    out = []
+    for x, a, b, c, d in zip(state, k1, k2, k3, k4):
+        y = b + c  # x + h/6*(a + 2*(b + c) + d)
+        y *= 2.0
+        y += a
+        y += d
+        y *= h / 6.0
+        y += x
+        out.append(y)
+    return out
 
 
 def _held(state, k1):
@@ -337,7 +355,10 @@ class FlowMap:
         derivative of its own step."""
         p, q, dP, dQ = state
         xp, xq, u, v, s = self.tangent_field.fn(p, self.manifold.wrap_q(q), t)
-        return xp, xq, u * dP + v * dQ, s * dP - u * dQ
+        rP, rQ, vdQ = u * dP, s * dP, v * dQ
+        rP += vdQ
+        rQ -= np.multiply(u, dQ, out=vdQ)
+        return xp, xq, rP, rQ
 
     def _run(self, state, t0, t1, on_node):
         """The march loop: ``state`` is (p, q), whose rates are

@@ -33,7 +33,9 @@ Python function of numpy calls.  A subexpression that occurs more than
 once is computed once, and a domain check is made only where it can
 fire: a power with a constant nonnegative integer exponent is not checked
 (a square is computed as ``b*b``), nor is a division by a nonzero
-constant, while every other ``/``, ``^`` and ``sqrt`` is.  The branches of
+constant, while every other ``/``, ``^`` and ``sqrt`` is.  A negated
+product with a constant factor is computed with the constant negated
+instead, the same bits for one operation fewer.  The branches of
 ``iflte`` are functions of their own, called on the points they select.
 ``fused`` compiles several expressions into one function that returns
 the tuple of their values; flows evaluate both components of their
@@ -467,11 +469,23 @@ class _Codegen:
         self.namespace = dict(_RUNTIME)
         self.blocks = []  # source of each function, branches first
         self.pairs = []  # branch-tuple roots, alive while ids are memo keys
+        self.flips = {}  # id(neg node) -> the node computed in its place
+
+    def folded(self, node):
+        """A negation, or the product ``_negated`` folds it into when it
+        negates a product with a constant factor: IEEE products are
+        sign-symmetric, so only a NaN's sign may change.  Negated sums
+        stay: -(a + b) and (-a) - b differ in the sign of an exact zero."""
+        got = self.flips.get(id(node))
+        if got is None:
+            got = self.flips[id(node)] = _negated(node.args[0]) or node
+        return got
 
     def number(self, node):
         got = self.memo.get(id(node))
         if got is None:
-            key = (node.op, repr(node.value), *map(self.number, node.args))
+            fold = self.folded(node) if node.op == "neg" else node
+            key = (fold.op, repr(fold.value), *map(self.number, fold.args))
             got = self.numbers.setdefault(key, len(self.numbers))
             self.memo[id(node)] = got
         return got
@@ -484,7 +498,7 @@ class _Codegen:
             n = self.number(node)
             uses[n] = uses.get(n, 0) + 1
             if n not in nodes:
-                nodes[n] = node
+                nodes[n] = node = self.folded(node) if node.op == "neg" else node
                 for arg in _operands(node):
                     visit(arg)
                 order.append(n)
@@ -590,6 +604,16 @@ class _Codegen:
         if op in _LEVEL:
             return f"({a[0]} {op} {a[1]})"
         return f"{op}({', '.join(a)})"
+
+
+def _negated(node):
+    """``-node`` as a product with the sign folded into a constant factor
+    down its chain of products, or None when it has none."""
+    for i, a in enumerate(node.args if node.op == "*" else ()):
+        flip = Node("num", value=-a.value) if a.op == "num" else _negated(a)
+        if flip is not None:
+            return Node("*", node.args[:i] + (flip,) + node.args[i + 1:])
+    return None
 
 
 def _source(root):

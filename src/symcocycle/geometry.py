@@ -251,15 +251,16 @@ class ManifoldModel:
         return out
 
     def escaped(self, p, q, slack):
-        """Whether any of the points lies outside the window grown by
-        ``slack``.  On the cylinder only p is read: a finite q wraps into
-        [q_min, q_min + circumference], inside the window plus any
+        """Whether any of the points is a NaN or lies outside the window
+        grown by ``slack``.  On the cylinder only p is read: a finite q wraps
+        into [q_min, q_min + circumference], inside the window plus any
         positive slack, and a march whose q is not finite raises
         NumericalError before it would warn."""
         w = self.window
-        if self.is_cylinder:
-            return not np.all((w.p_min - slack <= p) & (p <= w.p_max + slack))
-        return not np.all(w.contains(p, q, slack))
+        return p.size > 0 and not (
+            w.p_min - slack <= p.min() and p.max() <= w.p_max + slack
+            and (self.is_cylinder
+                 or w.q_min - slack <= q.min() and q.max() <= w.q_max + slack))
 
     def wrap_delta(self, dq):
         """Smallest representative of a q-difference, in (-circ/2, circ/2]."""
@@ -409,15 +410,17 @@ class Primitive:
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 
 
-def _gauss_panel(f, a, b):
+def _panels(f, a, b, k):
+    """10-point Gauss-Legendre sums of integrand k[i] over [a[i], b[i]]
+    from one call ``f(nodes, k)``, each by its own ``np.dot`` for its bits."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid + half * _GAUSS_X
+    pts = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_X
     # constant integrands may come back as scalars; broadcast before dotting
-    vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
-    total = half * float(np.dot(_GAUSS_W, vals))
-    if not math.isfinite(total):
-        raise NumericalError(f"the integrand is not finite on [{a}, {b}]")
+    vals = np.broadcast_to(np.asarray(f(pts, k), dtype=float), pts.shape)
+    total = half * np.array([np.dot(_GAUSS_W, v) for v in vals])
+    if not np.isfinite(total).all():
+        i = np.argmin(np.isfinite(total))
+        raise NumericalError(f"the integrand is not finite on [{float(a[i])}, {float(b[i])}]")
     return total
 
 
@@ -425,15 +428,51 @@ def _gauss_panel(f, a, b):
 QUAD_DEPTH_CAP = 40
 
 
+def _quad_levels(f, m, a, b, tol, noise_floor):
+    """``quad_adaptive`` of m integrands, one call ``f(nodes, k)`` per
+    bisection level on the panels still refining (row i of integrand
+    k[i]), with the bits of bisecting each one recursively.  Of several
+    failures, the shallowest, and there the leftmost, is raised."""
+    k = np.arange(m)
+    lo, hi = np.full(m, float(a)), np.full(m, float(b))
+    whole = _panels(f, lo, hi, k)
+    levels = []  # each level's left + right sums, and which were accepted
+    for depth_left in range(QUAD_DEPTH_CAP, -1, -1):
+        mid = 0.5 * (lo + hi)
+        los, his, ks = (np.column_stack(x).ravel() for x in ((lo, mid), (mid, hi), (k, k)))
+        halves = _panels(f, los, his, ks)
+        better = halves[0::2] + halves[1::2]
+        residual = np.abs(better - whole)
+        done = residual <= np.maximum(tol, noise_floor * (hi - lo))
+        levels.append((better, done))
+        if done.all():
+            break
+        if depth_left <= 0:
+            i = np.argmin(done)
+            raise QuadratureNonconvergence(
+                f"adaptive quadrature failed on [{float(lo[i])}, {float(hi[i])}]: "
+                f"residual {residual[i]:.3e} exceeds {tol:.3e}"
+            )
+        split = np.repeat(~done, 2)
+        lo, hi, k, whole = los[split], his[split], ks[split], halves[split]
+        tol = 0.5 * tol
+    total = levels.pop()[0]
+    for better, done in reversed(levels):
+        better[~done] = total[0::2] + total[1::2]
+        total = better
+    return total
+
+
 def quad_adaptive(f, a, b, tol=1e-10, noise_floor=0.0):
     """Integrate a vectorized callable over [a, b] by adaptive bisection.
 
     Each panel is compared against its two halves with 10-point
     Gauss-Legendre; panels that disagree by more than their share of the
-    tolerance are split.  Raises QuadratureNonconvergence past
-    QUAD_DEPTH_CAP levels (far below attainable resolution for any
-    integrand this package produces), and NumericalError, not numpy
-    warnings, for a panel whose integrand is not finite.
+    tolerance are split; ``f`` gets a level's panels at once, a row each.
+    Raises QuadratureNonconvergence past QUAD_DEPTH_CAP levels (far below
+    attainable resolution for any integrand this package produces), and
+    NumericalError, not numpy warnings, for a panel whose integrand is
+    not finite.
 
     ``noise_floor`` is the irreducible per-unit-length uncertainty of the
     integrand itself.  Iterated integrals use it so the outer pass stops
@@ -445,52 +484,32 @@ def quad_adaptive(f, a, b, tol=1e-10, noise_floor=0.0):
     if a == b:
         return 0.0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        whole = _gauss_panel(f, a, b)
-        return _refine(f, a, b, whole, tol, noise_floor, QUAD_DEPTH_CAP)
+        return float(_quad_levels(lambda x, k: f(x), 1, a, b, tol, noise_floor)[0])
 
 
-def _refine(f, a, b, whole, tol, noise_floor, depth_left):
-    mid = 0.5 * (a + b)
-    left = _gauss_panel(f, a, mid)
-    right = _gauss_panel(f, mid, b)
-    better = left + right
-    if abs(better - whole) <= max(tol, noise_floor * (b - a)):
-        return better
-    if depth_left <= 0:
-        raise QuadratureNonconvergence(
-            f"adaptive quadrature failed on [{a}, {b}]: "
-            f"residual {abs(better - whole):.3e} exceeds {tol:.3e}"
-        )
-    return _refine(f, a, mid, left, 0.5 * tol, noise_floor, depth_left - 1) + _refine(
-        f, mid, b, right, 0.5 * tol, noise_floor, depth_left - 1
-    )
+def _q_integrals(fn, ps, ts, window, tol):
+    """The q-integrals of fn(p, q, t) over the window at the points ps
+    (an array) and the times ts (broadcast to it), one batch a level."""
+    P, T = (np.repeat(np.broadcast_to(x, ps.shape), 10).reshape(-1, 10) for x in (ps, ts))
+    return _quad_levels(lambda qs, k: fn(P[k], qs, T[k]), len(P), window.q_min,
+                        window.q_max, tol, 0.0).reshape(ps.shape)
 
 
 def integrate_area(g, window, tol=1e-10):
     """Iterated adaptive quadrature over the window of an expression or
     of a vectorized callable g(p, q)."""
-    if isinstance(g, Expr):
-        fn = g.fn
-    else:
-        fn = lambda p, q, t=0.0: g(p, q)
-    inner_tol = tol / (8.0 * window.p_span)
+    fn = g.fn if isinstance(g, Expr) else lambda p, q, t: g(p, q)
+    inner = tol / (8.0 * window.p_span)
+    return quad_adaptive(lambda ps: _q_integrals(fn, ps, 0.0, window, inner), window.p_min,
+                         window.p_max, 0.5 * tol, noise_floor=2.0 * inner)
 
-    def row(pvals):
-        pvals = np.atleast_1d(np.asarray(pvals, dtype=float))
-        out = np.empty(pvals.shape)
-        for i, pv in enumerate(pvals):
-            out[i] = quad_adaptive(
-                lambda qs: fn(np.full_like(np.asarray(qs, dtype=float), pv),
-                              np.asarray(qs, dtype=float), 0.0),
-                window.q_min,
-                window.q_max,
-                inner_tol,
-            )
-        return out
 
-    return quad_adaptive(
-        row, window.p_min, window.p_max, 0.5 * tol, noise_floor=2.0 * inner_tol
-    )
+def area_integrals(fn, ts, window, tol):
+    """``integrate_area`` of fn(p, q, t) at each time of the 1-d array ts,
+    in one batch per level; for ``quad_adaptive``, which silences numpy."""
+    inner = tol / (8.0 * window.p_span)
+    return _quad_levels(lambda ps, k: _q_integrals(fn, ps, ts[k, None], window, inner),
+                        ts.size, window.p_min, window.p_max, 0.5 * tol, 2.0 * inner)
 
 
 # ============================================================

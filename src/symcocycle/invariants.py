@@ -17,6 +17,7 @@ from .geometry import (
     GridSpec,
     Primitive,
     WrongManifold,
+    area_integrals,
     integrate_area,
     quad_adaptive,
     simpson_weights,
@@ -108,23 +109,11 @@ def calabi_from_hamiltonian(spec, manifold):
     if not isinstance(spec, HamiltonianSpec):
         raise ValidationError("expected a HamiltonianSpec")
     w = manifold.window
-    ff = spec.F.fn
     if spec.autonomous:
-        area = integrate_area(spec.F, w, tol=CALABI_TOL)
-        return 2.0 * area * spec.duration
-
-    def at_time(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty(ts.shape)
-        for i, tv in enumerate(ts):
-            out[i] = integrate_area(
-                lambda p, q: ff(p, q, float(tv)), w, tol=CALABI_TOL
-            )
-        return out
-
+        return 2.0 * integrate_area(spec.F, w, tol=CALABI_TOL) * spec.duration
     return 2.0 * quad_adaptive(
-        at_time, 0.0, spec.duration, tol=10.0 * CALABI_TOL,
-        noise_floor=4.0 * CALABI_TOL,
+        lambda ts: area_integrals(spec.F.fn, ts.ravel(), w, CALABI_TOL).reshape(ts.shape),
+        0.0, spec.duration, tol=10.0 * CALABI_TOL, noise_floor=4.0 * CALABI_TOL,
     )
 
 
@@ -176,16 +165,11 @@ def twist_boundary_difference(tw, alpha=None):
     line.  Adaptive panels keep Gauss nodes away from the profile's
     clamp corners, which fixed grids would smear.
     """
-    # parsed once here rather than on every quadrature panel
+    # parsed once here rather than on every quadrature level
     alpha = _form_components(alpha or Primitive.p_dq())
     q0 = tw.manifold.window.center[1]
-
-    def theta_p(ps):
-        ps = np.asarray(ps, dtype=float)
-        qs = np.full_like(ps, q0)
-        return _pullback_defect(tw, alpha, ps, qs)[0]
-
-    return quad_adaptive(theta_p, -1.0, 1.0, tol=TWIST_TOL)
+    return quad_adaptive(lambda ps: _pullback_defect(tw, alpha, ps, np.full_like(ps, q0))[0],
+                         -1.0, 1.0, tol=TWIST_TOL)
 
 
 # ============================================================

@@ -1,4 +1,5 @@
-"""Mutation check of the march kernel, the action route and the path route.
+"""Mutation check of the march kernel, the action route, the path route,
+the quadrature and the generated code.
 
     python3 tests/mutants.py
 
@@ -23,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MARCH = ("tests/test_frozen_march.py", "tests/test_jets.py", "tests/test_dynamics.py")
+QUAD = ("tests/test_quadrature.py",)
 PATH = ("tests/test_cocycle.py", "tests/test_jets.py", "tests/test_invariants.py",
         "tests/test_cover.py", "tests/test_geometry.py", "tests/test_cli.py")
 TIMEOUT_S = 600
@@ -35,14 +37,17 @@ MUTANTS = [
      "    tm = t + half\n",
      "    tm = t + h\n", MARCH),
     ("k4 stage from half instead of h", "dynamics.py",
-     "    k4 = rates([x + h * k for x, k in zip(state, k3)], t + h)\n",
-     "    k4 = rates([x + half * k for x, k in zip(state, k3)], t + h)\n", MARCH),
+     "    k4 = rates(stage(h, k3), t + h)\n",
+     "    k4 = rates(stage(half, k3), t + h)\n", MARCH),
     ("dropped 2.0 weight", "dynamics.py",
-     "    return [x + sixth * (a + 2.0 * (b + c) + d)\n",
-     "    return [x + sixth * (a + (b + c) + d)\n", MARCH),
+     "        y *= 2.0\n",
+     "        pass\n", MARCH),
+    ("a stage input written over the rate it is made from", "dynamics.py",
+     "            y = r * c\n",
+     "            y = r\n            y *= c\n", MARCH),
     ("s*dP + u*dQ in _jet_rates", "dynamics.py",
-     "        return xp, xq, u * dP + v * dQ, s * dP - u * dQ\n",
-     "        return xp, xq, u * dP + v * dQ, s * dP + u * dQ\n", MARCH),
+     "        rQ -= np.multiply(u, dQ, out=vdQ)\n",
+     "        rQ += np.multiply(u, dQ, out=vdQ)\n", MARCH),
     ("_held ignores the tangent rates", "dynamics.py",
      "        held = held & (k == 0.0).all(axis=0)\n",
      "        pass\n", MARCH),
@@ -78,6 +83,19 @@ MUTANTS = [
     ("GridFunction._coords does not wrap q", "cocycle.py",
      "        q = self.manifold.wrap_q(np.asarray(q, dtype=float))\n",
      "        q = np.asarray(q, dtype=float)\n", PATH),
+    # IEEE addition commutes, so the halves' sums added right + left give
+    # the same bits: that mutant cannot die.  A batch's Gauss sums in one
+    # product sum each panel in another order.
+    ("the Gauss sums of a level in one product", "geometry.py",
+     "    total = half * np.array([np.dot(_GAUSS_W, v) for v in vals])\n",
+     "    total = half * (vals @ _GAUSS_W)\n", QUAD),
+    ("quadrature accepts below the tolerance only", "geometry.py",
+     "        done = residual <= np.maximum(tol, noise_floor * (hi - lo))\n",
+     "        done = residual < np.maximum(tol, noise_floor * (hi - lo))\n", QUAD),
+    ("a folded negation keeps the constant's sign", "exprlang.py",
+     "        flip = Node(\"num\", value=-a.value) if a.op == \"num\" else _negated(a)\n",
+     "        flip = Node(\"num\", value=a.value) if a.op == \"num\" else _negated(a)\n",
+     ("tests/test_exprlang.py",)),
     ("errors.finite reads only its first two arrays", "errors.py",
      "    for x in arrays:\n",
      "    for x in arrays[:2]:\n", ("tests/test_errors.py", "tests/test_jets.py")),

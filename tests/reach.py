@@ -7,6 +7,7 @@ call whose code lies in ``src/symcocycle``:
 
 * every line of README's "Command line" block, through ``cli.main``, in
   a temporary directory that holds a copy of ``scenarios/``;
+* README's ``python`` blocks, in order, in one namespace;
 * ``verify.run_all(0)`` (the block's ``verify`` line has run it already,
   so this reads the kept results);
 * one pass of each workload of ``perfbench/workloads.py``, set up and
@@ -68,6 +69,12 @@ def readme_commands():
             if line.startswith("symcocycle ")]
 
 
+def readme_examples():
+    """The source of README's ``python`` blocks, in order."""
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    return [block.split("```", 1)[0] for block in blocks]
+
+
 def run_everything():
     import symcocycle
     from symcocycle import cli, verify
@@ -82,6 +89,9 @@ def run_everything():
             code = cli.main(argv)
             if code != 0:
                 raise SystemExit(f"symcocycle {shlex.join(argv)} exited {code}")
+        namespace = {}
+        for source in readme_examples():
+            exec(compile(source, "README.md", "exec"), namespace)
     verify.run_all(0)
     os.chdir(ROOT)  # the workloads read scenarios/ from here
     with tempfile.TemporaryDirectory() as workdir:

@@ -735,3 +735,85 @@ def test_empty_batch_evaluates_to_empty_arrays():
     F = parse("0.05*max(0, 1 - (p^2 + q^2)/6)^4")
     field = fused(F.diff("q"), -F.diff("p")).fn(np.zeros((0, 3)), 0.0, 0.0)
     assert [x.shape for x in field] == [(0, 3), (0, 3)]
+
+
+# ------------------------------------------------------------------
+# negated products: the sign folded into the constant
+# ------------------------------------------------------------------
+
+
+class _Unfolded(exprlang._Codegen):
+    """The code generator with every negation kept."""
+
+    def folded(self, node):
+        return node
+
+
+def _unfolded(root):
+    """The generated function of ``root`` with every negation kept."""
+    gen = _Unfolded()
+    gen.function(root, "fn")
+    exec(compile("\n\n".join(gen.blocks) + "\n", "<unfolded>", "exec"), gen.namespace)
+    return gen.namespace["fn"]
+
+
+@st.composite
+def negated_products(draw, depth=0):
+    """Source text rich in negated products, down chains of products,
+    with and without a constant factor."""
+    choice = draw(st.integers(0, 1 if depth > 3 else 6))
+    if choice == 0:
+        return repr(draw(st.sampled_from([0.0, 0.5, 2.0, 3.7, 1e-310, 1e308])))
+    if choice == 1:
+        return draw(st.sampled_from(["p", "q", "t"]))
+    a, b = (draw(negated_products(depth=depth + 1)) for _ in range(2))
+    if choice in (2, 3):
+        return f"-(({a})*({b}))"
+    if choice == 4:
+        return f"({a}){draw(st.sampled_from([' + ', ' - ', '*']))}({b})"
+    if choice == 5:
+        return f"-(({a}) + ({b}))"
+    return f"{draw(st.sampled_from(['sin', 'exp', 'abs']))}({a})"
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                           2.2e-308, -1.5, 0.75, 3.0, 1e300, -1e300])
+
+
+def _same_bits_nan_aside(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+@given(negated_products(), st.sampled_from([None, "p", "q"]))
+@settings(max_examples=300, deadline=None)
+@example("-((2.0)*(p))", None)
+@example("-((p)*((3.7)*(q)))", "q")
+def test_folded_signs_keep_every_bit_but_a_nan_s_sign(src, var):
+    e = parse(src)
+    if var is not None:
+        e = e.diff(var)
+    folded, unfolded = Expr(e.root).fn, _unfolded(e.root)
+    P, Q = np.meshgrid(SPECIAL_VALUES, SPECIAL_VALUES[::-1], indexing="ij")
+    for args in [(P, Q, -0.0), (P, Q, np.inf), (-0.0, 5e-324, 0.75)]:
+        with np.errstate(all="ignore"):
+            got, want = folded(*args), unfolded(*args)
+        assert type(got) is type(want)
+        assert _same_bits_nan_aside(got, want), args
+
+
+def test_negated_products_with_a_constant_lose_their_negation():
+    assert "(-" not in exprlang._source(parse("-(2*p)").root)[0]
+    assert "(-" not in exprlang._source(parse("-(p*(q*3))").root)[0]
+    # a negated sum keeps it: -(a + b) is +0.0 where (-a) - b is -0.0
+    assert "(-" in exprlang._source(parse("-(p + q)").root)[0]
+    F = parse("0.1*exp(-(0.5*(p - 0.3)^2 + 0.6*(q + 0.2)^2))")
+    xp, xq = F.diff("q"), -F.diff("p")
+    root = fused(xp, xq, xp.diff("p"), xp.diff("q"), xq.diff("p")).root
+    gen = _Unfolded()
+    gen.function(root, "fn")
+    # the exponent's negated sum is the one negation left
+    assert gen.blocks[0].count("(-") == 5
+    assert exprlang._source(root)[0].count("(-") == 1

@@ -350,3 +350,21 @@ def test_overflow_of_a_moving_point_counts_the_whole_batch():
         got = _outcome(run)
         assert got == _outcome(full)
         assert got[1] is not None and "not finite at 1 of 5 points" in got[1]
+
+
+@pytest.mark.parametrize("text", ["p*q", "-q^2/2", "0.3*q"])
+def test_rates_handed_back_or_constant_equal_the_full_march(text):
+    # p*q's field is (p, -q): the p-rate of a stage is the stage's own
+    # input array, which the step must not write while a later stage or
+    # the result reads it; -q^2/2 has the constant rate -0.0 for q, and
+    # 0.3*q constant rates only
+    f = flow(text, PLANE)
+    ps, qs = points(PLANE)
+    for m in (f, f.inverse()):
+        for pair in ((ps, qs), (ps[:143].reshape(13, 11), qs[:143].reshape(13, 11)),
+                     (1.25, -0.75), (-0.0, 0.0)):
+            for got, want in zip(m.apply(*pair), oracle.apply(m, *pair)):
+                assert_bits(got, want)
+            got, want = map_with_jacobian(m, *pair), oracle.map_with_jacobian(m, *pair)
+            for name in ("yp", "yq", "dpp", "dpq", "dqp", "dqq"):
+                assert_bits(getattr(got, name), getattr(want, name))

@@ -388,3 +388,26 @@ def test_cumulative_integral_axis():
     assert np.allclose(along_last[0], cumulative_integral(np.sin(x), x[1] - x[0]))
     transposed = cumulative_integral(block.T, x[1] - x[0], axis=0)
     assert np.allclose(transposed, along_last.T)
+
+
+# ------------------------------------------------------------------
+# escape test of a march
+# ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["plane", "cylinder"])
+def test_escaped_against_the_elementwise_window_test(kind):
+    w = Window(-2.0, 2.0, 0.0, 2 * math.pi)
+    mani = plane(w) if kind == "plane" else cylinder(w)
+    slack = 0.5
+    edge = [-2.5, 2.5, -0.5, 2 * math.pi + 0.5]
+    for p, q in [(edge[:2], [1.0, 1.0]), ([0.0, 0.0], edge[2:]), ([-2.6, 0.0], [1.0, 1.0]),
+                 ([0.0, 2.51], [1.0, 1.0]), ([0.0, 0.0], [-0.6, 1.0]), ([0.0, 0.0], [1.0, 7.0]),
+                 ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [np.nan, 1.0]), ([0.0], [np.inf])]:
+        p, q = np.array(p), np.array(q)
+        inside = w.contains(p, q, slack) if kind == "plane" else (
+            (w.p_min - slack <= p) & (p <= w.p_max + slack))
+        assert mani.escaped(p, q, slack) == (not inside.all()), (p, q)
+    # an empty batch has not escaped
+    assert not mani.escaped(np.zeros(0), np.zeros(0), slack)
+    assert not mani.escaped(np.zeros((2, 0)), np.zeros((2, 0)), slack)
