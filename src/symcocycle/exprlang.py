@@ -16,11 +16,11 @@ the functions ``sin``, ``cos``, ``exp``, ``sqrt``, ``tanh``, ``abs``,
 ``sign``, ``min``, ``max`` and ``iflte`` are built in.  ``min``/``max``
 accept two or more arguments (folded into nested binary calls);
 ``iflte(a, b, u, v)`` evaluates ``u`` where ``a <= b`` and ``v`` elsewhere,
-and the unselected branch is never evaluated.  ``sign`` and ``iflte`` exist
-so that the symbolic derivatives of ``abs``, ``min`` and ``max`` are again
-expressions in the language: ``abs`` differentiates to ``sign(u)*u'`` with
-``sign(0) = 0``, and ``min``/``max`` differentiate to the derivative of the
-first argument on ties.
+and a branch that can raise is evaluated only on the points it selects.
+``sign`` and ``iflte`` exist so that the symbolic derivatives of ``abs``,
+``min`` and ``max`` are again expressions in the language: ``abs``
+differentiates to ``sign(u)*u'`` with ``sign(0) = 0``, and ``min``/``max``
+differentiate to the derivative of the first argument on ties.
 
 Evaluation accepts scalars or numpy arrays for ``p``, ``q``, ``t`` and is
 plain IEEE double arithmetic.  Division by zero, the square root of a
@@ -35,11 +35,12 @@ fire: a power with a constant nonnegative integer exponent is not checked
 (a square is computed as ``b*b``), nor is a division by a nonzero
 constant, while every other ``/``, ``^`` and ``sqrt`` is.  A negated
 product with a constant factor is computed with the constant negated
-instead, the same bits for one operation fewer.  The branches of
-``iflte`` are functions of their own, called on the points they select.
-``fused`` compiles several expressions into one function that returns
-the tuple of their values; flows evaluate both components of their
-vector field that way.
+instead, the same bits for one operation fewer.  An ``iflte`` whose
+branches cannot raise computes both on every point and selects between
+them; one with a branch that can raise calls each branch on the points
+it selects.  ``fused`` compiles several expressions into one function
+that returns the tuple of their values; flows evaluate both components
+of their vector field that way.
 """
 
 from __future__ import annotations
@@ -348,49 +349,29 @@ def _checked_sqrt(u):
     return np.sqrt(u)
 
 
-def _select(mask, v, shape):
-    v = np.asarray(v, dtype=float)
-    if v.shape != shape:
-        v = np.broadcast_to(v, shape)
-    return v[mask]
+def _where(a, b, u, v):
+    """``u`` where ``a <= b`` and ``v`` elsewhere, both given on every
+    point; a 0-d comparison picks one of them as it is."""
+    cond = np.less_equal(a, b)
+    if cond.ndim == 0:
+        return u if cond else v
+    return np.where(cond, u, v)
 
 
 def _iflte(a, b, then, then_args, other, other_args):
-    """The values of ``then(*then_args)`` where ``a <= b`` and of
-    ``other(*other_args)`` elsewhere.  The branch functions return tuples
-    of equal length, one value for each ``iflte`` that shares the
-    comparison, and so does this; a branch function takes the variables
-    it reads and is called on the points it selects only."""
+    """The value of ``then(*then_args)`` where ``a <= b`` and of
+    ``other(*other_args)`` elsewhere.  A branch function takes the
+    variables it reads and is called on the points it selects only, and
+    not at all when it selects none."""
     cond = np.less_equal(a, b)
     if cond.ndim == 0:
         return then(*then_args) if cond else other(*other_args)
-    shape = cond.shape
-    selected = np.count_nonzero(cond)
-    # every point takes one branch: elementwise, the whole arrays give
-    # the bits the selected ones would
-    if selected == cond.size or not selected:
-        fn, args = (then, then_args) if selected else (other, other_args)
-        args = [np.asarray(v, dtype=float) for v in args]
-        return _whole(fn(*args), args, shape)
-    rest = ~cond
-    then_values = then(*(_select(cond, v, shape) for v in then_args))
-    other_values = other(*(_select(rest, v, shape) for v in other_args))
-    outs = [np.empty(shape) for _ in then_values]
-    for out, u, v in zip(outs, then_values, other_values):
-        out[cond] = u
-        out[rest] = v
-    return outs
-
-
-def _whole(values, args, shape):
-    """A branch's values on every point, each as a float array of
-    ``shape`` of its own: a constant, a broadcast value or an argument
-    returned as it is becomes a fresh copy."""
-    return [
-        v if type(v) is np.ndarray and v.shape == shape and v.dtype == float
-        and not any(v is x for x in args) else np.full(shape, v, dtype=float)
-        for v in values
-    ]
+    out = np.empty(cond.shape)
+    for mask, fn, args in ((cond, then, then_args), (~cond, other, other_args)):
+        if mask.any():
+            out[mask] = fn(*(np.broadcast_to(np.asarray(v, dtype=float), cond.shape)[mask]
+                             for v in args))
+    return out
 
 
 # the names generated code calls; checked operations go through the
@@ -399,6 +380,7 @@ _RUNTIME = {
     "div": _checked_div,
     "pow": _checked_pow,
     "sqrt": _checked_sqrt,
+    "where": _where,
     "iflte": _iflte,
     "power": np.power,
     "square": np.square,
@@ -421,7 +403,7 @@ def _can_raise(node):
     """Whether evaluating the node itself may raise DomainError.
 
     A power with a constant nonnegative integer exponent and a division
-    by a nonzero constant cannot; ``iflte`` can through its branches.
+    by a nonzero constant cannot.
     """
     if node.op == "/":
         e = node.args[1]
@@ -434,13 +416,7 @@ def _can_raise(node):
             and e.value >= 0.0
             and e.value == math.floor(e.value)
         )
-    return node.op in ("sqrt", "iflte")
-
-
-def _operands(node):
-    """The children evaluated in the node's own function: all of them
-    except the two branches of ``iflte``."""
-    return node.args[:2] if node.op == "iflte" else node.args
+    return node.op == "sqrt"
 
 
 class _Codegen:
@@ -455,11 +431,11 @@ class _Codegen:
     A temporary is deleted right after its last use.  Constants and branch
     functions are globals in ``namespace``.
 
-    The ``iflte`` nodes of one function that compare the same two
-    operands, and whose branches cannot raise, are evaluated by one call
-    at the place of the first: its branch functions return the tuple of
-    the members' branch values, so the comparison mask is made once.
-    Every other ``iflte`` is a group of its own.
+    An ``iflte`` whose branches cannot raise is ``where(a, b, u, v)``:
+    both branches are computed on every point, like any other operand.
+    One with a branch that may raise is masked: it is an ``iflte`` call
+    whose branches are functions of their own, each called on the points
+    it selects.
     """
 
     def __init__(self):
@@ -468,7 +444,6 @@ class _Codegen:
         self.raises = {}  # number -> whether the subtree may raise
         self.namespace = dict(_RUNTIME)
         self.blocks = []  # source of each function, branches first
-        self.pairs = []  # branch-tuple roots, alive while ids are memo keys
         self.flips = {}  # id(neg node) -> the node computed in its place
 
     def folded(self, node):
@@ -490,6 +465,11 @@ class _Codegen:
             self.memo[id(node)] = got
         return got
 
+    def operands(self, node):
+        """The children evaluated in the node's own function: all of them
+        but the branches of a masked ``iflte``."""
+        return node.args[:2] if self.masked(node) else node.args
+
     def function(self, root, name, params="p, q, t"):
         """Emit ``def name(params)`` returning the value of ``root``."""
         order, nodes, uses = [], {}, {}
@@ -499,21 +479,11 @@ class _Codegen:
             uses[n] = uses.get(n, 0) + 1
             if n not in nodes:
                 nodes[n] = node = self.folded(node) if node.op == "neg" else node
-                for arg in _operands(node):
+                for arg in self.operands(node):
                     visit(arg)
                 order.append(n)
 
         visit(root)
-        groups = {}  # shared comparison (or own number) -> iflte numbers
-        for n in order:
-            node = nodes[n]
-            if node.op == "iflte":
-                a, b = node.args[:2]
-                alone = any(self.may_raise(x) for x in node.args[2:])
-                key = (n,) if alone else (self.number(a), self.number(b))
-                groups.setdefault(key, []).append(n)
-        group_of = {n: members for members in groups.values() for n in members}
-
         lines = [f"def {name}({params}):"]
         code = {}  # number -> (text, temporaries it reads, nesting)
         unread = {}  # temporary -> reads still to come
@@ -527,34 +497,24 @@ class _Codegen:
                 self.namespace[f"c{n}"] = node.value
                 code[n] = (f"c{n}", (), 0)
                 continue
-            members = group_of.get(n, (n,))
-            if n != members[0]:
-                continue  # computed with the first member of its group
-            args = [
-                code[self.number(a)] for m in members for a in _operands(nodes[m])
-            ]
+            args = [code[self.number(a)] for a in self.operands(node)]
             reads = tuple(r for a in args for r in a[1])
-            if n in group_of:
-                text = self.render_iflte([nodes[m] for m in members], args)
-                targets = "".join(f"v{m}, " for m in members).rstrip()
+            depth = 1 + max(a[2] for a in args)
+            if self.masked(node):
+                text, raises = self.render_iflte(n, node, args), True
             else:
-                text = self.render(node, [a[0] for a in args])
-                depth = 1 + max(a[2] for a in args)
-                # the root is evaluated last, so its return line keeps the order
-                if n == root_n or (
-                    uses[n] == 1 and not _can_raise(node) and depth <= _MAX_NESTING
-                ):
-                    code[n] = (text, reads, depth)
-                    continue
-                targets = f"v{n}"
-            lines.append(f"    {targets} = {text}")
+                text, raises = self.render(node, [a[0] for a in args]), _can_raise(node)
+            # the root is evaluated last, so its return line keeps the order
+            if n == root_n or (uses[n] == 1 and not raises and depth <= _MAX_NESTING):
+                code[n] = (text, reads, depth)
+                continue
+            lines.append(f"    v{n} = {text}")
             for r in reads:
                 unread[r] -= 1
                 if not unread[r]:
                     lines.append(f"    del v{r}")
-            for m in members:
-                unread[m] = uses[m]
-                code[m] = (f"v{m}", (m,), 0)
+            unread[n] = uses[n]
+            code[n] = (f"v{n}", (n,), 0)
         lines.append(f"    return {code[root_n][0]}")
         self.blocks.append("\n".join(lines))
 
@@ -562,25 +522,23 @@ class _Codegen:
         """Whether evaluating the node's subtree may raise DomainError."""
         n = self.number(node)
         if n not in self.raises:
-            self.raises[n] = _can_raise(node) or any(
-                self.may_raise(a) for a in _operands(node)
-            )
+            self.raises[n] = _can_raise(node) or any(map(self.may_raise, node.args))
         return self.raises[n]
 
-    def render_iflte(self, members, args):
-        """One ``iflte`` call for a group sharing its comparison operands
-        ``args[:2]``; the branch functions return tuples."""
-        numbers = "_".join(str(self.number(m)) for m in members)
+    def masked(self, node):
+        """Whether the node is an ``iflte`` with a branch that may raise."""
+        return node.op == "iflte" and any(map(self.may_raise, node.args[2:]))
+
+    def render_iflte(self, n, node, args):
+        """The masked ``iflte`` call of node ``n`` on its comparison
+        ``args``; each branch is a function of the variables it reads."""
         branches = []
-        for k, suffix in ((2, "u"), (3, "v")):
-            parts = tuple(m.args[k] for m in members)
-            name = f"f{numbers}{suffix}"
-            used = set().union(*map(_free_vars, parts))
-            reads = ", ".join(v for v in VARIABLES if v in used)
+        for branch, suffix in zip(node.args[2:], "uv"):
+            name = f"f{n}{suffix}"
+            reads = ", ".join(v for v in VARIABLES if v in _free_vars(branch))
             if name not in self.namespace:
                 self.namespace[name] = None  # claimed; bound by exec
-                self.pairs.append(Node("pair", parts))
-                self.function(self.pairs[-1], name, reads)
+                self.function(branch, name, reads)
             branches.append(f"{name}, ({reads}{',' if reads else ''})")
         return f"iflte({args[0][0]}, {args[1][0]}, {', '.join(branches)})"
 
@@ -603,7 +561,7 @@ class _Codegen:
             return f"power({a[0]}, {a[1]})"
         if op in _LEVEL:
             return f"({a[0]} {op} {a[1]})"
-        return f"{op}({', '.join(a)})"
+        return f"{'where' if op == 'iflte' else op}({', '.join(a)})"
 
 
 def _negated(node):

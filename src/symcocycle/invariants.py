@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, finite
 from .geometry import (
     GridSpec,
     Primitive,
@@ -387,20 +387,24 @@ class FluxReport:
 
 def _flux_of_flow(m):
     """Core-loop period of the time-integrated flux form of one flow, by
-    Simpson's rule on 64 time intervals."""
+    Simpson's rule on 64 time intervals; a field sample that is not
+    finite raises NumericalError."""
     mani = m.manifold
     ps, qs = mani.core_loop()
     duration = m.spec.duration
     field = m.field.fn
     ts = np.linspace(0.0, duration, 65)
     wts = simpson_weights(65, duration / 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.array([
+            np.broadcast_to(np.asarray(field(ps, qs, float(t))[0], float), qs.shape)
+            for t in ts
+        ])
+    finite("the flux", "tame the Hamiltonian", vals)
     total = 0.0
-    for t, wt in zip(ts, wts):
+    for row, wt in zip(vals, wts):
         # loop integral of the dq component by the periodic trapezoid
-        vals = np.broadcast_to(
-            np.asarray(field(ps, qs, float(t))[0], float), qs.shape
-        )
-        total += wt * float(np.mean(vals)) * mani.circumference
+        total += wt * float(np.mean(row)) * mani.circumference
     return total
 
 

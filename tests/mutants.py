@@ -3,7 +3,7 @@ the quadrature and the generated code.
 
     python3 tests/mutants.py
 
-Each mutant replaces one line (or two adjacent lines) of one module of
+Each mutant replaces one line (or a few adjacent lines) of one module of
 ``src/symcocycle`` and names the test files that should kill it.  For
 each, ``src/`` is copied to a temporary directory, the text is replaced
 there, and its test files run against the copy one after another, each
@@ -96,6 +96,16 @@ MUTANTS = [
      "        flip = Node(\"num\", value=-a.value) if a.op == \"num\" else _negated(a)\n",
      "        flip = Node(\"num\", value=a.value) if a.op == \"num\" else _negated(a)\n",
      ("tests/test_exprlang.py",)),
+    ("_where with its branches swapped", "exprlang.py",
+     "    return np.where(cond, u, v)\n",
+     "    return np.where(cond, v, u)\n", ("tests/test_exprlang.py",)),
+    ("_where compares with less for less_equal", "exprlang.py",
+     "    cond = np.less_equal(a, b)\n    if cond.ndim == 0:\n        return u if cond else v\n",
+     "    cond = np.less(a, b)\n    if cond.ndim == 0:\n        return u if cond else v\n",
+     ("tests/test_exprlang.py",)),
+    ("no iflte masked: a raising branch runs on every point", "exprlang.py",
+     "        return node.op == \"iflte\" and any(map(self.may_raise, node.args[2:]))\n",
+     "        return False\n", ("tests/test_exprlang.py",)),
     ("errors.finite reads only its first two arrays", "errors.py",
      "    for x in arrays:\n",
      "    for x in arrays[:2]:\n", ("tests/test_errors.py", "tests/test_jets.py")),

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,19 @@ from symcocycle.exprlang import (
     fused,
     parse,
 )
+from symcocycle.verify import (
+    HINGE_BUMP,
+    HINGE_BUMP_DECAY,
+    HINGE_BUMP_OFF,
+    LEFT_HINGE,
+    QUAD_PROFILE,
+    RIGHT_HINGE,
+    SINE_PROFILE,
+)
+
+DISJOINT_PAIR = json.loads(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "disjoint_pair.json").read_text()
+)["hamiltonians"]
 
 
 # ------------------------------------------------------------------
@@ -615,77 +630,57 @@ def _iflte_calls(monkeypatch, expr, *args):
     return len(calls)
 
 
-def test_shared_comparison_is_one_iflte_call(monkeypatch):
-    # each component of the hinge's field, and of its derivatives, holds
-    # an iflte on the same comparison
+def test_hinge_fields_make_no_iflte_call(monkeypatch):
+    # no branch of the hinge's field or tangent field can raise: each
+    # iflte computes both branches and selects between them inline
     F = parse("0.1*max(0, 1 - ((p + 2)^2 + q^2)/2.25)^4")
     xp, xq = F.diff("q"), -F.diff("p")
     P, Q = np.meshgrid(np.linspace(-4, 0, 7), np.linspace(-2, 2, 6), indexing="ij")
-    assert _iflte_calls(monkeypatch, fused(xp, xq), P, Q, 0.0) == 1
+    assert _iflte_calls(monkeypatch, fused(xp, xq), P, Q, 0.0) == 0
     tangent = fused(xp, xq, xp.diff("p"), xp.diff("q"), xq.diff("p"))
-    assert _iflte_calls(monkeypatch, tangent, P, Q, 0.0) == 1
-    assert _iflte_calls(monkeypatch, tangent, -2.0, 0.5, 0.0) == 1
+    assert _iflte_calls(monkeypatch, tangent, P, Q, 0.0) == 0
+    assert _iflte_calls(monkeypatch, tangent, -2.0, 0.5, 0.0) == 0
 
 
 def test_iflte_whose_branch_can_raise_keeps_its_own_call(monkeypatch):
     x = np.array([-1.0, 0.5, 2.0])
-    same = fused(parse("iflte(p, 0, 1/q, 2)"), parse("iflte(p, 0, 3, q)"))
-    assert _iflte_calls(monkeypatch, same, x, x, 0.0) == 2
-    safe = fused(parse("iflte(p, 0, q/4, 2)"), parse("iflte(p, 0, 3, q)"))
-    assert _iflte_calls(monkeypatch, safe, x, x, 0.0) == 1
-    oracle = [closure_oracle._compile(parse(s).root)
-              for s in ("iflte(p, 0, q/4, 2)", "iflte(p, 0, 3, q)")]
-    got = safe.fn(x, x, 0.0)
-    for value, f in zip(got, oracle):
-        assert value.tobytes() == f(x, x, 0.0).tobytes()
+    assert _iflte_calls(monkeypatch, parse("iflte(p, 0, 1/q, 2)"), x, x, 0.0) == 1
+    assert _iflte_calls(monkeypatch, parse("iflte(p, 0, q/4, 2)"), x, x, 0.0) == 0
+    # a safe iflte whose branch holds a masked one is masked too, and the
+    # inner one runs on the outer one's selected points
+    nested = parse("iflte(p, 1, iflte(q, 0, 2, 1/q), 3)")
+    assert _iflte_calls(monkeypatch, nested, x, x, 0.0) == 2
+    oracle = closure_oracle._compile(nested.root)
+    assert _outcome(nested.fn, x, x, 0.0) == _outcome(oracle, x, x, 0.0)
 
 
-def _select_and_place(a, b, then, then_args, other, other_args):
-    """``_iflte`` without its one-branch path: each branch on the points
-    it selects, placed into fresh arrays."""
-    cond = np.less_equal(a, b)
-    shape = cond.shape
-    outs = None
-    for mask, fn, args in ((cond, then, then_args), (~cond, other, other_args)):
-        if not mask.any():
-            continue
-        values = fn(*(np.broadcast_to(np.asarray(v, dtype=float), shape)[mask]
-                      for v in args))
-        if outs is None:
-            outs = [np.empty(shape) for _ in values]
-        for out, v in zip(outs, values):
-            out[mask] = v
-    return outs
-
-
-def _branches():
-    def then(p, q):
-        return np.exp(-0.6 * (p * p + q * q)) * q, 3.0, p, -p
-
-    def other(p, q):
-        return np.tanh(p) / (1.0 + q * q), p, q, np.float64(-0.0)
-
-    return then, other
+# branches on both sides of a comparison A <= 0; the last has a division
+# by a variable, so its iflte is masked
+UNIFORM_BRANCHES = [
+    ("exp(-0.6*(p^2 + q^2))*q", "tanh(p)*(1 + q^2)"),
+    ("3", "p"),
+    ("p", "q"),
+    ("-p", "-0.0"),
+    ("exp(-0.6*(p^2 + q^2))*q", "tanh(p)/(1 + q^2)"),
+]
 
 
 @pytest.mark.parametrize("shapes", [((7,), (7,)), ((4, 1), (1, 3)), ((5,), ())])
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_uniform_branch_equals_select_and_place(shapes, side):
-    # every point on one side of the comparison: the branch runs on the
-    # whole arrays, bitwise as on the selected points
+    # every point on one side of the comparison: both the inline select
+    # and the masked call give the closure oracle's select-and-place bits,
+    # in a float array of their own
     rng = np.random.default_rng(7)
     p = rng.uniform(-2.0, 2.0, shapes[0])
     q = rng.uniform(-2.0, 2.0, shapes[1])
-    a = side * (1.0 + np.abs(p) + np.abs(q))
-    then, other = _branches()
-    got = exprlang._iflte(a, 0.0, then, (p, q), other, (p, q))
-    want = _select_and_place(a, 0.0, then, (p, q), other, (p, q))
-    assert len(got) == len(want) == 4
-    for g, w in zip(got, want):
-        assert type(g) is np.ndarray and g.dtype == float
-        assert g.shape == w.shape == np.shape(a)
-        assert g.tobytes() == w.tobytes()
-        assert not any(np.shares_memory(g, x) for x in (p, q, a))
+    shape = np.broadcast(p, q).shape
+    for u, v in UNIFORM_BRANCHES:
+        e = parse(f"iflte({side}*(1 + abs(p) + abs(q)), 0, {u}, {v})")
+        got = e.fn(p, q, 0.0)
+        assert _outcome(e.fn, p, q, 0.0) == _outcome(closure_oracle._compile(e.root), p, q, 0.0)
+        assert type(got) is np.ndarray and got.dtype == float and got.shape == shape
+        assert not np.shares_memory(got, p) and not np.shares_memory(got, q)
 
 
 def test_uniform_constant_branch_is_a_fresh_float_array():
@@ -703,16 +698,31 @@ def test_uniform_constant_branch_is_a_fresh_float_array():
 
 def test_uniform_branch_returns_no_argument_itself():
     # a branch that is a variable hands back its argument; the result is
-    # a copy of it
+    # a copy of it, whether every point or some take that branch, and
+    # whether the iflte is inline or masked
     p = np.array([-1.0, -2.0, 0.0])
     q = np.array([4.0, 5.0, 6.0])
-    for text, src in (("iflte(p, 0, p, q)", p), ("iflte(q, 0, p, q)", q)):
+    for text, src in (("iflte(p, 0, p, q)", p), ("iflte(q, 0, p, q)", q),
+                      ("iflte(p, 1, p, 1/q)", p), ("iflte(q, 1, 1/p, q)", q)):
         out = parse(text).fn(p, q, 0.0)
         assert out.tobytes() == src.tobytes()
         assert not np.shares_memory(out, p) and not np.shares_memory(out, q)
-    then, other = _branches()
-    for out in exprlang._iflte(p, 1.0, then, (p, q), other, (p, q)):
+    for text in ("iflte(p, -1.5, p, q)", "iflte(p, -1.5, q, p)"):
+        out = parse(text).fn(p, q, 0.0)
         assert not np.shares_memory(out, p) and not np.shares_memory(out, q)
+
+
+def test_raising_branch_runs_only_on_the_points_it_selects():
+    e = parse("iflte(p, 0, 1, 1/0)")
+    oracle = closure_oracle._compile(e.root)
+    below = np.array([-1.0, -0.0, 0.0, -3.5])
+    for p in (below, below[:, None], -2.0, -0.0):
+        assert _outcome(e.fn, p, 0.0, 0.0) == _outcome(oracle, p, 0.0, 0.0)
+        assert np.asarray(e.fn(p, 0.0, 0.0)).tobytes() == np.ones_like(p).tobytes()
+    for p in (np.array([-1.0, 0.5]), np.array([np.nan, -1.0]), 2.0):
+        assert _outcome(e.fn, p, 0.0, 0.0) == _outcome(oracle, p, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            e.fn(p, 0.0, 0.0)
 
 
 def test_nan_comparisons_take_the_other_branch():
@@ -735,6 +745,47 @@ def test_empty_batch_evaluates_to_empty_arrays():
     F = parse("0.05*max(0, 1 - (p^2 + q^2)/6)^4")
     field = fused(F.diff("q"), -F.diff("p")).fn(np.zeros((0, 3)), 0.0, 0.0)
     assert [x.shape for x in field] == [(0, 3), (0, 3)]
+
+
+# the hinges of the gate and of disjoint_pair, and p = +-1 where the
+# profiles' clamps kink, p = -3.5, -0.5, 0.5, 3.5 where the pair's hinges
+# do (on q = 0), +-0.0 and a nan
+HINGES = [HINGE_BUMP, HINGE_BUMP_OFF, HINGE_BUMP_DECAY, LEFT_HINGE, RIGHT_HINGE,
+          DISJOINT_PAIR["a"]["expression"], DISJOINT_PAIR["b"]["expression"]]
+KINKS = np.array([-4.0, -3.5, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.5, np.nan])
+HINGE_POINTS = [
+    (*np.meshgrid(KINKS, KINKS[::-1], indexing="ij"), t) for t in (0.0, 0.3, 1.0)
+] + [(-0.5, 0.0, 0.0), (1.0, -0.0, 0.3), (-0.0, 2.5, 0.0), (np.nan, 0.0, 0.0)]
+
+
+def _same_as_oracle(fn, parts, args):
+    """Whether ``fn`` gives the closure oracle's values of ``parts`` at
+    ``args``, each of the oracle's type and shape, bit for bit but for a
+    nan's sign, which a folded negation may flip."""
+    with np.errstate(all="ignore"):
+        got = fn(*args)
+        want = [closure_oracle._compile(x.root)(*args) for x in parts]
+    got = got if isinstance(got, tuple) else (got,)
+    return len(got) == len(want) and all(
+        type(g) is type(w) and np.shape(g) == np.shape(w) and _same_bits_nan_aside(g, w)
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("src", HINGES)
+def test_hinge_fields_equal_the_closure_oracle(src):
+    F = parse(src)
+    xp, xq = F.diff("q"), -F.diff("p")
+    tangent = (xp, xq, xp.diff("p"), xp.diff("q"), xq.diff("p"))
+    for args in HINGE_POINTS:
+        assert _same_as_oracle(fused(xp, xq).fn, (xp, xq), args), args
+        assert _same_as_oracle(fused(*tangent).fn, tangent, args), args
+
+
+@pytest.mark.parametrize("src", [QUAD_PROFILE, SINE_PROFILE])
+def test_profile_slopes_equal_the_closure_oracle(src):
+    slope = parse(src).diff("p")
+    for p in (KINKS, KINKS[:, None], 1.0, -1.0, -0.0, np.nan):
+        assert _same_as_oracle(slope.fn, (slope,), (p, 0.0, 0.0)), p
 
 
 # ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import fixed_point_oracle
 from symcocycle import invariants
+from symcocycle.errors import NumericalError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
     GridSpec,
@@ -355,6 +357,17 @@ def test_flux_growth_rate_invariant_under_primitive_change():
     a = flux_compare(f, PDQ, grid=GridSpec(31, 49), periods=2)
     b = flux_compare(f, other, grid=GridSpec(31, 49), periods=2)
     assert a.growth_rate_of_k == pytest.approx(b.growth_rate_of_k, abs=1e-4)
+
+
+def test_flux_of_an_overflowing_field_raises_without_warnings():
+    # the field's exp overflows for 0.37 < t < 1: the flux is not finite
+    # there, which is reported before the lifted march reaches it
+    F = "sin(q)*exp(20000*t*(t - 0.37)*(1 - t))"
+    f = FlowMap(HamiltonianSpec(parse(F)), CYL, step=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="the flux overflowed"):
+            flux_compare(f, grid=GridSpec(21, 21))
 
 
 def test_flux_additive_over_composition():
