@@ -261,10 +261,14 @@ def _point_arg(text, flag):
 
 
 def _point_pair(args):
-    """(x, y) from --x and --y when both are given, else None."""
-    if args.x and args.y:
-        return _point_arg(args.x, "--x"), _point_arg(args.y, "--y")
-    return None
+    """(x, y) from --x and --y, or None for an automatic pair: a command
+    takes both points or neither."""
+    if (args.x is None) != (args.y is None):
+        raise ValidationError(f"{args.command} needs both --x and --y, or "
+                              "neither for an automatic pair")
+    if args.x is None:
+        return None
+    return _point_arg(args.x, "--x"), _point_arg(args.y, "--y")
 
 
 def _out_file(args):
@@ -363,15 +367,7 @@ def _cmd_calabi(args, sc):
 
 def _cmd_polterovich(args, sc):
     m = _realized(args, sc)
-    if args.auto_fixed_points and (args.x or args.y):
-        raise ValidationError(
-            "polterovich takes --x and --y or --auto-fixed-points, not both"
-        )
-    pair = None if args.auto_fixed_points else _point_pair(args)
-    if pair is None and not args.auto_fixed_points:
-        raise ValidationError(
-            "polterovich needs --x and --y, or --auto-fixed-points"
-        )
+    pair = _point_pair(args)
     K = _word_cocycle(args, sc, m)
     x, y = pair or _auto_pair(m, K, sc)
     value = polterovich(m, K, x, y)
@@ -437,10 +433,6 @@ def _cmd_distortion(args, sc):
         raise ValidationError("distortion needs a nonempty generators list")
     if args.n_max < 1:
         raise ValidationError(f"--n-max must be at least 1, got {args.n_max}")
-    if bool(args.x) != bool(args.y):
-        raise ValidationError(
-            "distortion needs both --x and --y, or neither for an automatic pair"
-        )
     pair = _point_pair(args)
     gens = GeneratorSet(
         {n: sc.maps[n] for n in sc.generator_names},
@@ -511,10 +503,6 @@ _FLAGS = {
     "--n-max": dict(type=int, default=4, help="largest power"),
     "--x": dict(help="first fixed point as 'p,q'"),
     "--y": dict(help="second fixed point as 'p,q'"),
-    "--auto-fixed-points": dict(
-        action="store_true",
-        help="search for fixed points and pick an extremal pair",
-    ),
 }
 
 #: Each command's handler, help line and flags: exactly the flags the
@@ -525,8 +513,7 @@ _COMMANDS = {
     "calabi": (_cmd_calabi, "Calabi invariant of the word",
                "--config --out --word"),
     "polterovich": (_cmd_polterovich, "fixed-point invariant between two points",
-                    "--config --out --tol --word --method --x --y "
-                    "--auto-fixed-points"),
+                    "--config --out --tol --word --method --x --y"),
     "osc": (_cmd_osc, "oscillation of the word's cocycle",
             "--config --out --tol --word --method"),
     "twist-check": (_cmd_twist_check, "boundary difference of a twist profile",

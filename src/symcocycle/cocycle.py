@@ -167,33 +167,27 @@ class GridFunction:
 
     # -- arithmetic (results are considered modulo constants) -----
 
+    def _mod_constants(self, samples):
+        return self.with_samples(samples, Normalization.mod_constants())
+
+    def _operand(self, other):
+        """The samples of a compatible grid function, or a float."""
+        if isinstance(other, GridFunction):
+            self._check_compatible(other)
+            return other.samples
+        return float(other)
+
     def __neg__(self):
-        return self.with_samples(-self.samples, Normalization.mod_constants())
+        return self._mod_constants(-self.samples)
 
     def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_compatible(other)
-            return self.with_samples(
-                self.samples + other.samples, Normalization.mod_constants()
-            )
-        return self.with_samples(
-            self.samples + float(other), Normalization.mod_constants()
-        )
+        return self._mod_constants(self.samples + self._operand(other))
 
     def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_compatible(other)
-            return self.with_samples(
-                self.samples - other.samples, Normalization.mod_constants()
-            )
-        return self.with_samples(
-            self.samples - float(other), Normalization.mod_constants()
-        )
+        return self._mod_constants(self.samples - self._operand(other))
 
     def __mul__(self, c):
-        return self.with_samples(
-            self.samples * float(c), Normalization.mod_constants()
-        )
+        return self._mod_constants(self.samples * float(c))
 
     __rmul__ = __mul__
 

@@ -18,12 +18,12 @@ The search meets in the middle: a word of length at most 2r is u v^-1
 with |u|, |v| <= r, so marching the ball to radius r and the target
 over the images of its nodes finds every word up to 2r.  The ball does
 not depend on the target, so it is a value: the generator set keeps one
-per probe seed, a list of levels, and a search marches only the levels
-no earlier search needed.  A level is marched with one ``apply`` per
-letter on the stacked images of every frontier word that takes the
-letter, primary and secondary probes together, so a recheck reads
-images already in hand; the target marches once per piece over the
-stacked primary images of the nodes it has not seen.  A march treats
+per probe seed, a table of words level by level, and a search marches
+only the levels no earlier search needed.  A level is marched with one
+``apply`` per letter on the stacked images of every frontier word that
+takes the letter, primary and secondary probes together, so a recheck
+reads images already in hand; the target marches once per piece over
+the stacked primary images of the nodes it has not seen.  A march treats
 each point on its own, so stacking changes no image.
 """
 
@@ -274,10 +274,10 @@ def distortion_lower_bound(gens, word, x, y, n):
 # ============================================================
 
 
-# One word of the ball: its letters in application order, its images of
-# the primary probes followed by the secondary ones (q wrapped after every
-# letter), and the fingerprint of the primary images.
-_Node = namedtuple("_Node", "letters p q fp")
+# A view of one word of the ball: its letters in application order and
+# its images of the primary probes followed by the secondary ones (q
+# wrapped after every letter).
+_Node = namedtuple("_Node", "letters p q")
 
 # Probe coordinates one pairwise comparison holds at once: 2**20 doubles
 # (8 MB) per temporary, so a ball of about a thousand nodes is matched
@@ -299,12 +299,15 @@ def _secondary_disagree(manifold, held, new):
 class _Ball:
     """The word ball of one probe seed, grown one level at a time on demand.
 
-    ``nodes`` holds each distinct map (by fingerprint key) under the first
-    word that reached it, so at its least length, level by level in search
-    order: node-major, letter-minor, with free reduction.  ``ends[k]``
-    counts the nodes of length at most k, and ``p``, ``q`` and ``lengths``
-    stack their primary images and lengths, one row per node.  A target's
-    images of those rows are kept under every prefix of its pieces, so a
+    The ball is one table with a row per distinct map (by fingerprint
+    key), under the first word that reached it, so at its least length,
+    level by level in search order: row-major, letter-minor, with free
+    reduction.  ``words`` holds each row's letters in application order,
+    ``P`` and ``Q`` its images of the primary probes followed by the
+    secondary ones, and ``seen`` maps each key to its row.  ``ends[k]``
+    counts the rows of length at most k, so the frontier is the last
+    level's rows and a row's length is the level it lies in.  A target's
+    images of the rows are kept under every prefix of its pieces, so a
     target that extends an earlier one marches only the pieces it adds,
     and a larger radius only the rows that are new.
     """
@@ -320,17 +323,18 @@ class _Ball:
         sec_ps, sec_qs = probe_points(window, N_SECONDARY, seed, inset=0.04)
         p = np.concatenate([ps, sec_ps])
         q = self.manifold.wrap_q(np.concatenate([qs, sec_qs]))
-        root = _Node((), p, q, Fingerprint(p[:N_PROBES], q[:N_PROBES]))
-        self.seen = {root.fp.key: root}
-        self.nodes = [root]
-        self.frontier = [root]
+        self.P, self.Q = p[None], q[None]
+        self.words = [()]
+        self.seen = {Fingerprint(p[:N_PROBES], q[:N_PROBES]).key: 0}
         self.ends = [1]
-        self.p, self.q = p[None, :N_PROBES], q[None, :N_PROBES]
-        self.lengths = np.zeros(1, dtype=int)
         self._images = {}  # target piece prefix -> its images of the rows
 
+    def node(self, row):
+        """The word of one row with its images."""
+        return _Node(self.words[row], self.P[row], self.Q[row])
+
     def grow(self, radius):
-        """The number of nodes of length at most ``radius``, marching the
+        """The number of rows of length at most ``radius``, marching the
         missing levels."""
         while len(self.ends) <= radius:
             self._march()
@@ -338,66 +342,55 @@ class _Ball:
 
     def _march(self):
         """Add the next level: one ``apply`` per letter on the stacked
-        images of every frontier node that takes the letter.  A candidate
-        whose key is held by a node of another length is rechecked on the
+        images of every frontier row that takes the letter.  A candidate
+        whose key is held by a row of another length is rechecked on the
         secondary probes.  Only the marches can raise, and they come
         first, so a march that raises leaves the ball as it was."""
-        frontier = self.frontier
-        images = {}  # (frontier index, letter index) -> images
+        frontier = range(self.ends[-2] if len(self.ends) > 1 else 0, self.ends[-1])
+        images = {}  # (row, letter index) -> images
         for j, (name, e, m) in enumerate(self.letters):
             # free reduction: never undo the last letter
-            takers = [
-                i for i, node in enumerate(frontier)
-                if node.letters[-1:] != ((name, -e),)
-            ]
+            takers = [i for i in frontier if self.words[i][-1:] != ((name, -e),)]
             if takers:
-                pim, qim = m.apply(
-                    np.concatenate([frontier[i].p for i in takers]),
-                    np.concatenate([frontier[i].q for i in takers]),
-                )
+                pim, qim = m.apply(self.P[takers].ravel(), self.Q[takers].ravel())
                 qim = self.manifold.wrap_q(qim).reshape(len(takers), -1)
                 images.update(zip(
                     ((i, j) for i in takers), zip(pim.reshape(qim.shape), qim)
                 ))
         length = len(self.ends)
         fresh, collisions = [], []
-        for i, j in sorted(images):  # node-major, letter-minor
-            p, q = images[i, j]
-            new = _Node(
-                frontier[i].letters + (self.letters[j][:2],), p, q,
-                Fingerprint(p[:N_PROBES], q[:N_PROBES]),
-            )
-            held = self.seen.get(new.fp.key)
+        for i, j in sorted(images):  # row-major, letter-minor
+            new = _Node(self.words[i] + (self.letters[j][:2],), *images[i, j])
+            key = Fingerprint(new.p[:N_PROBES], new.q[:N_PROBES]).key
+            held = self.seen.get(key)
             if held is None:
-                self.seen[new.fp.key] = new
+                self.seen[key] = self.ends[-1] + len(fresh)
                 fresh.append(new)
-            elif len(held.letters) != length and _secondary_disagree(
-                self.manifold, held, new
+            # a row of an earlier level is a word of another length
+            elif held < self.ends[-1] and _secondary_disagree(
+                self.manifold, self.node(held), new
             ):
+                word = self.words[held]
                 collisions.append(
-                    f"words {GroupWord(held.letters[::-1])} (length "
-                    f"{len(held.letters)}) and {GroupWord(new.letters[::-1])} "
-                    f"(length {length}) share a fingerprint but differ on "
-                    "the secondary probes"
+                    f"words {GroupWord(word[::-1])} (length {len(word)}) and "
+                    f"{GroupWord(new.letters[::-1])} (length {length}) share "
+                    "a fingerprint but differ on the secondary probes"
                 )
-        self.frontier = fresh
-        self.nodes += fresh
-        self.ends.append(len(self.nodes))
-        if fresh:
-            self.p = np.concatenate([self.p] + [n.p[None, :N_PROBES] for n in fresh])
-            self.q = np.concatenate([self.q] + [n.q[None, :N_PROBES] for n in fresh])
-            self.lengths = np.concatenate([self.lengths, np.full(len(fresh), length)])
+        self.words += [n.letters for n in fresh]
+        self.P = np.vstack([self.P, *(n.p for n in fresh)])
+        self.Q = np.vstack([self.Q, *(n.q for n in fresh)])
+        self.ends.append(len(self.words))
         # warned once the level is in place, so a warning turned into an
         # error cannot leave the ball half grown
         for text in collisions:
             warnings.warn(text, FingerprintCollisionWarning, stacklevel=4)
 
     def images(self, pieces, stop):
-        """Images of the first ``stop`` rows under ``pieces`` applied in
-        order, unwrapped: each piece marches once, on the rows its prefix
-        has not taken yet."""
+        """Images of the first ``stop`` rows' primary probes under
+        ``pieces`` applied in order, unwrapped: each piece marches once,
+        on the rows its prefix has not taken yet."""
         if not pieces:
-            return self.p[:stop], self.q[:stop]
+            return self.P[:stop, :N_PROBES], self.Q[:stop, :N_PROBES]
         held = self._images.get(pieces)
         have = 0 if held is None else len(held[0])
         if have < stop:
@@ -417,7 +410,8 @@ def _least_match(manifold, ball, tp, tq):
     no pair matches.  Ties go to the first pair in v-major order."""
     stop = len(tp)
     step = max(1, _PAIR_BLOCK // (stop * N_PROBES))
-    up, uq = ball.p[None, :stop], ball.q[None, :stop]
+    up, uq = ball.images((), stop)
+    lengths = np.searchsorted(ball.ends, np.arange(stop), side="right")
     best = None
     for a in range(0, stop, step):
         gap = np.maximum(
@@ -426,7 +420,7 @@ def _least_match(manifold, ball, tp, tq):
         )
         vs, us = np.nonzero(gap <= MATCH_TOL)
         if len(vs):
-            sums = ball.lengths[vs + a] + ball.lengths[us]
+            sums = lengths[vs + a] + lengths[us]
             k = int(np.argmin(sums))
             if best is None or sums[k] < best[0]:
                 best = (int(sums[k]), int(us[k]), int(vs[k]) + a)
@@ -487,12 +481,10 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
             length, iu, iv = match
             if length > radius_cap:
                 return None
-            u, v = ball.nodes[iu], ball.nodes[iv]
+            u, v = ball.node(iu), ball.node(iv)
             sp, sq = target.apply(v.p[N_PROBES:], v.q[N_PROBES:])
-            image = _Node(
-                v.letters, np.concatenate([tp[iv], sp]),
-                np.concatenate([tq[iv], manifold.wrap_q(sq)]), None,
-            )
+            image = _Node(v.letters, np.concatenate([tp[iv], sp]),
+                          np.concatenate([tq[iv], manifold.wrap_q(sq)]))
             if _secondary_disagree(manifold, u, image):
                 word = GroupWord(
                     u.letters[::-1] + tuple((n, -e) for n, e in v.letters)

@@ -1,5 +1,5 @@
 """Mutation check of the march kernel, the action route, the path route,
-the quadrature and the generated code.
+the quadrature, the generated code and the word ball.
 
     python3 tests/mutants.py
 
@@ -106,6 +106,13 @@ MUTANTS = [
     ("no iflte masked: a raising branch runs on every point", "exprlang.py",
      "        return node.op == \"iflte\" and any(map(self.may_raise, node.args[2:]))\n",
      "        return False\n", ("tests/test_exprlang.py",)),
+    ("the ball's frontier starts at row 0", "distortion.py",
+     "        frontier = range(self.ends[-2] if len(self.ends) > 1 else 0, self.ends[-1])\n",
+     "        frontier = range(0, self.ends[-1])\n", ("tests/test_distortion.py",)),
+    ("_least_match's lengths one level short at each level's first row", "distortion.py",
+     "    lengths = np.searchsorted(ball.ends, np.arange(stop), side=\"right\")\n",
+     "    lengths = np.searchsorted(ball.ends, np.arange(stop), side=\"left\")\n",
+     ("tests/test_distortion.py",)),
     ("errors.finite reads only its first two arrays", "errors.py",
      "    for x in arrays:\n",
      "    for x in arrays[:2]:\n", ("tests/test_errors.py", "tests/test_jets.py")),

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import math
 import re
@@ -257,7 +258,7 @@ OPTIONS = {
     "cocycle": {"--config", "--out", "--tol", "--word", "--method"},
     "calabi": {"--config", "--out", "--word"},
     "polterovich": {"--config", "--out", "--tol", "--word", "--method",
-                    "--x", "--y", "--auto-fixed-points"},
+                    "--x", "--y"},
     "osc": {"--config", "--out", "--tol", "--word", "--method"},
     "twist-check": {"--config", "--out", "--twist"},
     "lift": {"--config", "--out", "--tol", "--word", "--periods"},
@@ -274,7 +275,7 @@ def test_each_command_takes_only_the_flags_it_reads():
     assert list(commands) == list(OPTIONS)
     for name, sub in commands.items():
         assert long_options(sub) == OPTIONS[name], name
-    assert sum(len(flags) for flags in OPTIONS.values()) == 48
+    assert sum(len(flags) for flags in OPTIONS.values()) == 47
 
 
 @pytest.mark.parametrize(
@@ -342,8 +343,9 @@ def test_polterovich_between_center_and_far_corner(capsys):
 
 
 def test_polterovich_auto_fixed_points(capsys):
+    # without points the command picks the pair itself
     code = cli.main(["polterovich", "--config", DISJOINT_PAIR, "--word", "a",
-                     "--method", "action", "--auto-fixed-points"])
+                     "--method", "action"])
     out = capsys.readouterr().out
     assert code == 0
     value = float(out.split()[1])
@@ -358,8 +360,7 @@ def test_auto_fixed_points_needs_two_points(capsys):
     K = cocycle_by_action(flat, sc.primitive, grid=sc.grid)
     with pytest.raises(NoFixedPointFound):
         cli._auto_pair(flat, K, sc)
-    code = cli.main(["polterovich", "--config", PLANE_BUMP, "--word", "flat",
-                     "--auto-fixed-points"])
+    code = cli.main(["polterovich", "--config", PLANE_BUMP, "--word", "flat"])
     assert code == 3
     assert "fewer than two fixed points" in capsys.readouterr().err
 
@@ -378,26 +379,30 @@ def test_distortion_rejects_a_non_positive_n_max_before_any_work(
 
 
 def test_polterovich_needs_points_or_auto(capsys):
-    assert cli.main(["polterovich", "--config", PLANE_BUMP]) == 2
-    capsys.readouterr()
+    # both points, or neither for the search: the rule distortion keeps
+    assert cli.main(["polterovich", "--config", PLANE_BUMP, "--y", "4,4"]) == 2
+    assert capsys.readouterr().err == (
+        "polterovich: validation error: polterovich needs both --x and --y, "
+        "or neither for an automatic pair\n"
+    )
 
 
 def test_polterovich_checks_points_before_the_cocycle(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "cocycle_by_path", lambda *a, **k: calls.append(a))
     assert cli.main(["polterovich", "--config", PLANE_BUMP, "--x", "0,0"]) == 2
-    assert "needs --x and --y" in capsys.readouterr().err
+    assert "needs both --x and --y" in capsys.readouterr().err
     assert calls == []
 
 
-@pytest.mark.parametrize("points", [["--x", "1,1"], ["--x", "1,1", "--y", "2,2"]])
+@pytest.mark.parametrize("points", [["--x", "1,1"], ["--y", "2,2"]])
 def test_auto_fixed_points_rejects_given_points(monkeypatch, capsys, points):
-    # the search would silently drop the points given
+    # the search would silently drop the one point given
     calls = []
     monkeypatch.setattr(cli, "cocycle_by_action", lambda *a, **k: calls.append(a))
     assert cli.main(["polterovich", "--config", DISJOINT_PAIR, "--word", "a",
-                     "--method", "action", "--auto-fixed-points", *points]) == 2
-    assert "not both" in capsys.readouterr().err
+                     "--method", "action", *points]) == 2
+    assert "or neither for an automatic pair" in capsys.readouterr().err
     assert calls == []
 
 
@@ -829,19 +834,28 @@ def readme_command_lines():
 README_LINES = readme_command_lines()
 
 
+def line_ids(lines):
+    """Each line's command, numbered from its second line on."""
+    seen = collections.Counter()
+    ids = []
+    for argv in lines:
+        seen[argv[0]] += 1
+        ids.append(argv[0] if seen[argv[0]] == 1 else f"{argv[0]}{seen[argv[0]]}")
+    return ids
+
+
 def test_readme_command_block_lists_the_commands():
     assert [argv[0] for argv in README_LINES] == [
         "cocycle", "calabi", "polterovich", "osc", "twist-check", "lift",
-        "flux", "distortion", "fixed-points", "verify",
+        "flux", "distortion", "fixed-points", "fixed-points", "verify",
     ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    # verify is run end to end by the acceptance gate's own test
-    [argv for argv in README_LINES if argv[0] != "verify"],
-    ids=lambda argv: argv[0],
-)
+# verify is run end to end by the acceptance gate's own test
+RUN_LINES = [argv for argv in README_LINES if argv[0] != "verify"]
+
+
+@pytest.mark.parametrize("argv", RUN_LINES, ids=line_ids(RUN_LINES))
 def test_readme_command_line_exits_0(argv, tmp_path, monkeypatch, capsys):
     # configs resolve from the repo root; grids land under tmp_path
     monkeypatch.chdir(tmp_path)
@@ -850,6 +864,21 @@ def test_readme_command_line_exits_0(argv, tmp_path, monkeypatch, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
+
+
+def test_fixed_points_off_the_grid_found_by_newton(tmp_path, capsys):
+    # the README's line: the bump's center lies between the nodes of the
+    # 61x61 scan grid, so only the Newton refinement reaches it
+    argv = ["fixed-points", "--config", "scenarios/plane_bump.json", "--word", "off"]
+    assert argv in README_LINES
+    out = tmp_path / "fp.csv"
+    assert cli.main([*argv[:2], PLANE_BUMP, *argv[3:], "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    near = [r for r in rows
+            if math.dist((float(r[0]), float(r[1])), (0.13, -0.07)) < 1e-8]
+    assert len(near) == 1
+    assert near[0][5] == "no"
 
 
 def readme_flag_lists():

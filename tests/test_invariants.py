@@ -31,6 +31,7 @@ from symcocycle.cocycle import (
     Normalization,
     cocycle_by_action,
     cocycle_by_path,
+    hamiltonian_test,
     normalize_compact,
 )
 from symcocycle.invariants import (
@@ -368,6 +369,18 @@ def test_flux_of_an_overflowing_field_raises_without_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalError, match="the flux overflowed"):
             flux_compare(f, grid=GridSpec(21, 21))
+
+
+@pytest.mark.parametrize("expr", [
+    "0.3*q", COMPACT_F, "0.2*q + 0.05*sin(q)*p", "(0.3 + 0.2*t)*q",
+])
+def test_flux_equals_the_loop_period(expr):
+    # two independent routes to one number: a time quadrature of the field
+    # over the core loop, and the core-loop period of the jet's pullback
+    # defect f*alpha - alpha
+    f = FlowMap(HamiltonianSpec(parse(expr)), CYL, step=1e-2)
+    flux = flux_compare(f, grid=GridSpec(41, 65), periods=2).flux_value
+    assert flux == pytest.approx(hamiltonian_test(f, PDQ).period, abs=1e-14)
 
 
 def test_flux_additive_over_composition():
