@@ -43,14 +43,12 @@ __all__ = [
 ]
 
 
-#: How far a point may move under f and still count as fixed.
+#: A point is fixed when f moves it by less than this (``_motion``): the
+#: one rule for the search's regions, its Newton points and given points.
 FIXED_TOL = 1e-8
 
-#: Fixed-point search: scan residuals below EXACT_TOL form exactly fixed
-#: regions; refined candidates are kept below ACCEPT_TOL and merged
-#: within DEDUP_RADIUS; at most MAX_CANDIDATES seeds are refined.
-EXACT_TOL = 1e-10
-ACCEPT_TOL = 1e-8
+#: Fixed-point search: found points are merged within DEDUP_RADIUS; at
+#: most MAX_CANDIDATES seeds are refined.
 DEDUP_RADIUS = 1e-6
 MAX_CANDIDATES = 200
 
@@ -123,20 +121,24 @@ def calabi_from_hamiltonian(spec, manifold):
 
 
 def _motion(f, p, q):
-    dp, dq = f.apply(float(p), float(q))
-    return float(f.manifold.norm(dp - p, dq - q))
+    """How far f moves (p, q), the manifold norm of f(p, q) - (p, q),
+    elementwise on arrays, and whether that leaves each point fixed: the
+    module's one displacement and its one comparison with FIXED_TOL."""
+    yp, yq = f.apply(p, q)
+    moved = f.manifold.norm(yp - p, yq - q)
+    return moved, moved < FIXED_TOL
 
 
 def polterovich(f, K, x, y):
     """K(x) - K(y) for two fixed points of f.
 
     Constants cancel in the difference, so any normalization of K is
-    accepted.  Both points must genuinely be fixed: each may move by at
-    most FIXED_TOL.
+    accepted.  Both points must be fixed by ``_motion``'s rule, which
+    every point ``find_fixed_points`` reports passes.
     """
     for label, pt in (("x", x), ("y", y)):
-        moved = _motion(f, pt[0], pt[1])
-        if moved > FIXED_TOL:
+        moved, fixed = _motion(f, float(pt[0]), float(pt[1]))
+        if not fixed:
             raise NotFixedPoint(
                 f"{label} = ({pt[0]:.6g}, {pt[1]:.6g}) moves by {moved:.3e} "
                 f"under f (tolerance {FIXED_TOL:.1e})"
@@ -226,14 +228,14 @@ def _exact_regions(mask, wrap_q):
 
 
 def _newton_refine(f, p, q):
+    """The last iterate of a damped Newton iteration on f(x) - x from (p, q)."""
     mani = f.manifold
-    wrapd = mani.wrap_delta
     w = mani.window
     span = max(w.p_span, w.q_span)
 
     def residual(pp, qq):
         yp, yq = f.apply(float(pp), float(qq))
-        return float(yp - pp), float(wrapd(yq - qq))
+        return float(yp - pp), float(mani.wrap_delta(yq - qq))
 
     rp, rq = residual(p, q)
     best = float(np.hypot(rp, rq))
@@ -252,7 +254,6 @@ def _newton_refine(f, p, q):
         sq = (c * rp - a * rq) / det
         # damped update: halve the step while the residual grows
         scale = 1.0
-        moved = False
         for _ in range(10):
             np_, nq_ = p + scale * sp, q + scale * sq
             if abs(np_) + abs(nq_) > 10.0 * (span + abs(p) + abs(q)):
@@ -262,70 +263,66 @@ def _newton_refine(f, p, q):
             nr = float(np.hypot(nrp, nrq))
             if nr < best:
                 p, q, rp, rq, best = np_, nq_, nrp, nrq, nr
-                moved = True
                 break
             scale *= 0.5
-        if not moved:
+        else:
             break
-    return p, q, best if best < ACCEPT_TOL else None
+    return p, q
 
 
 def find_fixed_points(f, grid=None, alpha=None):
     """Scan-and-refine search for fixed points of f on its window.
 
-    Exactly fixed regions (residual below EXACT_TOL over connected
-    patches of the scan grid) are reported through one representative
-    each, the lexicographically first node.  Isolated candidates start
-    from strict local minima of the displacement and are polished by a
-    damped Newton iteration on f(x) - x; only residuals below
-    ACCEPT_TOL are kept.  When every isotopy piece of the map is a flow
-    (the identity has none), the points get their actions from one
-    ``action_values`` call; on the cylinder one march of the lift gives
-    every point's winding, and so whether it is contractible.  An empty
-    report is legal output: finding nothing at one resolution proves
-    nothing.
+    A point is fixed when ``_motion`` says so, as ``polterovich`` checks,
+    and its ``residual`` is the motion at its reported location.  Each
+    connected region of fixed scan nodes is reported through its
+    lexicographically first node.  Other candidates start from strict
+    local minima of the motion, border nodes included, and are polished
+    by a damped Newton iteration on f(x) - x.  When every isotopy piece
+    of the map is a flow (the identity has none), the points get their
+    actions from one ``action_values`` call; on the cylinder one march
+    of the lift gives every point's winding, and so whether it is
+    contractible.  An empty report is legal output: finding nothing at
+    one resolution proves nothing.
     """
     mani = f.manifold
     w = mani.window
-    grid = grid or GridSpec()
-    P, Q = grid.mesh(w)
-    yp, yq = f.apply(P, Q)
-    R = mani.norm(yp - P, yq - Q)
+    cyl = mani.is_cylinder
+    P, Q = (grid or GridSpec()).mesh(w)
+    if cyl:
+        # the last column repeats the first
+        P, Q = P[:, :-1], Q[:, :-1]
+    R, fixed = _motion(f, P, Q)
 
-    # on the cylinder the last column repeats the first
-    unique = R[:, :-1] if mani.is_cylinder else R
-    rows, cols, sizes = _exact_regions(unique < EXACT_TOL, mani.is_cylinder)
+    rows, cols, sizes = _exact_regions(fixed, cyl)
     # a clamped twist already fixes half its window; identity-like means
     # essentially everything is fixed
-    degenerate = bool(sizes.sum() > 0.9 * unique.size)
+    degenerate = bool(sizes.sum() > 0.9 * fixed.size)
     found = [
         (float(P[i, j]), float(Q[i, j]), float(R[i, j]), bool(size > 1))
         for i, j, size in zip(rows, cols, sizes)
     ]
 
-    # strict local minima of the displacement as Newton seeds
-    interior = R[1:-1, 1:-1]
-    mins = np.ones_like(interior, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            mins &= interior < R[1 + di : R.shape[0] - 1 + di,
-                                 1 + dj : R.shape[1] - 1 + dj]
-    seeds = [
-        (float(interior[i, j]), float(P[i + 1, j + 1]), float(Q[i + 1, j + 1]))
-        for i, j in zip(*np.nonzero(mins))
-        if interior[i, j] >= EXACT_TOL
-    ]
-    seeds.sort()
-    for _, sp, sq in seeds[:MAX_CANDIDATES]:
-        pp, qq, res = _newton_refine(f, sp, sq)
-        if res is None:
-            continue
-        qq = mani.wrap_q(qq)
-        if not w.contains(pp, qq, slack=1e-9):
-            continue
-        found.append((pp, qq, res, False))
+    # Newton seeds: nodes outside the regions whose motion is below all
+    # eight neighbors'; +inf pads the p edges, and the q edges unless the
+    # cylinder glues them
+    pad = np.pad(R, ((1, 1), (0, 0) if cyl else (1, 1)), constant_values=np.inf)
+    if cyl:
+        pad = np.pad(pad, ((0, 0), (1, 1)), mode="wrap")
+    seed = ~fixed
+    for di, dj in np.ndindex(3, 3):
+        if (di, dj) != (1, 1):
+            seed &= R < pad[di : di + R.shape[0], dj : dj + R.shape[1]]
+    seeds = sorted(zip(R[seed], P[seed], Q[seed]))[:MAX_CANDIDATES]
+    if seeds:
+        # Newton's points are kept by the same rule, at their wrapped q
+        ps, qs = np.array([_newton_refine(f, float(a), float(b)) for _, a, b in seeds]).T
+        qs = mani.wrap_q(qs)
+        inside = w.contains(ps, qs, slack=1e-9)
+        ps, qs = ps[inside], qs[inside]
+        moved, ok = _motion(f, ps, qs)
+        found += [(float(pp), float(qq), float(r), False)
+                  for pp, qq, r in zip(ps[ok], qs[ok], moved[ok])]
 
     # lexicographic order, then drop near-duplicates
     found.sort(key=lambda item: (item[0], item[1]))
@@ -337,8 +334,7 @@ def find_fixed_points(f, grid=None, alpha=None):
         ):
             kept.append(cand)
 
-    ps = np.array([cand[0] for cand in kept])
-    qs = np.array([cand[1] for cand in kept])
+    ps, qs = np.array([cand[:2] for cand in kept]).reshape(-1, 2).T
     actions = contractible = [None] * len(kept)
     try:
         flow_pieces(f)

@@ -1,5 +1,6 @@
 """Mutation check of the march kernel, the action route, the path route,
-the quadrature, the generated code and the word ball.
+the quadrature, the generated code, the word ball and the fixed-point
+rule.
 
     python3 tests/mutants.py
 
@@ -27,6 +28,7 @@ MARCH = ("tests/test_frozen_march.py", "tests/test_jets.py", "tests/test_dynamic
 QUAD = ("tests/test_quadrature.py",)
 PATH = ("tests/test_cocycle.py", "tests/test_jets.py", "tests/test_invariants.py",
         "tests/test_cover.py", "tests/test_geometry.py", "tests/test_cli.py")
+FIXED = ("tests/test_cli.py", "tests/test_invariants.py")
 TIMEOUT_S = 600
 
 # (name, the module of symcocycle it mutates, the text as it stands, the
@@ -113,6 +115,14 @@ MUTANTS = [
      "    lengths = np.searchsorted(ball.ends, np.arange(stop), side=\"right\")\n",
      "    lengths = np.searchsorted(ball.ends, np.arange(stop), side=\"left\")\n",
      ("tests/test_distortion.py",)),
+    ("fixed regions at 1e-2*FIXED_TOL", "invariants.py",
+     "    rows, cols, sizes = _exact_regions(fixed, cyl)\n",
+     "    rows, cols, sizes = _exact_regions(R < 1e-2 * FIXED_TOL, cyl)\n",
+     FIXED),
+    ("Newton seeds at interior nodes only", "invariants.py",
+     "    pad = np.pad(R, ((1, 1), (0, 0) if cyl else (1, 1)), constant_values=np.inf)\n",
+     "    pad = np.pad(R, ((1, 1), (0, 0) if cyl else (1, 1)), constant_values=-np.inf)\n",
+     FIXED),
     ("errors.finite reads only its first two arrays", "errors.py",
      "    for x in arrays:\n",
      "    for x in arrays[:2]:\n", ("tests/test_errors.py", "tests/test_jets.py")),

@@ -7,10 +7,11 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symcocycle import cli, invariants
-from symcocycle.cocycle import cocycle_by_action
+from symcocycle.cocycle import GridFunction, Normalization, cocycle_by_action
 from symcocycle.dynamics import FlowMap, TwistMap
 from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.invariants import NoFixedPointFound
@@ -363,6 +364,32 @@ def test_auto_fixed_points_needs_two_points(capsys):
     code = cli.main(["polterovich", "--config", PLANE_BUMP, "--word", "flat"])
     assert code == 3
     assert "fewer than two fixed points" in capsys.readouterr().err
+
+
+def test_auto_pair_agrees_with_the_explicit_pair(capsys):
+    # g moves the corners by 6.2e-9: fixed by the rule the explicit pair
+    # is checked with, so the search finds a pair as well
+    assert cli.main(["polterovich", "--config", PLANE_BUMP]) == 0
+    auto = float(capsys.readouterr().out.split()[1])
+    assert cli.main(["polterovich", "--config", PLANE_BUMP,
+                     "--x", "0,0", "--y", "4,4"]) == 0
+    explicit = float(capsys.readouterr().out.split()[1])
+    assert abs(auto - explicit) < 1e-6
+
+
+@pytest.mark.parametrize("scenario, word", [
+    ("plane_bump", "g"), ("plane_bump", "off"), ("plane_bump", "g off"),
+    ("disjoint_pair", "a b"), ("cylinder_twist", "quad"), ("cylinder_twist", "sine"),
+])
+def test_every_reported_fixed_point_passes_polterovich(scenario, word):
+    # one rule decides "fixed" for the search and for given points
+    sc = cli.load_scenario(SCENARIOS / f"{scenario}.json")
+    f = cli._realized(argparse.Namespace(word=word), sc)
+    points = [fp.location for fp in invariants.find_fixed_points(f, grid=sc.grid).points]
+    assert points
+    K = GridFunction(sc.manifold, np.zeros((4, 4)), Normalization.mod_constants())
+    for x in points:
+        assert invariants.polterovich(f, K, x, x) == 0.0
 
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])
@@ -735,8 +762,10 @@ def test_fixed_points_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "p,q,residual,action,contractible,region_representative"
-    p, q, _, action, contractible, region = lines[1].split(",")
-    assert (float(p), float(q)) == (0.0, 0.0)
+    # the corners, which g moves by 6.2e-9, sort ahead of the center
+    (row,) = [r.split(",") for r in lines[1:]
+              if tuple(map(float, r.split(",")[:2])) == (0.0, 0.0)]
+    _, _, _, action, contractible, region = row
     # a single flow letter keeps its per-orbit action values
     assert abs(float(action) - 0.2) < 1e-6
     assert contractible == "yes"

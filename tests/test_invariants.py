@@ -255,6 +255,32 @@ def test_fixed_points_off_node_found_by_newton():
     assert best.action == pytest.approx(0.05, abs=1e-9)
 
 
+def test_fixed_points_seeds_newton_at_border_nodes():
+    # the bump's center lies between the last two columns of nodes, and
+    # the node where the motion is least near it is on the border
+    center = (3.97, 0.03)
+    spec = HamiltonianSpec(parse("0.05*exp(-((p - 3.97)^2 + (q - 0.03)^2))"))
+    rep = find_fixed_points(FlowMap(spec, PLANE4, step=1e-2), grid=GridSpec(41, 41))
+    best = min(rep.points, key=lambda fp: math.dist(fp.location, center))
+    assert math.dist(best.location, center) < 1e-8
+    assert not best.region_representative
+
+
+def test_polterovich_at_the_off_grid_center_newton_finds():
+    # the unit radial bump moved off the nodes: only Newton reaches its
+    # center, where the action route reads P = h(center) = 1 against (4, 4)
+    center = (0.03, -0.05)
+    spec = HamiltonianSpec(parse("exp(-1.5*((p - 0.03)^2 + (q + 0.05)^2))"))
+    flow = FlowMap(spec, PLANE4, step=1e-2)
+    grid = GridSpec(101, 101)
+    best = min(find_fixed_points(flow, grid=grid).points,
+               key=lambda fp: math.dist(fp.location, center))
+    assert math.dist(best.location, center) < 1e-8
+    assert not best.region_representative
+    K = cocycle_by_action(flow, PDQ, grid=grid)
+    assert polterovich(flow, K, best.location, (4.0, 4.0)) == pytest.approx(1.0, abs=1e-4)
+
+
 def test_fixed_points_twist_regions_and_winding():
     tw = TwistMap(parse(SINE_PROFILE), CYL)
     rep = find_fixed_points(tw, grid=GridSpec(41, 33))
