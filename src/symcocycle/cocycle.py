@@ -12,7 +12,9 @@ an additive constant.  This module computes K two independent ways:
 
 * ``cocycle_by_action`` uses the Hamiltonian action: for the time-duration
   map of F, the value at x is the line integral of alpha along the orbit
-  of x plus the time integral of F along that orbit.
+  of x plus the time integral of F along that orbit.  Its result keeps
+  the walk (``GridFunction.walk``), so the cocycle of a map whose pieces
+  extend it continues that walk instead of marching the pieces again.
 
 The two routes share no code beyond map evaluation, so their agreement is
 a strong end-to-end check and is part of the verification suite.
@@ -26,13 +28,14 @@ difference; no canonical constant is ever chosen silently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, finite, positive
 from .exprlang import as_expr
-from .dynamics import flow_pieces, isotopy, map_with_jacobian
+from .dynamics import ComposedMap, flow_pieces, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -129,6 +132,10 @@ class GridFunction:
     axis.  On the cylinder evaluation wraps q; grids on the universal
     cover live on a plane model and never wrap.  Coordinates outside the
     window clamp to the edge, which continues boundary values constantly.
+
+    ``walk`` is None except on a result of ``cocycle_by_action``, which
+    keeps its action walk there (see ``ActionWalk``); ``with_samples``
+    and arithmetic make grid functions without one.
     """
 
     def __init__(self, manifold, samples, normalization):
@@ -148,6 +155,7 @@ class GridFunction:
         self.p_nodes = self.grid.p_nodes(window)
         self.q_nodes = self.grid.q_nodes(window)
         self.dp, self.dq = self.grid.spacing(window)
+        self.walk = None
 
     # -- bookkeeping ----------------------------------------------
 
@@ -460,22 +468,19 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
 # ============================================================
 
 
-def action_values(flow, alpha, ps, qs):
-    """Action-route cocycle values at arbitrary points.
+#: The action walk that ``cocycle_by_action`` keeps on its result: the
+#: isotopy pieces it walked, the form's components (a_p, a_q) and the end
+#: images of the grid nodes in row-major order, unwrapped.  Its samples
+#: are the running action total, so the walk can go on from there.
+ActionWalk = namedtuple("ActionWalk", "pieces form p q")
 
-    ``flow`` may be a FlowMap or a composition of FlowMaps.  Per start
-    point x and flow piece, the value is the line integral of the form
-    along the orbit of x plus the time integral of F(orbit(t), t), both
-    by composite Simpson weights on the integrator's own time nodes.
-    The pieces are walked in turn, each along the orbits started where
-    the previous one ended, and each piece's own sum is added to the
-    total at its last node.  Values are defined modulo one constant; a
-    value that is not finite raises NumericalError."""
-    a_p, a_q = _form_components(alpha)
-    fap, faq = a_p.fn, a_q.fn
-    flow_pieces(flow)
-    p, q = np.broadcast_arrays(np.asarray(ps, dtype=float), np.asarray(qs, dtype=float))
-    total = np.zeros(p.shape)
+
+def _walk_action(pieces, manifold, form, p, q, total):
+    """The action walk over ``pieces`` from the points ``p``, ``q``, each
+    piece's own sum added to ``total`` at its last node.  Returns the end
+    images and the total; a total that is not finite raises
+    NumericalError."""
+    fap, faq = form[0].fn, form[1].fn
 
     def watch(piece):
         n = piece.n_steps()
@@ -508,11 +513,28 @@ def action_values(flow, alpha, ps, qs):
 
         return on_node
 
-    flow.carry(p, q, None, watch)
-    return finite("the action", _REMEDY, total)[0]
+    p, q, _ = ComposedMap(pieces, manifold).carry(p, q, None, watch)
+    return p, q, finite("the action", _REMEDY, total)[0]
 
 
-def cocycle_by_action(flow, alpha, grid=None):
+def action_values(flow, alpha, ps, qs):
+    """Action-route cocycle values at arbitrary points.
+
+    ``flow`` may be a FlowMap or a composition of FlowMaps.  Per start
+    point x and flow piece, the value is the line integral of the form
+    along the orbit of x plus the time integral of F(orbit(t), t), both
+    by composite Simpson weights on the integrator's own time nodes.
+    The pieces are walked in turn, each along the orbits started where
+    the previous one ended, and each piece's own sum is added to the
+    total at its last node.  Values are defined modulo one constant; a
+    value that is not finite raises NumericalError."""
+    form = _form_components(alpha)
+    pieces = flow_pieces(flow)
+    p, q = np.broadcast_arrays(np.asarray(ps, dtype=float), np.asarray(qs, dtype=float))
+    return _walk_action(pieces, flow.manifold, form, p, q, np.zeros(p.shape))[2]
+
+
+def cocycle_by_action(flow, alpha, grid=None, start=None):
     """Cocycle of a Hamiltonian flow map from the action integral.
 
     Accepts a FlowMap or a composition of FlowMaps.  Per grid node x the
@@ -523,18 +545,42 @@ def cocycle_by_action(flow, alpha, grid=None):
 
     accumulated in one streaming march over the whole grid (and over the
     factors in turn for compositions).  The result is a GridFunction
-    modulo constants.
+    modulo constants whose ``walk`` is an ``ActionWalk``: its samples are
+    the running total and the walk holds the end images of the nodes.
+
+    ``start``, a result of this function whose pieces begin ``flow``'s,
+    under the same primitive, manifold and grid, continues that walk over
+    the pieces ``flow`` has left: it adds the same sums in the same order
+    as the whole walk, so the result has the whole walk's bits.  Any
+    other start raises ValidationError.
     """
     # anything else (a bare Hamiltonian specification, a twist) is
     # rejected before its manifold is read
-    flow_pieces(flow)
+    pieces = flow_pieces(flow)
     manifold = flow.manifold
     grid = grid or GridSpec()
-    P, Q = grid.mesh(manifold.window)
-    acc = action_values(flow, alpha, P.ravel(), Q.ravel())
-    return GridFunction(
-        manifold, acc.reshape(P.shape), Normalization.mod_constants()
+    form = _form_components(alpha)
+    if start is None:
+        P, Q = grid.mesh(manifold.window)
+        done, p, q, total = 0, P.ravel(), Q.ravel(), np.zeros(P.size)
+    else:
+        walk = start.walk
+        if (
+            walk is None or walk.pieces != pieces[:len(walk.pieces)]
+            or walk.form != form or start.manifold != manifold or start.grid != grid
+        ):
+            raise ValidationError(
+                "an action walk resumes only from the action cocycle of a "
+                "prefix of the map's pieces, under the same primitive, "
+                "manifold and grid"
+            )
+        done, p, q, total = len(walk.pieces), walk.p, walk.q, start.samples.ravel()
+    p, q, total = _walk_action(pieces[done:], manifold, form, p, q, total)
+    K = GridFunction(
+        manifold, total.reshape(grid.n_p, grid.n_q), Normalization.mod_constants()
     )
+    K.walk = ActionWalk(pieces, form, p, q)
+    return K
 
 
 # ============================================================

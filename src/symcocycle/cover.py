@@ -135,12 +135,11 @@ class LiftedMap:
 
 
 def deck_residual(lifted, ps, qs):
-    """max |lift(x + (0, circ)) - lift(x) - (0, circ)| over the points."""
+    """max |lift(x + (0, circ)) - lift(x) - (0, circ)| over the points,
+    x and its translate lifted in one stacked ``apply``."""
     circ = lifted.base_manifold.circumference
-    ps = np.asarray(ps, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    yp0, yq0 = lifted.apply(ps, qs)
-    yp1, yq1 = lifted.apply(ps, qs + circ)
+    ps, qs = np.broadcast_arrays(np.asarray(ps, dtype=float), np.asarray(qs, dtype=float))
+    (yp0, yp1), (yq0, yq1) = lifted.apply(np.stack([ps, ps]), np.stack([qs, qs + circ]))
     return float(np.max(np.hypot(yp1 - yp0, yq1 - yq0 - circ)))
 
 

@@ -21,10 +21,15 @@ not depend on the target, so it is a value: the generator set keeps one
 per probe seed, a table of words level by level, and a search marches
 only the levels no earlier search needed.  A level is marched with one
 ``apply`` per letter on the stacked images of every frontier word that
-takes the letter, primary and secondary probes together, so a recheck
-reads images already in hand; the target marches once per piece over
-the stacked primary images of the nodes it has not seen.  A march treats
-each point on its own, so stacking changes no image.
+takes the letter, primary and secondary probes together, and the target
+marches once per piece over the stacked images of the nodes it has not
+seen, both probe sets again.  So every recheck reads images already in
+hand and marches nothing.  A march treats each point on its own, so
+stacking changes no image.
+
+A word's cocycle by the action route continues the walk of the longest
+word already held whose letters end it (``GeneratorSet.cocycle_of_word``),
+so the pieces the two share march over the grid once.
 """
 
 from __future__ import annotations
@@ -219,9 +224,9 @@ class GeneratorSet:
             GroupWord(((name, 1),)): K for name, K in self.cocycles.items()
         }
 
-    def _cocycle_of_map(self, m):
+    def _cocycle_of_map(self, m, start=None):
         if self.method == "action":
-            return cocycle_by_action(m, self.alpha, grid=self.grid)
+            return cocycle_by_action(m, self.alpha, grid=self.grid, start=start)
         return cocycle_by_path(
             m, self.alpha, basepoint=self.basepoint, grid=self.grid,
             tol=self.tol,
@@ -234,9 +239,19 @@ class GeneratorSet:
 
     def cocycle_of_word(self, word):
         """Cocycle of the word's composition, same primitive, grid and
-        method as the per-generator cocycles; memoized per word."""
+        method as the per-generator cocycles; memoized per word.  By the
+        action route the walk resumes from the longest word held whose
+        letters end the word's: those are the letters applied first, so
+        its pieces begin the word's."""
         if word not in self._word_cocycles:
-            self._word_cocycles[word] = self._cocycle_of_map(self.realize(word))
+            start = None
+            if self.method == "action":
+                ends = (GroupWord(word.letters[k:]) for k in range(1, len(word)))
+                start = next(
+                    (self._word_cocycles[e] for e in ends if e in self._word_cocycles),
+                    None,
+                )
+            self._word_cocycles[word] = self._cocycle_of_map(self.realize(word), start)
         return self._word_cocycles[word]
 
 
@@ -307,9 +322,9 @@ class _Ball:
     secondary ones, and ``seen`` maps each key to its row.  ``ends[k]``
     counts the rows of length at most k, so the frontier is the last
     level's rows and a row's length is the level it lies in.  A target's
-    images of the rows are kept under every prefix of its pieces, so a
-    target that extends an earlier one marches only the pieces it adds,
-    and a larger radius only the rows that are new.
+    images of the rows, on both probe sets, are kept under every prefix
+    of its pieces, so a target that extends an earlier one marches only
+    the pieces it adds, and a larger radius only the rows that are new.
     """
 
     def __init__(self, gens, seed):
@@ -386,17 +401,19 @@ class _Ball:
             warnings.warn(text, FingerprintCollisionWarning, stacklevel=4)
 
     def images(self, pieces, stop):
-        """Images of the first ``stop`` rows' primary probes under
-        ``pieces`` applied in order, unwrapped: each piece marches once,
-        on the rows its prefix has not taken yet."""
+        """Images of the first ``stop`` rows under ``pieces`` applied in
+        order, unwrapped, on the primary probes followed by the secondary
+        ones, as the rows hold them: each piece marches once, on the rows
+        its prefix has not taken yet.  The secondary columns are what a
+        recheck of a match reads, so it marches nothing."""
         if not pieces:
-            return self.P[:stop, :N_PROBES], self.Q[:stop, :N_PROBES]
+            return self.P[:stop], self.Q[:stop]
         held = self._images.get(pieces)
         have = 0 if held is None else len(held[0])
         if have < stop:
             p, q = self.images(pieces[:-1], stop)
             pim, qim = pieces[-1].apply(p[have:].ravel(), q[have:].ravel())
-            rows = pim.reshape(-1, N_PROBES), qim.reshape(-1, N_PROBES)
+            rows = pim.reshape(-1, p.shape[1]), qim.reshape(-1, p.shape[1])
             if held is not None:
                 rows = tuple(np.concatenate(pair) for pair in zip(held, rows))
             held = self._images[pieces] = rows
@@ -405,12 +422,13 @@ class _Ball:
 
 def _least_match(manifold, ball, tp, tq):
     """``(|u| + |v|, u, v)`` for the least such sum over the rows u, v of
-    the target's images ``tp``, ``tq`` where the image of row v sits
-    within the match tolerance of row u on every primary probe; None when
-    no pair matches.  Ties go to the first pair in v-major order."""
+    the target's images ``tp``, ``tq`` of the primary probes where the
+    image of row v sits within the match tolerance of row u on every one
+    of them; None when no pair matches.  Ties go to the first pair in
+    v-major order."""
     stop = len(tp)
     step = max(1, _PAIR_BLOCK // (stop * N_PROBES))
-    up, uq = ball.images((), stop)
+    up, uq = ball.P[:stop, :N_PROBES], ball.Q[:stop, :N_PROBES]
     lengths = np.searchsorted(ball.ends, np.arange(stop), side="right")
     best = None
     for a in range(0, stop, step):
@@ -446,15 +464,16 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
     agreement is a genuine relation between the generators, disagreement
     means the probe resolution merged distinct maps and issues a
     FingerprintCollisionWarning, since a norm may then undershoot.  And
-    the least match is rechecked by one march of the target over v's
-    secondary images; a disagreement warns the same way, and the norm is
-    still returned.
+    the least match is rechecked on the target's images of v's secondary
+    probes, which the target's march over the ball's rows has already
+    made, so the recheck marches nothing; a disagreement warns the same
+    way, and the norm is still returned.
 
     The generator set keeps one ball per probe seed, so a search marches
     only the levels no earlier search needed, and each collision warns
     once per ball.  A level whose march raises is not kept.  The target's
-    images are kept per prefix of its pieces, so each power of a word
-    costs one march of the word per node.
+    images, on both probe sets, are kept per prefix of its pieces, so
+    each power of a word costs one march of the word per node.
     """
     radius_cap = int(radius_cap)
     if not (0 <= radius_cap <= MAX_RADIUS):
@@ -476,16 +495,14 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
         tq = manifold.wrap_q(tq)
         # pairs of old rows matched nothing at the last radius, and their
         # images are the same bits, so comparing them again changes nothing
-        match = _least_match(manifold, ball, tp, tq)
+        match = _least_match(manifold, ball, tp[:, :N_PROBES], tq[:, :N_PROBES])
         if match is not None:
             length, iu, iv = match
             if length > radius_cap:
                 return None
             u, v = ball.node(iu), ball.node(iv)
-            sp, sq = target.apply(v.p[N_PROBES:], v.q[N_PROBES:])
-            image = _Node(v.letters, np.concatenate([tp[iv], sp]),
-                          np.concatenate([tq[iv], manifold.wrap_q(sq)]))
-            if _secondary_disagree(manifold, u, image):
+            # the target's image of v, already marched on both probe sets
+            if _secondary_disagree(manifold, u, _Node(v.letters, tp[iv], tq[iv])):
                 word = GroupWord(
                     u.letters[::-1] + tuple((n, -e) for n, e in v.letters)
                 )

@@ -120,11 +120,13 @@ def calabi_from_hamiltonian(spec, manifold):
 # ============================================================
 
 
-def _motion(f, p, q):
+def _motion(f, p, q, images=None):
     """How far f moves (p, q), the manifold norm of f(p, q) - (p, q),
     elementwise on arrays, and whether that leaves each point fixed: the
-    module's one displacement and its one comparison with FIXED_TOL."""
-    yp, yq = f.apply(p, q)
+    module's one displacement and its one comparison with FIXED_TOL.
+    ``images``, f's images of the points when a walk has them in hand,
+    stand in for the march."""
+    yp, yq = f.apply(p, q) if images is None else images
     moved = f.manifold.norm(yp - p, yq - q)
     return moved, moved < FIXED_TOL
 
@@ -270,7 +272,7 @@ def _newton_refine(f, p, q):
     return p, q
 
 
-def find_fixed_points(f, grid=None, alpha=None):
+def find_fixed_points(f, grid=None, alpha=None, cocycle=None):
     """Scan-and-refine search for fixed points of f on its window.
 
     A point is fixed when ``_motion`` says so, as ``polterovich`` checks,
@@ -284,15 +286,35 @@ def find_fixed_points(f, grid=None, alpha=None):
     of the lift gives every point's winding, and so whether it is
     contractible.  An empty report is legal output: finding nothing at
     one resolution proves nothing.
+
+    ``cocycle``, a cocycle of f on the same grid, hands the scan the
+    images of its nodes when it keeps an action walk (see
+    ``cocycle_by_action``): a walk marches every node as ``apply`` does,
+    so the scan marches nothing and reports the same points.  A cocycle
+    without a walk, such as the path route's, leaves the scan to march;
+    one whose walk is of another map, grid or manifold raises
+    ValidationError.
     """
     mani = f.manifold
     w = mani.window
     cyl = mani.is_cylinder
-    P, Q = (grid or GridSpec()).mesh(w)
+    grid = grid or GridSpec()
+    P, Q = grid.mesh(w)
+    images = None
+    walk = None if cocycle is None else cocycle.walk
+    if walk is not None:
+        if walk.pieces != isotopy(f) or cocycle.grid != grid or cocycle.manifold != mani:
+            raise ValidationError(
+                "the scan reads images only from a cocycle of the same map "
+                "on the same grid and manifold"
+            )
+        images = walk.p.reshape(P.shape), walk.q.reshape(P.shape)
     if cyl:
         # the last column repeats the first
         P, Q = P[:, :-1], Q[:, :-1]
-    R, fixed = _motion(f, P, Q)
+        if images is not None:
+            images = tuple(x[:, :-1] for x in images)
+    R, fixed = _motion(f, P, Q, images)
 
     rows, cols, sizes = _exact_regions(fixed, cyl)
     # a clamped twist already fixes half its window; identity-like means

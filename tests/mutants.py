@@ -1,6 +1,6 @@
-"""Mutation check of the march kernel, the action route, the path route,
-the quadrature, the generated code, the word ball and the fixed-point
-rule.
+"""Mutation check of the march kernel, the action route and its resumed
+walk, the path route, the quadrature, the generated code, the word ball
+and its rechecks, the fixed-point rule and scan, and the deck residual.
 
     python3 tests/mutants.py
 
@@ -123,6 +123,35 @@ MUTANTS = [
      "    pad = np.pad(R, ((1, 1), (0, 0) if cyl else (1, 1)), constant_values=np.inf)\n",
      "    pad = np.pad(R, ((1, 1), (0, 0) if cyl else (1, 1)), constant_values=-np.inf)\n",
      FIXED),
+    ("the match recheck reads the primary columns", "distortion.py",
+     "        held.p[N_PROBES:] - new.p[N_PROBES:],\n"
+     "        held.q[N_PROBES:] - new.q[N_PROBES:],\n",
+     "        held.p[:N_PROBES] - new.p[:N_PROBES],\n"
+     "        held.q[:N_PROBES] - new.q[:N_PROBES],\n", ("tests/test_distortion.py",)),
+    ("a word's walk resumes from its last-applied letters", "distortion.py",
+     "                ends = (GroupWord(word.letters[k:]) for k in range(1, len(word)))\n",
+     "                ends = (GroupWord(word.letters[:-k]) for k in range(1, len(word)))\n",
+     ("tests/test_distortion.py",)),
+    ("a resumed walk's total starts from 0", "cocycle.py",
+     "        done, p, q, total = len(walk.pieces), walk.p, walk.q, start.samples.ravel()\n",
+     "        done, p, q, total = len(walk.pieces), walk.p, walk.q, np.zeros(walk.p.shape)\n",
+     ("tests/test_cocycle.py",)),
+    ("the walk keeps its end q wrapped", "cocycle.py",
+     "    K.walk = ActionWalk(pieces, form, p, q)\n",
+     "    K.walk = ActionWalk(pieces, form, p, manifold.wrap_q(q))\n",
+     ("tests/test_cocycle.py",)),
+    ("the gate resumes from the shortest prefix held", "verify.py",
+     "            held = ((\"action\", pieces[:k], alpha) for k in range(len(pieces) - 1, 0, -1))\n",
+     "            held = ((\"action\", pieces[:k], alpha) for k in range(1, len(pieces)))\n",
+     ("tests/test_verify.py",)),
+    ("the cylinder scan keeps the seam column", "invariants.py",
+     "            images = tuple(x[:, :-1] for x in images)\n",
+     "            images = tuple(x[:, 1:] for x in images)\n",
+     ("tests/test_invariants.py",)),
+    ("the deck residual lifts x twice", "cover.py",
+     "    (yp0, yp1), (yq0, yq1) = lifted.apply(np.stack([ps, ps]), np.stack([qs, qs + circ]))\n",
+     "    (yp0, yp1), (yq0, yq1) = lifted.apply(np.stack([ps, ps]), np.stack([qs, qs]))\n",
+     ("tests/test_cover.py",)),
     ("errors.finite reads only its first two arrays", "errors.py",
      "    for x in arrays:\n",
      "    for x in arrays[:2]:\n", ("tests/test_errors.py", "tests/test_jets.py")),

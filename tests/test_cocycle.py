@@ -7,6 +7,7 @@ from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import GridSpec, Primitive, Window, cylinder, plane
 from symcocycle.dynamics import (
+    ComposedMap,
     FlowMap,
     HamiltonianSpec,
     IdentityMap,
@@ -400,6 +401,106 @@ def test_methods_agree_mod_constants():
     K = cocycle_by_path(flow, PDQ, grid=grid)
     A = cocycle_by_action(flow, PDQ, grid=grid)
     assert K.equal_mod_constants(A, tol=5e-4)
+
+
+# ------------------------------------------------------------------
+# resumed action walks: the whole walk is the oracle
+# ------------------------------------------------------------------
+
+# disjoint_pair's hinge bumps hold every point outside their supports
+LEFT_HINGE = "0.1*max(0, 1 - ((p + 2)^2 + q^2)/2.25)^4"
+RIGHT_HINGE = "0.1*max(0, 1 - ((p - 2)^2 + q^2)/2.25)^4"
+CYL_BUMP = "0.1*exp(-0.8*p^2)*(1 - cos(q))"
+# periodic field, multivalued F: the walk reads F at the unwrapped q
+CYL_TRANSLATION = "0.3*q"
+
+
+def walk_pieces(case):
+    """Pieces of a resumable walk, with inverses, and its grid."""
+    if case == "held hinge pair":
+        a = bump_flow(LEFT_HINGE, step=2e-2)
+        b = bump_flow(RIGHT_HINGE, step=2e-2)
+        return [b, a, b.inverse(), a, b], GridSpec(21, 21)
+    if case == "unheld Gaussian pair":
+        f = bump_flow(BUMP, step=2e-2)
+        g = bump_flow(BUMP_OFF, duration=0.7, step=2e-2)
+        return [g, f, f, g.inverse()], GridSpec(21, 17)
+    f = bump_flow(CYL_BUMP, step=2e-2, manifold=CYL)
+    t = bump_flow(CYL_TRANSLATION, duration=0.5, step=2e-2, manifold=CYL)
+    return [f, t, f.inverse(), t], GridSpec(13, 21)
+
+
+def assert_same_walk(got, want):
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.walk.pieces == want.walk.pieces
+    assert got.walk.p.tobytes() == want.walk.p.tobytes()
+    assert got.walk.q.tobytes() == want.walk.q.tobytes()
+
+
+@pytest.mark.parametrize("case", ["held hinge pair", "unheld Gaussian pair", "cylinder flows"])
+def test_resumed_action_walk_is_the_whole_walk(case):
+    pieces, grid = walk_pieces(case)
+    manifold = pieces[0].manifold
+    whole = [
+        cocycle_by_action(ComposedMap(pieces[:n], manifold), PDQ, grid=grid)
+        for n in range(len(pieces) + 1)
+    ]
+    # the walk's images are apply's, and its samples the running total
+    P, Q = grid.mesh(manifold.window)
+    yp, yq = ComposedMap(pieces, manifold).apply(P.ravel(), Q.ravel())
+    assert whole[-1].walk.p.tobytes() == yp.tobytes()
+    assert whole[-1].walk.q.tobytes() == yq.tobytes()
+    for k in range(len(pieces) + 1):
+        for n in range(k, len(pieces) + 1):
+            m = ComposedMap(pieces[:n], manifold)
+            assert_same_walk(cocycle_by_action(m, PDQ, grid=grid, start=whole[k]), whole[n])
+    # a resumed walk resumes again, as the whole one does
+    chained = whole[0]
+    for n in range(1, len(pieces) + 1):
+        chained = cocycle_by_action(
+            ComposedMap(pieces[:n], manifold), PDQ, grid=grid, start=chained
+        )
+        assert_same_walk(chained, whole[n])
+
+
+def test_the_walk_is_kept_by_the_action_route_alone():
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    K = cocycle_by_action(pieces[0], PDQ, grid=grid)
+    assert K.walk.pieces == (pieces[0],)
+    for other in (K.with_samples(K.samples), K + 0.0, -K, K - K, 2.0 * K,
+                  cocycle_by_path(pieces[0], PDQ, grid=grid, tol=1.0)):
+        assert other.walk is None
+
+
+def test_resume_needs_a_prefix_under_the_same_primitive_and_grid():
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    g, f = pieces[:2]
+    fg = ComposedMap([g, f])
+    K_g = cocycle_by_action(g, PDQ, grid=grid)
+    # the pieces resumed from must begin the map's
+    for start in (
+        cocycle_by_action(f, PDQ, grid=grid),
+        cocycle_by_action(ComposedMap([g, f, f]), PDQ, grid=grid),
+        cocycle_by_action(g.inverse(), PDQ, grid=grid),
+        # another primitive, another grid, a start without a walk
+        cocycle_by_action(g, Primitive.symmetric(), grid=grid),
+        cocycle_by_action(g, PDQ, grid=GridSpec(21, 21)),
+        K_g.with_samples(K_g.samples),
+        cocycle_by_path(g, PDQ, grid=grid, tol=1.0),
+    ):
+        with pytest.raises(ValidationError, match="resumes only"):
+            cocycle_by_action(fg, PDQ, grid=grid, start=start)
+    # the same form under another name is the same primitive
+    custom = Primitive.custom("0", "p")
+    got = cocycle_by_action(fg, custom, grid=grid, start=K_g)
+    assert_same_walk(got, cocycle_by_action(fg, PDQ, grid=grid))
+    # and the same pieces on the cylinder are another manifold's
+    cyl_g = bump_flow(CYL_BUMP, step=2e-2, manifold=CYL)
+    with pytest.raises(ValidationError, match="resumes only"):
+        cocycle_by_action(
+            ComposedMap([cyl_g, cyl_g]), PDQ, grid=GridSpec(13, 21),
+            start=cocycle_by_action(g, PDQ, grid=GridSpec(13, 21)),
+        )
 
 
 # ------------------------------------------------------------------

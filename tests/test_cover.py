@@ -122,6 +122,24 @@ def test_composition_lifts_factorwise():
     assert projection_residual(lm, ps, qs) < 1e-9
 
 
+def test_deck_residual_is_that_of_two_lifts():
+    # the two applies the stacked one replaces are the oracle
+    lm = LiftedMap(ComposedMap([compact_flow(step=2e-2), TwistMap(parse(QUAD_PROFILE), CYL)]))
+    circ = CYL.circumference
+    rng = np.random.default_rng(5)
+    ps = rng.uniform(-2, 2, size=30)
+    qs = rng.uniform(-7, 7, size=30)
+    yp0, yq0 = lm.apply(ps, qs)
+    yp1, yq1 = lm.apply(ps, qs + circ)
+    want = float(np.max(np.hypot(yp1 - yp0, yq1 - yq0 - circ)))
+    assert deck_residual(lm, ps, qs) == want
+    # a scalar point broadcasts against an array of them
+    yp0, yq0 = lm.apply(0.5, qs)
+    yp1, yq1 = lm.apply(0.5, qs + circ)
+    want = float(np.max(np.hypot(yp1 - yp0, yq1 - yq0 - circ)))
+    assert deck_residual(lm, 0.5, qs) == want
+
+
 def test_trajectory_gap_on_coarse_step():
     # q moves by 4 in a single integrator step: unwrapping is ambiguous
     f = FlowMap(HamiltonianSpec(parse("4*p")), CYL, step=2.0)

@@ -690,9 +690,9 @@ def test_second_search_marches_only_new_levels(monkeypatch):
     assert len(marched) == 4
     square = gens.realize(GroupWord.from_string("g^2"))
     assert word_ball_norm(gens, square, radius_cap=3) == 2
-    # the target's two flows on the primary probes of the three words of
-    # length at most 1, then on the secondary probes of the matched g^-1
-    assert marched[4:] == [3 * N_PROBES] * 2 + [N_SECONDARY] * 2
+    # the target's two flows on every probe of the three words of length
+    # at most 1; the recheck of the matched g^-1 reads those images
+    assert marched[4:] == [3 * (N_PROBES + N_SECONDARY)] * 2
 
 
 def test_fresh_ball_marches_half_the_norm(monkeypatch):
@@ -706,11 +706,10 @@ def test_fresh_ball_marches_half_the_norm(monkeypatch):
     per_node = N_PROBES + N_SECONDARY
     assert marched == (
         [per_node] * 4  # level 1: each letter on the identity
-        + [b1 * N_PROBES] * 4  # the target's 4 flows on B_1
+        + [b1 * per_node] * 4  # the target's 4 flows on B_1
         + [3 * per_node] * 4  # level 2: each letter on 3 of the 4 words
-        + [level2 * N_PROBES] * 4  # the target's 4 flows on level 2
-        + [N_SECONDARY] * 4  # the target on the matched v
-    )
+        + [level2 * per_node] * 4  # the target's 4 flows on level 2
+    )  # and the recheck of the matched v reads the target's images
 
 
 def test_each_power_marches_the_word_once_per_node_set(monkeypatch):
@@ -730,16 +729,73 @@ def test_each_power_marches_the_word_once_per_node_set(monkeypatch):
     monkeypatch.setattr(distortion, "word_ball_norm", counted)
     rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)
     assert [r[2] for r in rows] == [1, 2, 3]
-    per_node, b1, level2 = N_PROBES + N_SECONDARY, 3 * N_PROBES, 2 * N_PROBES
+    per_node = N_PROBES + N_SECONDARY
+    b1, level2 = 3 * per_node, 2 * per_node
     assert marched == [
-        # g: level 1, g on B_1, g on the matched v's secondary probes
-        [per_node] * 2 + [b1] + [N_SECONDARY],
-        # g^2: one more g on B_1, then the recheck
-        [b1] + [N_SECONDARY] * 2,
+        # g: level 1, then g on B_1; the recheck marches nothing
+        [per_node] * 2 + [b1],
+        # g^2: one more g on B_1
+        [b1],
         # g^3: one more g on B_1; level 2, where g^3 is g^2 (g^-1)^-1,
         # and three g on its two words, one for each power
-        [b1] + [per_node] * 2 + [level2] * 3 + [N_SECONDARY] * 3,
+        [b1] + [per_node] * 2 + [level2] * 3,
     ]
+
+
+@pytest.mark.parametrize("manifold", [PLANE, CYL], ids=["plane", "cylinder"])
+def test_match_recheck_reads_the_target_on_v_secondary_probes(manifold, monkeypatch):
+    # the code the recheck no longer runs, target.apply of v's secondary
+    # probes, is the oracle of what it reads
+    flow = CENTER_BUMP if manifold is PLANE else CYL_FLOW
+    maps = {
+        "c": FlowMap(HamiltonianSpec(parse(flow)), manifold, step=0.05),
+        "t": TwistMap(parse("0.1*p"), manifold),
+    }
+    # the path route takes twists; the search never reads the grid
+    gens = GeneratorSet(maps, grid=GridSpec(8, 8), tol=1.0)
+    read = []
+    recheck = distortion._secondary_disagree
+
+    def recorded(manifold, held, node):
+        read.append(node)
+        return recheck(manifold, held, node)
+
+    monkeypatch.setattr(distortion, "_secondary_disagree", recorded)
+    # a flow target, and targets with a twist among their pieces
+    for text in ("c c", "c^-1 t^-1", "t c t"):
+        target = compose(GroupWord.from_string(text), maps, manifold)
+        del read[:]
+        assert word_ball_norm(gens, target, radius_cap=4) is not None
+        node = read[-1]  # the least match's recheck comes last
+        ball = gens._balls[0]
+        v = ball.words.index(node.letters)
+        sp, sq = target.apply(ball.P[v, N_PROBES:], ball.Q[v, N_PROBES:])
+        assert node.p[N_PROBES:].tobytes() == sp.tobytes()
+        assert node.q[N_PROBES:].tobytes() == manifold.wrap_q(sq).tobytes()
+
+
+def test_word_cocycle_resumes_the_longest_held_word_it_ends_with(monkeypatch):
+    maps = flows(PLANE, 0.05, a=LEFT_BUMP, b=RIGHT_BUMP)
+    grid = GridSpec(21, 21)
+    gens = GeneratorSet(maps, grid=grid, method="action")
+    marched = count_marches(monkeypatch)
+    # (word, the flows its walk marches over the grid)
+    for text, walked in (
+        ("a b", 1),  # resumes b's walk
+        ("b a", 1),  # resumes a's
+        ("a b^-1", 2),  # no held word ends it
+        ("a b a b", 2),  # resumes a b's, not b's
+        ("b a b", 1),  # resumes a b's
+    ):
+        word = GroupWord.from_string(text)
+        del marched[:]
+        K = gens.cocycle_of_word(word)
+        assert marched == [grid.n_p * grid.n_q] * walked, text
+        # the whole walk is the oracle
+        fresh = cocycle_by_action(gens.realize(word), PDQ, grid=grid)
+        assert K.samples.tobytes() == fresh.samples.tobytes(), text
+        assert K.walk.p.tobytes() == fresh.walk.p.tobytes(), text
+        assert K.walk.q.tobytes() == fresh.walk.q.tobytes(), text
 
 
 def test_distortion_table_makes_one_walk(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import fixed_point_oracle
 from symcocycle import invariants
-from symcocycle.errors import NumericalError
+from symcocycle.cli import load_scenario
+from symcocycle.errors import NumericalError, ValidationError
 from symcocycle.exprlang import parse
 from symcocycle.geometry import (
     GridSpec,
@@ -325,6 +327,56 @@ def test_exact_regions_match_flood_fill_oracle(wrap_q, rows):
     ]
     got = list(zip(*(a.tolist() for a in invariants._exact_regions(mask, wrap_q))))
     assert got == want
+
+
+def scan_case(case):
+    """A map, its grid and its primitive: the shipped scenarios' words, and
+    a cylinder flow fixing the seam's column and the point (0, pi)."""
+    if case == "cylinder flow":
+        f = FlowMap(HamiltonianSpec(parse("0.1*exp(-0.8*p^2)*(1 - cos(q))")), CYL, step=2e-2)
+        return f, GridSpec(21, 17), PDQ
+    name, word = case.split(": ")
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json")
+    maps = [sc.maps[letter] for letter in reversed(word.split())]
+    return ComposedMap(maps, sc.manifold), sc.grid, sc.primitive
+
+
+@pytest.mark.parametrize(
+    "case", ["plane_bump: g", "plane_bump: off", "disjoint_pair: a b", "cylinder flow"]
+)
+def test_scan_on_the_walk_images_reports_what_the_marching_scan_does(case, monkeypatch):
+    f, grid, alpha = scan_case(case)
+    K = cocycle_by_action(f, alpha, grid=grid)
+    marched = []
+    march = FlowMap._march
+
+    def counted(flow, p, q, t0, t1, on_node=None):
+        marched.append(np.size(p))
+        return march(flow, p, q, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", counted)
+    want = find_fixed_points(f, grid=grid, alpha=alpha)
+    scan = grid.n_p * (grid.n_q - f.manifold.is_cylinder)
+    assert scan in marched
+    del marched[:]
+    assert find_fixed_points(f, grid=grid, alpha=alpha, cocycle=K) == want
+    assert want.found
+    # the scan's nodes are marched by the walk alone
+    assert scan not in marched
+    # a cocycle without a walk leaves the scan to march
+    path = cocycle_by_path(f, alpha, grid=grid, tol=1.0)
+    assert find_fixed_points(f, grid=grid, alpha=alpha, cocycle=path) == want
+
+
+def test_scan_rejects_the_walk_of_another_map_or_grid():
+    f, grid, alpha = scan_case("cylinder flow")
+    for K in (
+        cocycle_by_action(f.inverse(), alpha, grid=grid),
+        cocycle_by_action(ComposedMap([f, f]), alpha, grid=grid),
+        cocycle_by_action(f, alpha, grid=GridSpec(21, 21)),
+    ):
+        with pytest.raises(ValidationError, match="same map"):
+            find_fixed_points(f, grid=grid, cocycle=K)
 
 
 def test_fixed_points_none_for_translation():

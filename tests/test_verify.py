@@ -1,13 +1,17 @@
 """The gate's bookkeeping: one result per check and seed, and one cocycle
 per route, map pieces and primitive.
 
-The library calls are replaced by counters, so nothing here marches a
-flow on the gate's grid.
+The library calls are replaced by counters, or run on a small grid, so
+nothing here marches a flow on the gate's grid.
 """
 
+import numpy as np
+
 from symcocycle import verify
-from symcocycle.dynamics import ComposedMap
-from symcocycle.geometry import Primitive
+from symcocycle.cocycle import cocycle_by_action
+from symcocycle.dynamics import ComposedMap, FlowMap, HamiltonianSpec
+from symcocycle.exprlang import parse
+from symcocycle.geometry import GridSpec, Primitive
 
 
 def test_a_second_run_check_returns_the_kept_result(monkeypatch):
@@ -55,3 +59,31 @@ def test_cocycles_are_kept_under_the_pieces_and_the_primitive(monkeypatch):
     assert bench.cocycle("path", f, Primitive.custom("-q/2", "p/2")) == a
     assert bench.cocycle("path", f, other) != a
     assert len(calls) == 4
+
+
+def test_powers_resume_the_walk_of_the_power_before(monkeypatch):
+    # a coarse flow on a small grid stands in for the gate's
+    bench = verify.Workbench(0)
+    bench.grid = GridSpec(21, 21)
+    f = FlowMap(HamiltonianSpec(parse(verify.RADIAL_UNIT_BUMP)), bench.plane, step=2e-2)
+    marched = []
+    march = FlowMap._march
+
+    def counted(flow, p, q, t0, t1, on_node=None):
+        marched.append(np.size(p))
+        return march(flow, p, q, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", counted)
+    powers = [bench.cocycle("action", ComposedMap([f] * n)) for n in range(1, 6)]
+    # f^1..f^5 make 5 marches over the grid, not 15
+    assert marched == [21 * 21] * 5
+    # the resumed f^n is bitwise the walk of ComposedMap([f] * n)
+    for n, K in enumerate(powers, start=1):
+        whole = cocycle_by_action(ComposedMap([f] * n), bench.p_dq, grid=bench.grid)
+        assert K.samples.tobytes() == whole.samples.tobytes()
+        assert K.walk.p.tobytes() == whole.walk.p.tobytes()
+        assert K.walk.q.tobytes() == whole.walk.q.tobytes()
+    # another primitive is another walk, from the start
+    del marched[:]
+    bench.cocycle("action", ComposedMap([f] * 2), Primitive.symmetric())
+    assert marched == [21 * 21] * 2
