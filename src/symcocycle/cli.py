@@ -331,9 +331,8 @@ def _emit_scalar(args, text):
 
 
 def _auto_pair(m, K, sc):
-    """Two fixed points separated as far as the cocycle can tell; the scan
-    reads its images from K's action walk when K keeps one."""
-    report = find_fixed_points(m, grid=sc.grid, cocycle=K)
+    """Two fixed points separated as far as the cocycle can tell."""
+    report = find_fixed_points(m, grid=sc.grid)
     if len(report.points) < 2:
         raise NoFixedPointFound(
             "fixed-point search found fewer than two fixed points; give "

@@ -12,9 +12,9 @@ an additive constant.  This module computes K two independent ways:
 
 * ``cocycle_by_action`` uses the Hamiltonian action: for the time-duration
   map of F, the value at x is the line integral of alpha along the orbit
-  of x plus the time integral of F along that orbit.  Its result keeps
-  the walk (``GridFunction.walk``), so the cocycle of a map whose pieces
-  extend it continues that walk instead of marching the pieces again.
+  of x plus the time integral of F along that orbit.  A map whose pieces
+  extend those of a live result continues its walk instead of marching
+  them again, and the fixed-point scan reads a live walk's images.
 
 The two routes share no code beyond map evaluation, so their agreement is
 a strong end-to-end check and is part of the verification suite.
@@ -28,7 +28,7 @@ difference; no canonical constant is ever chosen silently.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +134,8 @@ class GridFunction:
     window clamp to the edge, which continues boundary values constantly.
 
     ``walk`` is None except on a result of ``cocycle_by_action``, which
-    keeps its action walk there (see ``ActionWalk``); ``with_samples``
-    and arithmetic make grid functions without one.
+    keeps there the read-only end images (p, q) of its nodes, row-major
+    and unwrapped; ``with_samples`` and arithmetic make none.
     """
 
     def __init__(self, manifold, samples, normalization):
@@ -468,11 +468,11 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
 # ============================================================
 
 
-#: The action walk that ``cocycle_by_action`` keeps on its result: the
-#: isotopy pieces it walked, the form's components (a_p, a_q) and the end
-#: images of the grid nodes in row-major order, unwrapped.  Its samples
-#: are the running action total, so the walk can go on from there.
-ActionWalk = namedtuple("ActionWalk", "pieces form p q")
+# Every live result of ``cocycle_by_action`` under (manifold, grid, form,
+# pieces), the form as its components (a_p, a_q).  Flows compare by
+# identity, so a key names the very pieces a walk marched; an entry goes
+# when its cocycle does.
+_WALKS = weakref.WeakValueDictionary()
 
 
 def _walk_action(pieces, manifold, form, p, q, total):
@@ -534,7 +534,7 @@ def action_values(flow, alpha, ps, qs):
     return _walk_action(pieces, flow.manifold, form, p, q, np.zeros(p.shape))[2]
 
 
-def cocycle_by_action(flow, alpha, grid=None, start=None):
+def cocycle_by_action(flow, alpha, grid=None):
     """Cocycle of a Hamiltonian flow map from the action integral.
 
     Accepts a FlowMap or a composition of FlowMaps.  Per grid node x the
@@ -545,14 +545,15 @@ def cocycle_by_action(flow, alpha, grid=None, start=None):
 
     accumulated in one streaming march over the whole grid (and over the
     factors in turn for compositions).  The result is a GridFunction
-    modulo constants whose ``walk`` is an ``ActionWalk``: its samples are
-    the running total and the walk holds the end images of the nodes.
+    modulo constants whose samples are the running total and whose
+    ``walk`` holds the end images of the nodes, all read-only, so no
+    edit can change a later walk that continues them.
 
-    ``start``, a result of this function whose pieces begin ``flow``'s,
-    under the same primitive, manifold and grid, continues that walk over
-    the pieces ``flow`` has left: it adds the same sums in the same order
-    as the whole walk, so the result has the whole walk's bits.  Any
-    other start raises ValidationError.
+    The walk continues the longest live result (``_WALKS``) whose pieces
+    begin ``flow``'s, under the same manifold, grid and form, adding the
+    same sums in the same order as the whole walk: whichever it
+    continues, the bits are the whole walk's.  The very same pieces
+    march nothing, and a result is kept while no equal one is.
     """
     # anything else (a bare Hamiltonian specification, a twist) is
     # rejected before its manifold is read
@@ -560,27 +561,34 @@ def cocycle_by_action(flow, alpha, grid=None, start=None):
     manifold = flow.manifold
     grid = grid or GridSpec()
     form = _form_components(alpha)
-    if start is None:
+    under = (manifold, grid, form)
+    for done in range(len(pieces), 0, -1):
+        start = _WALKS.get((*under, pieces[:done]))
+        if start is not None:
+            (p, q), total = start.walk, start.samples.ravel()
+            break
+    else:
         P, Q = grid.mesh(manifold.window)
         done, p, q, total = 0, P.ravel(), Q.ravel(), np.zeros(P.size)
-    else:
-        walk = start.walk
-        if (
-            walk is None or walk.pieces != pieces[:len(walk.pieces)]
-            or walk.form != form or start.manifold != manifold or start.grid != grid
-        ):
-            raise ValidationError(
-                "an action walk resumes only from the action cocycle of a "
-                "prefix of the map's pieces, under the same primitive, "
-                "manifold and grid"
-            )
-        done, p, q, total = len(walk.pieces), walk.p, walk.q, start.samples.ravel()
     p, q, total = _walk_action(pieces[done:], manifold, form, p, q, total)
+    for x in (p, q, total):
+        x.flags.writeable = False
     K = GridFunction(
         manifold, total.reshape(grid.n_p, grid.n_q), Normalization.mod_constants()
     )
-    K.walk = ActionWalk(pieces, form, p, q)
+    K.walk = p, q
+    _WALKS.setdefault((*under, pieces), K)
     return K
+
+
+def _walk_images(f, grid):
+    """f's images of ``grid``'s nodes, as ``apply`` marches them, from a
+    live walk of exactly f's pieces on that grid under any form, or None."""
+    pieces = getattr(f, "factors", None)
+    for (manifold, held_grid, _, held), K in _WALKS.items():
+        if held == pieces and held_grid == grid and manifold == f.manifold:
+            return tuple(x.reshape(grid.n_p, grid.n_q) for x in K.walk)
+    return None
 
 
 # ============================================================

@@ -27,9 +27,10 @@ seen, both probe sets again.  So every recheck reads images already in
 hand and marches nothing.  A march treats each point on its own, so
 stacking changes no image.
 
-A word's cocycle by the action route continues the walk of the longest
-word already held whose letters end it (``GeneratorSet.cocycle_of_word``),
-so the pieces the two share march over the grid once.
+A word's cocycle by the action route continues the longest live action
+walk its pieces begin with (see ``cocycle.cocycle_by_action``): the walk
+of ``a b`` continues the generator ``b``'s, so the pieces the two share
+march over the grid once.
 """
 
 from __future__ import annotations
@@ -223,10 +224,11 @@ class GeneratorSet:
         self._word_cocycles = {
             GroupWord(((name, 1),)): K for name, K in self.cocycles.items()
         }
+        self._differences = {}
 
-    def _cocycle_of_map(self, m, start=None):
+    def _cocycle_of_map(self, m):
         if self.method == "action":
-            return cocycle_by_action(m, self.alpha, grid=self.grid, start=start)
+            return cocycle_by_action(m, self.alpha, grid=self.grid)
         return cocycle_by_path(
             m, self.alpha, basepoint=self.basepoint, grid=self.grid,
             tol=self.tol,
@@ -239,20 +241,20 @@ class GeneratorSet:
 
     def cocycle_of_word(self, word):
         """Cocycle of the word's composition, same primitive, grid and
-        method as the per-generator cocycles; memoized per word.  By the
-        action route the walk resumes from the longest word held whose
-        letters end the word's: those are the letters applied first, so
-        its pieces begin the word's."""
+        method as the per-generator cocycles; memoized per word."""
         if word not in self._word_cocycles:
-            start = None
-            if self.method == "action":
-                ends = (GroupWord(word.letters[k:]) for k in range(1, len(word)))
-                start = next(
-                    (self._word_cocycles[e] for e in ends if e in self._word_cocycles),
-                    None,
-                )
-            self._word_cocycles[word] = self._cocycle_of_map(self.realize(word), start)
+            self._word_cocycles[word] = self._cocycle_of_map(self.realize(word))
         return self._word_cocycles[word]
+
+    def fixed_point_difference(self, word, x, y):
+        """``polterovich`` of the word's composition and cocycle between x
+        and y, memoized per word and pair: no power changes it."""
+        key = (word, float(x[0]), float(x[1]), float(y[0]), float(y[1]))
+        if key not in self._differences:
+            self._differences[key] = polterovich(
+                self.realize(word), self.cocycle_of_word(word), x, y
+            )
+        return self._differences[key]
 
 
 # ============================================================
@@ -265,13 +267,14 @@ def distortion_lower_bound(gens, word, x, y, n):
 
     P is the fixed-point difference of the word's composition between x
     and y, m the generator set's Lipschitz constant.  Both x and y must
-    be fixed by the composition.  The word's cocycle comes from the
-    generator set's memo, so several values of n compute it once.
+    be fixed by the composition.  P comes from the generator set's memo
+    (``GeneratorSet.fixed_point_difference``), so several values of n
+    compute the word's cocycle and check its fixed points once.
     """
     n = int(n)
     if n < 0:
         raise ValidationError(f"the power n must be nonnegative, got {n}")
-    value = polterovich(gens.realize(word), gens.cocycle_of_word(word), x, y)
+    value = gens.fixed_point_difference(word, x, y)
     if abs(value) <= DEGENERATE_TOL:
         raise DegenerateBound(
             f"fixed-point difference {value:.3e} is zero within "
@@ -525,10 +528,10 @@ def word_ball_norm(gens, target, radius_cap=6, seed=0):
 def distortion_table(gens, word, x, y, n_max, seed=0):
     """Rows (n, bound, empirical_norm, ratio) for n = 1 .. n_max.
 
-    The word's cocycle is computed once (the generator set memoizes it)
-    and shared across all n.  The empirical norm comes from the word-ball
-    oracle aimed at the n-th power of the word; None past the search cap,
-    with a None ratio.
+    The word's cocycle and P are computed once (the generator set
+    memoizes them) and shared across all n.  The empirical norm comes
+    from the word-ball oracle aimed at the n-th power of the word; None
+    past the search cap, with a None ratio.
     """
     rows = []
     for n in range(1, int(n_max) + 1):

@@ -23,7 +23,7 @@ from .geometry import (
     simpson_weights,
 )
 from .dynamics import FlowMap, HamiltonianSpec, flow_pieces, isotopy, map_with_jacobian
-from .cocycle import PATH_TOL, _form_components, _pullback_defect, action_values
+from .cocycle import PATH_TOL, _form_components, _pullback_defect, _walk_images, action_values
 from .cover import LiftedMap, growth_rate, lifted_cocycle
 
 __all__ = [
@@ -272,7 +272,7 @@ def _newton_refine(f, p, q):
     return p, q
 
 
-def find_fixed_points(f, grid=None, alpha=None, cocycle=None):
+def find_fixed_points(f, grid=None, alpha=None):
     """Scan-and-refine search for fixed points of f on its window.
 
     A point is fixed when ``_motion`` says so, as ``polterovich`` checks,
@@ -287,28 +287,17 @@ def find_fixed_points(f, grid=None, alpha=None, cocycle=None):
     contractible.  An empty report is legal output: finding nothing at
     one resolution proves nothing.
 
-    ``cocycle``, a cocycle of f on the same grid, hands the scan the
-    images of its nodes when it keeps an action walk (see
-    ``cocycle_by_action``): a walk marches every node as ``apply`` does,
-    so the scan marches nothing and reports the same points.  A cocycle
-    without a walk, such as the path route's, leaves the scan to march;
-    one whose walk is of another map, grid or manifold raises
-    ValidationError.
+    The scan takes its nodes' images from a live action cocycle of
+    exactly f's pieces on the grid when there is one (see
+    ``cocycle._walk_images``), which marched every node as ``apply``
+    does, so it reports the same points; otherwise it marches them.
     """
     mani = f.manifold
     w = mani.window
     cyl = mani.is_cylinder
     grid = grid or GridSpec()
     P, Q = grid.mesh(w)
-    images = None
-    walk = None if cocycle is None else cocycle.walk
-    if walk is not None:
-        if walk.pieces != isotopy(f) or cocycle.grid != grid or cocycle.manifold != mani:
-            raise ValidationError(
-                "the scan reads images only from a cocycle of the same map "
-                "on the same grid and manifold"
-            )
-        images = walk.p.reshape(P.shape), walk.q.reshape(P.shape)
+    images = _walk_images(f, grid)
     if cyl:
         # the last column repeats the first
         P, Q = P[:, :-1], Q[:, :-1]

@@ -146,20 +146,11 @@ class Workbench:
     def cocycle(self, route, m, primitive=None):
         """K(m) by the ``"path"`` or ``"action"`` route, kept under the
         map's pieces: flows are memoized objects, so a composition built
-        twice reaches the same entry.  An action walk resumes from the
-        longest prefix of the pieces kept under the same primitive, so
-        f^n marches one f over the grid when f^(n-1) is in hand."""
+        twice reaches the same entry, and the action walk of f^n continues
+        the kept f^(n-1)'s (see ``cocycle_by_action``)."""
         alpha = primitive or self.p_dq
-
-        def build():
-            if route == "path":
-                return cocycle_by_path(m, alpha, grid=self.grid)
-            pieces = m.factors
-            held = (("action", pieces[:k], alpha) for k in range(len(pieces) - 1, 0, -1))
-            start = next((self._memo[key] for key in held if key in self._memo), None)
-            return cocycle_by_action(m, alpha, grid=self.grid, start=start)
-
-        return self.once((route, m.factors, alpha), build)
+        build = cocycle_by_path if route == "path" else cocycle_by_action
+        return self.once((route, m.factors, alpha), lambda: build(m, alpha, grid=self.grid))
 
 
 # ============================================================

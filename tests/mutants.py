@@ -1,6 +1,7 @@
-"""Mutation check of the march kernel, the action route and its resumed
-walk, the path route, the quadrature, the generated code, the word ball
-and its rechecks, the fixed-point rule and scan, and the deck residual.
+"""Mutation check of the march kernel, the action route and its registry
+of live walks, the path route, the quadrature, the generated code, the
+word ball and its rechecks, the fixed-point rule and scan, the
+distortion bound's memo and the deck residual.
 
     python3 tests/mutants.py
 
@@ -128,26 +129,54 @@ MUTANTS = [
      "        held.q[N_PROBES:] - new.q[N_PROBES:],\n",
      "        held.p[:N_PROBES] - new.p[:N_PROBES],\n"
      "        held.q[:N_PROBES] - new.q[:N_PROBES],\n", ("tests/test_distortion.py",)),
-    ("a word's walk resumes from its last-applied letters", "distortion.py",
-     "                ends = (GroupWord(word.letters[k:]) for k in range(1, len(word)))\n",
-     "                ends = (GroupWord(word.letters[:-k]) for k in range(1, len(word)))\n",
-     ("tests/test_distortion.py",)),
+    ("a walk continues a live walk of its last-applied pieces", "cocycle.py",
+     "        start = _WALKS.get((*under, pieces[:done]))\n",
+     "        start = _WALKS.get((*under, pieces[-done:]))\n",
+     ("tests/test_cocycle.py", "tests/test_distortion.py")),
+    ("a walk continues the shortest live prefix", "cocycle.py",
+     "    for done in range(len(pieces), 0, -1):\n",
+     "    for done in range(1, len(pieces) + 1):\n",
+     ("tests/test_cocycle.py", "tests/test_verify.py", "tests/test_distortion.py")),
     ("a resumed walk's total starts from 0", "cocycle.py",
-     "        done, p, q, total = len(walk.pieces), walk.p, walk.q, start.samples.ravel()\n",
-     "        done, p, q, total = len(walk.pieces), walk.p, walk.q, np.zeros(walk.p.shape)\n",
+     "            (p, q), total = start.walk, start.samples.ravel()\n",
+     "            (p, q), total = start.walk, np.zeros(start.samples.size)\n",
      ("tests/test_cocycle.py",)),
     ("the walk keeps its end q wrapped", "cocycle.py",
-     "    K.walk = ActionWalk(pieces, form, p, q)\n",
-     "    K.walk = ActionWalk(pieces, form, p, manifold.wrap_q(q))\n",
+     "    K.walk = p, q\n",
+     "    K.walk = p, manifold.wrap_q(q)\n",
      ("tests/test_cocycle.py",)),
-    ("the gate resumes from the shortest prefix held", "verify.py",
-     "            held = ((\"action\", pieces[:k], alpha) for k in range(len(pieces) - 1, 0, -1))\n",
-     "            held = ((\"action\", pieces[:k], alpha) for k in range(1, len(pieces)))\n",
-     ("tests/test_verify.py",)),
+    ("the walk registry's key leaves out the grid", "cocycle.py",
+     "    under = (manifold, grid, form)\n",
+     "    under = (manifold, None, form)\n",
+     ("tests/test_cocycle.py",)),
+    ("the walk registry's key leaves out the form", "cocycle.py",
+     "    under = (manifold, grid, form)\n",
+     "    under = (manifold, grid, None)\n",
+     ("tests/test_cocycle.py", "tests/test_verify.py")),
+    ("an equal new walk replaces the live one", "cocycle.py",
+     "    _WALKS.setdefault((*under, pieces), K)\n",
+     "    _WALKS[(*under, pieces)] = K\n",
+     ("tests/test_cocycle.py",)),
+    ("the registry keeps dropped walks", "cocycle.py",
+     "_WALKS = weakref.WeakValueDictionary()\n",
+     "_WALKS = {}\n",
+     ("tests/test_cocycle.py", "tests/test_invariants.py")),
+    ("a walk's arrays stay writable", "cocycle.py",
+     "        x.flags.writeable = False\n",
+     "        pass\n",
+     ("tests/test_cocycle.py",)),
+    ("the scan reads a walk on another grid", "cocycle.py",
+     "        if held == pieces and held_grid == grid and manifold == f.manifold:\n",
+     "        if held == pieces and manifold == f.manifold:\n",
+     ("tests/test_invariants.py",)),
     ("the cylinder scan keeps the seam column", "invariants.py",
      "            images = tuple(x[:, :-1] for x in images)\n",
      "            images = tuple(x[:, 1:] for x in images)\n",
      ("tests/test_invariants.py",)),
+    ("every row of the distortion table checks its fixed points", "distortion.py",
+     "    value = gens.fixed_point_difference(word, x, y)\n",
+     "    value = polterovich(gens.realize(word), gens.cocycle_of_word(word), x, y)\n",
+     ("tests/test_distortion.py",)),
     ("the deck residual lifts x twice", "cover.py",
      "    (yp0, yp1), (yq0, yq1) = lifted.apply(np.stack([ps, ps]), np.stack([qs, qs + circ]))\n",
      "    (yp0, yp1), (yq0, yq1) = lifted.apply(np.stack([ps, ps]), np.stack([qs, qs]))\n",

@@ -404,7 +404,7 @@ def test_methods_agree_mod_constants():
 
 
 # ------------------------------------------------------------------
-# resumed action walks: the whole walk is the oracle
+# resumed action walks: the whole walk of new flows is the oracle
 # ------------------------------------------------------------------
 
 # disjoint_pair's hinge bumps hold every point outside their supports
@@ -430,77 +430,146 @@ def walk_pieces(case):
     return [f, t, f.inverse(), t], GridSpec(13, 21)
 
 
+def copies(pieces):
+    """New flows with the pieces' specifications and steps: no live walk
+    is of them, so their cocycle walks from the start."""
+    return [FlowMap(f.spec, f.manifold, step=f.step) for f in pieces]
+
+
+def count_marches(monkeypatch):
+    """A list of the number of points of every flow march."""
+    marched = []
+    march = FlowMap._march
+
+    def counted(flow, p, q, t0, t1, on_node=None):
+        marched.append(np.size(p))
+        return march(flow, p, q, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", counted)
+    return marched
+
+
 def assert_same_walk(got, want):
     assert got.samples.tobytes() == want.samples.tobytes()
-    assert got.walk.pieces == want.walk.pieces
-    assert got.walk.p.tobytes() == want.walk.p.tobytes()
-    assert got.walk.q.tobytes() == want.walk.q.tobytes()
+    assert [x.tobytes() for x in got.walk] == [x.tobytes() for x in want.walk]
 
 
 @pytest.mark.parametrize("case", ["held hinge pair", "unheld Gaussian pair", "cylinder flows"])
-def test_resumed_action_walk_is_the_whole_walk(case):
+def test_resumed_action_walk_is_the_whole_walk(case, monkeypatch):
     pieces, grid = walk_pieces(case)
     manifold = pieces[0].manifold
+    nodes = grid.n_p * grid.n_q
     whole = [
-        cocycle_by_action(ComposedMap(pieces[:n], manifold), PDQ, grid=grid)
+        cocycle_by_action(ComposedMap(copies(pieces[:n]), manifold), PDQ, grid=grid)
         for n in range(len(pieces) + 1)
     ]
     # the walk's images are apply's, and its samples the running total
     P, Q = grid.mesh(manifold.window)
     yp, yq = ComposedMap(pieces, manifold).apply(P.ravel(), Q.ravel())
-    assert whole[-1].walk.p.tobytes() == yp.tobytes()
-    assert whole[-1].walk.q.tobytes() == yq.tobytes()
+    assert [x.tobytes() for x in whole[-1].walk] == [yp.tobytes(), yq.tobytes()]
+    marched = count_marches(monkeypatch)
+
+    def walk(n):
+        return cocycle_by_action(ComposedMap(pieces[:n], manifold), PDQ, grid=grid)
+
     for k in range(len(pieces) + 1):
+        # the walk of the first k pieces continues the one before, alive
+        # until it returns, and then is the longest alive
+        del marched[:]
+        start = walk(k)
+        assert_same_walk(start, whole[k])
+        assert marched == [nodes] * min(k, 1)
         for n in range(k, len(pieces) + 1):
-            m = ComposedMap(pieces[:n], manifold)
-            assert_same_walk(cocycle_by_action(m, PDQ, grid=grid, start=whole[k]), whole[n])
-    # a resumed walk resumes again, as the whole one does
-    chained = whole[0]
-    for n in range(1, len(pieces) + 1):
-        chained = cocycle_by_action(
-            ComposedMap(pieces[:n], manifold), PDQ, grid=grid, start=chained
-        )
-        assert_same_walk(chained, whole[n])
+            del marched[:]
+            assert_same_walk(walk(n), whole[n])
+            # a full match marches nothing
+            assert marched == [nodes] * (n - k)
+    # with every shorter prefix alive the walk continues the longest
+    del start
+    held = [walk(n) for n in range(1, len(pieces))]
+    del marched[:]
+    assert_same_walk(walk(len(pieces)), whole[-1])
+    assert marched == [nodes]
+    del held
 
 
 def test_the_walk_is_kept_by_the_action_route_alone():
     pieces, grid = walk_pieces("unheld Gaussian pair")
     K = cocycle_by_action(pieces[0], PDQ, grid=grid)
-    assert K.walk.pieces == (pieces[0],)
+    assert [x.shape for x in K.walk] == [(grid.n_p * grid.n_q,)] * 2
     for other in (K.with_samples(K.samples), K + 0.0, -K, K - K, 2.0 * K,
                   cocycle_by_path(pieces[0], PDQ, grid=grid, tol=1.0)):
         assert other.walk is None
 
 
-def test_resume_needs_a_prefix_under_the_same_primitive_and_grid():
+def test_resume_needs_a_prefix_under_the_same_primitive_and_grid(monkeypatch):
     pieces, grid = walk_pieces("unheld Gaussian pair")
     g, f = pieces[:2]
     fg = ComposedMap([g, f])
-    K_g = cocycle_by_action(g, PDQ, grid=grid)
-    # the pieces resumed from must begin the map's
-    for start in (
+    want = cocycle_by_action(ComposedMap(copies([g, f])), PDQ, grid=grid)
+    nodes = grid.n_p * grid.n_q
+    marched = count_marches(monkeypatch)
+    # live walks whose pieces do not begin fg's, and g's under another
+    # primitive, on another grid and by the path route
+    held = (
         cocycle_by_action(f, PDQ, grid=grid),
         cocycle_by_action(ComposedMap([g, f, f]), PDQ, grid=grid),
         cocycle_by_action(g.inverse(), PDQ, grid=grid),
-        # another primitive, another grid, a start without a walk
         cocycle_by_action(g, Primitive.symmetric(), grid=grid),
         cocycle_by_action(g, PDQ, grid=GridSpec(21, 21)),
-        K_g.with_samples(K_g.samples),
         cocycle_by_path(g, PDQ, grid=grid, tol=1.0),
-    ):
-        with pytest.raises(ValidationError, match="resumes only"):
-            cocycle_by_action(fg, PDQ, grid=grid, start=start)
+    )
+    del marched[:]
+    # none is continued: the walk marches from the start
+    assert_same_walk(cocycle_by_action(fg, PDQ, grid=grid), want)
+    assert marched == [nodes] * 2
     # the same form under another name is the same primitive
-    custom = Primitive.custom("0", "p")
-    got = cocycle_by_action(fg, custom, grid=grid, start=K_g)
-    assert_same_walk(got, cocycle_by_action(fg, PDQ, grid=grid))
-    # and the same pieces on the cylinder are another manifold's
-    cyl_g = bump_flow(CYL_BUMP, step=2e-2, manifold=CYL)
-    with pytest.raises(ValidationError, match="resumes only"):
-        cocycle_by_action(
-            ComposedMap([cyl_g, cyl_g]), PDQ, grid=GridSpec(13, 21),
-            start=cocycle_by_action(g, PDQ, grid=GridSpec(13, 21)),
-        )
+    K_g = cocycle_by_action(g, Primitive.custom("0", "p"), grid=grid)
+    del marched[:]
+    assert_same_walk(cocycle_by_action(fg, PDQ, grid=grid), want)
+    assert marched == [nodes]
+    # and a cylinder flow's walk is another manifold's
+    cyl = bump_flow(CYL_BUMP, step=2e-2, manifold=CYL)
+    cyl_grid = GridSpec(13, 21)
+    cyl_want = cocycle_by_action(ComposedMap(copies([cyl, cyl])), PDQ, grid=cyl_grid)
+    del marched[:]
+    assert_same_walk(cocycle_by_action(ComposedMap([cyl, cyl]), PDQ, grid=cyl_grid), cyl_want)
+    assert marched == [cyl_grid.n_p * cyl_grid.n_q] * 2
+    del held, K_g
+
+
+def test_a_dropped_walk_is_not_continued(monkeypatch):
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    g, f = pieces[:2]
+    K_g = cocycle_by_action(g, PDQ, grid=grid)
+    marched = count_marches(monkeypatch)
+    del K_g
+    cocycle_by_action(ComposedMap([g, f]), PDQ, grid=grid)
+    assert marched == [grid.n_p * grid.n_q] * 2
+
+
+def test_an_equal_walk_leaves_the_live_one_to_continue(monkeypatch):
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    g, f = pieces[:2]
+    K_g = cocycle_by_action(g, PDQ, grid=grid)
+    marched = count_marches(monkeypatch)
+    same = cocycle_by_action(g, PDQ, grid=grid)
+    assert same is not K_g
+    assert_same_walk(same, K_g)
+    # dropping the equal walk leaves K_g's to continue
+    del same
+    cocycle_by_action(ComposedMap([g, f]), PDQ, grid=grid)
+    assert marched == [grid.n_p * grid.n_q]
+
+
+def test_an_action_walk_cannot_be_edited_in_place():
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    K = cocycle_by_action(pieces[0], PDQ, grid=grid)
+    for x in (K.samples, *K.walk):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        K.samples += 1.0
 
 
 # ------------------------------------------------------------------

@@ -791,11 +791,12 @@ def test_word_cocycle_resumes_the_longest_held_word_it_ends_with(monkeypatch):
         del marched[:]
         K = gens.cocycle_of_word(word)
         assert marched == [grid.n_p * grid.n_q] * walked, text
-        # the whole walk is the oracle
-        fresh = cocycle_by_action(gens.realize(word), PDQ, grid=grid)
+        # the oracle is the whole walk of new copies of the generators,
+        # which no live walk is of
+        copies = {name: FlowMap(m.spec, m.manifold, step=m.step) for name, m in maps.items()}
+        fresh = cocycle_by_action(compose(word, copies, PLANE), PDQ, grid=grid)
         assert K.samples.tobytes() == fresh.samples.tobytes(), text
-        assert K.walk.p.tobytes() == fresh.walk.p.tobytes(), text
-        assert K.walk.q.tobytes() == fresh.walk.q.tobytes(), text
+        assert [x.tobytes() for x in K.walk] == [x.tobytes() for x in fresh.walk], text
 
 
 def test_distortion_table_makes_one_walk(monkeypatch):
@@ -813,3 +814,28 @@ def test_distortion_table_makes_one_walk(monkeypatch):
     rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)
     assert [r[2] for r in rows] == [1, 2, 3]
     assert started == [0]
+
+
+def test_distortion_table_checks_its_fixed_points_once(monkeypatch):
+    gens = GeneratorSet(
+        {"g": bump_flow(CENTER_BUMP)}, grid=GridSpec(21, 21), method="action"
+    )
+    checked, bounds = [], []
+    polterovich, lower_bound = distortion.polterovich, distortion.distortion_lower_bound
+
+    def counted(*args):
+        checked.append(args)
+        return polterovich(*args)
+
+    def recorded(*args):
+        bounds.append(lower_bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(distortion, "polterovich", counted)
+    monkeypatch.setattr(distortion, "distortion_lower_bound", recorded)
+    rows = distortion_table(gens, GroupWord.from_string("g"), ORIGIN, FAR, 3)
+    # P does not depend on the power: the pair is checked once for three rows
+    assert len(checked) == 1
+    # and every row still gets its own bound n * |P| / m
+    value = polterovich(*checked[0])
+    assert [r[1] for r in rows] == bounds == [n * abs(value) / gens.m for n in (1, 2, 3)]

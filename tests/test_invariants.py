@@ -341,12 +341,8 @@ def scan_case(case):
     return ComposedMap(maps, sc.manifold), sc.grid, sc.primitive
 
 
-@pytest.mark.parametrize(
-    "case", ["plane_bump: g", "plane_bump: off", "disjoint_pair: a b", "cylinder flow"]
-)
-def test_scan_on_the_walk_images_reports_what_the_marching_scan_does(case, monkeypatch):
-    f, grid, alpha = scan_case(case)
-    K = cocycle_by_action(f, alpha, grid=grid)
+def count_marches(monkeypatch):
+    """A list of the number of points of every flow march."""
     marched = []
     march = FlowMap._march
 
@@ -355,28 +351,44 @@ def test_scan_on_the_walk_images_reports_what_the_marching_scan_does(case, monke
         return march(flow, p, q, t0, t1, on_node)
 
     monkeypatch.setattr(FlowMap, "_march", counted)
+    return marched
+
+
+@pytest.mark.parametrize(
+    "case", ["plane_bump: g", "plane_bump: off", "disjoint_pair: a b", "cylinder flow"]
+)
+def test_scan_on_the_walk_images_reports_what_the_marching_scan_does(case, monkeypatch):
+    f, grid, alpha = scan_case(case)
+    marched = count_marches(monkeypatch)
+    # no walk of f is alive yet, so the scan marches
     want = find_fixed_points(f, grid=grid, alpha=alpha)
     scan = grid.n_p * (grid.n_q - f.manifold.is_cylinder)
     assert scan in marched
-    del marched[:]
-    assert find_fixed_points(f, grid=grid, alpha=alpha, cocycle=K) == want
     assert want.found
-    # the scan's nodes are marched by the walk alone
-    assert scan not in marched
-    # a cocycle without a walk leaves the scan to march
-    path = cocycle_by_path(f, alpha, grid=grid, tol=1.0)
-    assert find_fixed_points(f, grid=grid, alpha=alpha, cocycle=path) == want
+    # a live walk of f under any primitive hands the scan its images
+    for form in (alpha, Primitive.symmetric()):
+        K = cocycle_by_action(f, form, grid=grid)
+        del marched[:]
+        assert find_fixed_points(f, grid=grid, alpha=alpha) == want
+        assert scan not in marched
+        # a dropped walk leaves the scan to march
+        del K
+        assert find_fixed_points(f, grid=grid, alpha=alpha) == want
+        assert scan in marched
 
 
-def test_scan_rejects_the_walk_of_another_map_or_grid():
+def test_scan_ignores_the_walk_of_another_map_or_grid(monkeypatch):
     f, grid, alpha = scan_case("cylinder flow")
-    for K in (
+    want = find_fixed_points(f, grid=grid)
+    held = (
         cocycle_by_action(f.inverse(), alpha, grid=grid),
         cocycle_by_action(ComposedMap([f, f]), alpha, grid=grid),
         cocycle_by_action(f, alpha, grid=GridSpec(21, 21)),
-    ):
-        with pytest.raises(ValidationError, match="same map"):
-            find_fixed_points(f, grid=grid, cocycle=K)
+    )
+    marched = count_marches(monkeypatch)
+    assert find_fixed_points(f, grid=grid) == want
+    assert grid.n_p * (grid.n_q - 1) in marched
+    del held
 
 
 def test_fixed_points_none_for_translation():
