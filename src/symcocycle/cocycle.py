@@ -12,9 +12,12 @@ an additive constant.  This module computes K two independent ways:
 
 * ``cocycle_by_action`` uses the Hamiltonian action: for the time-duration
   map of F, the value at x is the line integral of alpha along the orbit
-  of x plus the time integral of F along that orbit.  A map whose pieces
-  extend those of a live result continues its walk instead of marching
-  them again, and the fixed-point scan reads a live walk's images.
+  of x plus the time integral of F along that orbit.
+
+A map whose pieces extend those of a live result of the same route
+continues its jet or walk instead of marching them again, and
+``GridFunction.compose_with`` and the fixed-point scan read either's
+images.
 
 The two routes share no code beyond map evaluation, so their agreement is
 a strong end-to-end check and is part of the verification suite.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, finite, positive
 from .exprlang import as_expr
-from .dynamics import ComposedMap, flow_pieces, isotopy, map_with_jacobian
+from .dynamics import ComposedMap, MapJet, flow_pieces, isotopy, map_with_jacobian
 from .geometry import (
     GridSpec,
     Primitive,
@@ -133,9 +136,10 @@ class GridFunction:
     cover live on a plane model and never wrap.  Coordinates outside the
     window clamp to the edge, which continues boundary values constantly.
 
-    ``walk`` is None except on a result of ``cocycle_by_action``, which
-    keeps there the read-only end images (p, q) of its nodes, row-major
-    and unwrapped; ``with_samples`` and arithmetic make none.
+    ``walk`` is None except on a route's result, which keeps there the
+    read-only end images of its nodes, unwrapped: (p, q), row-major, from
+    ``cocycle_by_action``, and the jet (p, q, dP, dQ) in the grid's shape
+    from ``cocycle_by_path``; ``with_samples`` and arithmetic make none.
     """
 
     def __init__(self, manifold, samples, normalization):
@@ -270,10 +274,13 @@ class GridFunction:
 
     def compose_with(self, m):
         """Samples of self(m(x)) on the same grid, modulo constants, by
-        cubic interpolation."""
-        P, Q = self.grid.mesh(self.window)
-        yp, yq = m.apply(P.ravel(), Q.ravel())
-        vals = self.evaluate_cubic(yp, yq)
+        cubic interpolation.  m on this manifold takes the nodes' images
+        from a live result of its pieces (``_walk_images``) if any."""
+        images = _walk_images(m, self.grid) if m.manifold == self.manifold else None
+        if images is None:
+            P, Q = self.grid.mesh(self.window)
+            images = m.apply(P.ravel(), Q.ravel())
+        vals = self.evaluate_cubic(*images)
         return self.with_samples(
             np.asarray(vals).reshape(self.samples.shape),
             Normalization.mod_constants(),
@@ -313,16 +320,18 @@ def _form_components(form):
     return as_expr(a_p), as_expr(a_q)
 
 
-def _pullback_defect(f, form, ps, qs):
+def _pullback_defect(f, form, ps, qs, jet=None):
     """Components (theta_p, theta_q) of f*(form) - form at the points.
 
-    The pullback uses the exact jacobian of f from ``map_with_jacobian``.
-    Images are wrapped on the cylinder before the form is evaluated there.
-    A component that is not finite at some point raises NumericalError.
+    The pullback uses the exact jacobian of f: ``jet`` at the points, or
+    ``map_with_jacobian``'s.  Images are wrapped on the cylinder before
+    the form is evaluated there.  A component that is not finite at some
+    point raises NumericalError.
     """
     a_p, a_q = _form_components(form)
     fp, fq = a_p.fn, a_q.fn
-    jet = map_with_jacobian(f, ps, qs)
+    if jet is None:
+        jet = map_with_jacobian(f, ps, qs)
     yq = f.manifold.wrap_q(jet.yq)
     with np.errstate(over="ignore", invalid="ignore"):
         ap_f, aq_f = fp(jet.yp, yq, 0.0), fq(jet.yp, yq, 0.0)
@@ -332,14 +341,39 @@ def _pullback_defect(f, form, ps, qs):
     return finite("the pullback defect", _REMEDY, theta_p, theta_q)
 
 
+def _jet_key(f, grid):
+    """f's jet's key in ``_WALKS``: a map without ``factors``, such as a
+    lifted map, is its own single piece."""
+    return f.manifold, grid, None, getattr(f, "factors", (f,))
+
+
+def _grid_jet(f, grid):
+    """f's MapJet at ``grid``'s nodes, continuing the longest live jet
+    whose pieces begin f's: the rest go through ``map_with_jacobian``
+    from its end state, with the whole march's bits, and a full match
+    marches nothing."""
+    *under, pieces = _jet_key(f, grid)
+    for n in range(len(pieces), 0, -1):
+        start = _WALKS.get((*under, pieces[:n]))
+        if start is not None:
+            p, q, dP, dQ = start.walk
+            if n == len(pieces):
+                return MapJet(p, q, dP[0], dP[1], dQ[0], dQ[1], (dP, dQ))
+            rest = ComposedMap(pieces[n:], f.manifold)
+            return map_with_jacobian(rest, p, q, tangent=(dP, dQ))
+    P, Q = grid.mesh(f.manifold.window)
+    return map_with_jacobian(f, P, Q)
+
+
 def pullback_difference(f, form, grid=None):
     """Components of f*(form) - form at the grid nodes of f's window.
 
     Returns (P, Q, theta_p, theta_q).
     """
     grid = grid or GridSpec()
+    form = _form_components(form)  # rejected before the jet marches
     P, Q = grid.mesh(f.manifold.window)
-    theta_p, theta_q = _pullback_defect(f, form, P, Q)
+    theta_p, theta_q = _pullback_defect(f, form, P, Q, _grid_jet(f, grid))
     return P, Q, theta_p, theta_q
 
 
@@ -449,6 +483,9 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
     when the path disagreement is truncation that a finer grid resolves.
     A map without isotopy data, and a tol that is not positive and
     finite, are rejected with ValidationError.
+
+    The result keeps f's jet (``_grid_jet``) as its ``walk``, and
+    ``_WALKS`` holds it while no equal one is held.
     """
     manifold = f.manifold
     w = manifold.window
@@ -459,8 +496,17 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
     if not w.contains(bp, bq, slack=1e-12):
         raise ValidationError(f"basepoint ({bp}, {bq}) is outside the window")
     tol = positive(tol, "tol")
-    P, Q, theta_p, theta_q = pullback_difference(f, alpha, grid)
-    return _integrate_exact_defect(manifold, theta_p, theta_q, (bp, bq), tol)
+    grid = grid or GridSpec()
+    alpha = _form_components(alpha)
+    P, Q = grid.mesh(w)
+    jet = _grid_jet(f, grid)
+    theta_p, theta_q = _pullback_defect(f, alpha, P, Q, jet)
+    K = _integrate_exact_defect(manifold, theta_p, theta_q, (bp, bq), tol)
+    K.walk = jet.yp, jet.yq, *jet.tangent
+    for x in K.walk:
+        x.flags.writeable = False
+    _WALKS.setdefault(_jet_key(f, grid), K)
+    return K
 
 
 # ============================================================
@@ -469,9 +515,11 @@ def cocycle_by_path(f, alpha, basepoint=None, grid=None, tol=PATH_TOL):
 
 
 # Every live result of ``cocycle_by_action`` under (manifold, grid, form,
-# pieces), the form as its components (a_p, a_q).  Flows compare by
-# identity, so a key names the very pieces a walk marched; an entry goes
-# when its cocycle does.
+# pieces), the form as its components (a_p, a_q), and of
+# ``cocycle_by_path`` under a form of None, since a jet depends on none:
+# no route continues the other's record.  Flows compare by identity, so
+# a key names the very pieces a walk marched; an entry goes when its
+# cocycle does.
 _WALKS = weakref.WeakValueDictionary()
 
 
@@ -583,11 +631,11 @@ def cocycle_by_action(flow, alpha, grid=None):
 
 def _walk_images(f, grid):
     """f's images of ``grid``'s nodes, as ``apply`` marches them, from a
-    live walk of exactly f's pieces on that grid under any form, or None."""
-    pieces = getattr(f, "factors", None)
+    live walk or jet of exactly f's pieces on that grid, or None."""
+    *_, pieces = _jet_key(f, grid)
     for (manifold, held_grid, _, held), K in _WALKS.items():
         if held == pieces and held_grid == grid and manifold == f.manifold:
-            return tuple(x.reshape(grid.n_p, grid.n_q) for x in K.walk)
+            return tuple(x.reshape(grid.n_p, grid.n_q) for x in K.walk[:2])
     return None
 
 

@@ -654,7 +654,8 @@ def compose(word, generators, manifold):
 @dataclass
 class MapJet:
     """Map images with first derivatives; d<out><in> is the derivative of
-    the <out> image component in the <in> direction."""
+    the <out> image component in the <in> direction; ``tangent`` holds
+    them as ``carry`` pushed them forward, (dP, dQ), or None."""
 
     yp: np.ndarray
     yq: np.ndarray
@@ -662,21 +663,23 @@ class MapJet:
     dpq: np.ndarray
     dqp: np.ndarray
     dqq: np.ndarray
+    tangent: tuple | None = None
 
     def det(self):
         return self.dpp * self.dqq - self.dpq * self.dqp
 
 
-def map_with_jacobian(m, P, Q):
+def map_with_jacobian(m, P, Q, tangent=None):
     """Evaluate a map and its jacobian on a batch.
 
-    The jacobian is exact for the map as computed: a tangent, the
-    identity at first, goes through one ``m.carry``, which every map
-    answers (a composition's is the one walk over its isotopy pieces).
-    Flows march it by RK4 on the variational equation, twists apply
-    their closed form, so the jet of a composition is one march per
-    piece.  A map without isotopy data is rejected.  The images are
-    bitwise equal to ``m.apply``'s.
+    The jacobian is exact for the map as computed: a tangent goes through
+    one ``m.carry``, which every map answers (a composition's is the one
+    walk over its isotopy pieces).  Flows march it by RK4 on the
+    variational equation, twists apply their closed form, so the jet of a
+    composition is one march per piece.  A map without isotopy data is
+    rejected.  The images are bitwise equal to ``m.apply``'s.
+    ``tangent``, a jet of g's (dP, dQ) at g's images P, Q, starts the
+    tangent in place of the identity: the jet of m.g, bit for bit.
     """
     carry = getattr(m, "carry", None) or isotopy(m)  # isotopy raises
     P = np.asarray(P, dtype=float)
@@ -684,9 +687,11 @@ def map_with_jacobian(m, P, Q):
     shape = np.broadcast(P, Q).shape
     p = np.broadcast_to(P, shape).copy()
     q = np.broadcast_to(Q, shape).copy()
-    # dP[j] and dQ[j] differentiate the p and q images in the j-th input
-    dP = np.zeros((2,) + shape)
-    dQ = np.zeros((2,) + shape)
-    dP[0] = dQ[1] = 1.0
-    p, q, (dP, dQ) = carry(p, q, (dP, dQ))
-    return MapJet(yp=p, yq=q, dpp=dP[0], dpq=dP[1], dqp=dQ[0], dqq=dQ[1])
+    if tangent is None:
+        # dP[j] and dQ[j] differentiate the p and q images in the j-th input
+        dP = np.zeros((2,) + shape)
+        dQ = np.zeros((2,) + shape)
+        dP[0] = dQ[1] = 1.0
+        tangent = dP, dQ
+    p, q, (dP, dQ) = carry(p, q, tangent)
+    return MapJet(yp=p, yq=q, dpp=dP[0], dpq=dP[1], dqp=dQ[0], dqq=dQ[1], tangent=(dP, dQ))

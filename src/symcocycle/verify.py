@@ -147,7 +147,8 @@ class Workbench:
         """K(m) by the ``"path"`` or ``"action"`` route, kept under the
         map's pieces: flows are memoized objects, so a composition built
         twice reaches the same entry, and the action walk of f^n continues
-        the kept f^(n-1)'s (see ``cocycle_by_action``)."""
+        the kept f^(n-1)'s (see ``cocycle_by_action``), as the jet of f.g
+        continues the kept K(g)'s (see ``cocycle_by_path``)."""
         alpha = primitive or self.p_dq
         build = cocycle_by_path if route == "path" else cocycle_by_action
         return self.once((route, m.factors, alpha), lambda: build(m, alpha, grid=self.grid))
@@ -174,9 +175,10 @@ def _check_cocycle_identity(bench):
     for ef, eg in bench.random_pairs():
         f = bench.flow(ef)
         g = bench.flow(eg)
-        Kfg = bench.cocycle("path", ComposedMap([g, f]))
-        Kf = bench.cocycle("path", f)
+        # K(f.g) continues K(g)'s jet, and K(f).g reads g's images from it
         Kg = bench.cocycle("path", g)
+        Kf = bench.cocycle("path", f)
+        Kfg = bench.cocycle("path", ComposedMap([g, f]))
         worst = max(worst, (Kfg - Kf.compose_with(g) - Kg).oscillation())
     return worst < 1e-4, (
         f"worst osc residual {worst:.3e} over 5 random pairs (tol 1e-04)"

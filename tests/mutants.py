@@ -1,6 +1,6 @@
-"""Mutation check of the march kernel, the action route and its registry
-of live walks, the path route, the quadrature, the generated code, the
-word ball and its rechecks, the fixed-point rule and scan, the
+"""Mutation check of the march kernel, the action and path routes and
+their registry of live walks and jets, the quadrature, the generated
+code, the word ball and its rechecks, the fixed-point rule and scan, the
 distortion bound's memo and the deck residual.
 
     python3 tests/mutants.py
@@ -162,8 +162,38 @@ MUTANTS = [
      "_WALKS = {}\n",
      ("tests/test_cocycle.py", "tests/test_invariants.py")),
     ("a walk's arrays stay writable", "cocycle.py",
-     "        x.flags.writeable = False\n",
-     "        pass\n",
+     "    for x in (p, q, total):\n        x.flags.writeable = False\n",
+     "    for x in (p, q, total):\n        pass\n",
+     ("tests/test_cocycle.py",)),
+    ("the action route takes a jet record, the form slot ignored", "cocycle.py",
+     "        start = _WALKS.get((*under, pieces[:done]))\n",
+     "        start = next((K for (m, g, _, k), K in list(_WALKS.items())\n"
+     "                      if (m, g, k) == (manifold, grid, pieces[:done])), None)\n",
+     ("tests/test_cocycle.py",)),
+    ("a jet continues the shortest live prefix", "cocycle.py",
+     "    for n in range(len(pieces), 0, -1):\n",
+     "    for n in range(1, len(pieces) + 1):\n",
+     ("tests/test_cocycle.py", "tests/test_verify.py")),
+    ("the jet's key leaves out the grid", "cocycle.py",
+     "    return f.manifold, grid, None, getattr(f, \"factors\", (f,))\n",
+     "    return f.manifold, None, None, getattr(f, \"factors\", (f,))\n",
+     ("tests/test_cocycle.py",)),
+    ("a resumed jet starts from the identity tangent", "cocycle.py",
+     "            return map_with_jacobian(rest, p, q, tangent=(dP, dQ))\n",
+     "            return map_with_jacobian(rest, p, q)\n",
+     ("tests/test_cocycle.py",)),
+    ("a jet's arrays stay writable", "cocycle.py",
+     "    for x in K.walk:\n        x.flags.writeable = False\n",
+     "    for x in K.walk:\n        pass\n",
+     ("tests/test_cocycle.py",)),
+    ("compose_with reads a record on another grid of as many nodes", "cocycle.py",
+     "        if held == pieces and held_grid == grid and manifold == f.manifold:\n",
+     "        if held == pieces and held_grid.n_p * held_grid.n_q == grid.n_p * grid.n_q"
+     " and manifold == f.manifold:\n",
+     ("tests/test_cocycle.py",)),
+    ("compose_with reads a record on another manifold", "cocycle.py",
+     "        images = _walk_images(m, self.grid) if m.manifold == self.manifold else None\n",
+     "        images = _walk_images(m, self.grid)\n",
      ("tests/test_cocycle.py",)),
     ("the scan reads a walk on another grid", "cocycle.py",
      "        if held == pieces and held_grid == grid and manifold == f.manifold:\n",

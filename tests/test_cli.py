@@ -377,6 +377,29 @@ def test_auto_pair_agrees_with_the_explicit_pair(capsys):
     assert abs(auto - explicit) < 1e-6
 
 
+def test_auto_pair_reads_the_path_jet(monkeypatch, capsys):
+    # the word's path cocycle is alive when the search runs, so the scan
+    # reads its jet's images instead of marching the grid again
+    grid = cli.load_scenario(PLANE_BUMP).grid
+    marched = []
+    march = FlowMap._march
+
+    def counted(flow, p, q, t0, t1, on_node=None):
+        marched.append(np.size(p))
+        return march(flow, p, q, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_march", counted)
+    assert cli.main(["polterovich", "--config", PLANE_BUMP]) == 0
+    out = capsys.readouterr().out
+    assert grid.n_p * grid.n_q not in marched
+    # the scan that marches the nodes itself prints the same
+    monkeypatch.setattr(invariants, "_walk_images", lambda f, grid: None)
+    del marched[:]
+    assert cli.main(["polterovich", "--config", PLANE_BUMP]) == 0
+    assert capsys.readouterr().out == out
+    assert grid.n_p * grid.n_q in marched
+
+
 @pytest.mark.parametrize("scenario, word", [
     ("plane_bump", "g"), ("plane_bump", "off"), ("plane_bump", "g off"),
     ("disjoint_pair", "a b"), ("cylinder_twist", "quad"), ("cylinder_twist", "sine"),

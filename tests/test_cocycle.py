@@ -12,6 +12,7 @@ from symcocycle.dynamics import (
     HamiltonianSpec,
     IdentityMap,
     TwistMap,
+    map_with_jacobian,
 )
 from symcocycle.cocycle import (
     GridFunction,
@@ -493,13 +494,23 @@ def test_resumed_action_walk_is_the_whole_walk(case, monkeypatch):
     del held
 
 
-def test_the_walk_is_kept_by_the_action_route_alone():
+def test_each_route_keeps_a_walk_of_its_own():
     pieces, grid = walk_pieces("unheld Gaussian pair")
+    shape = (grid.n_p, grid.n_q)
     K = cocycle_by_action(pieces[0], PDQ, grid=grid)
     assert [x.shape for x in K.walk] == [(grid.n_p * grid.n_q,)] * 2
-    for other in (K.with_samples(K.samples), K + 0.0, -K, K - K, 2.0 * K,
-                  cocycle_by_path(pieces[0], PDQ, grid=grid, tol=1.0)):
-        assert other.walk is None
+    # the path route keeps its jet: the images and the tangent
+    J = cocycle_by_path(pieces[0], PDQ, grid=grid, tol=1.0)
+    assert [x.shape for x in J.walk] == [shape] * 2 + [(2, *shape)] * 2
+    assert [x.ravel().tobytes() for x in J.walk[:2]] == [x.tobytes() for x in K.walk]
+    jet = map_with_jacobian(copies(pieces[:1])[0], *grid.mesh(PLANE4.window))
+    assert [x.tobytes() for x in J.walk[2:]] == [
+        np.stack([jet.dpp, jet.dpq]).tobytes(), np.stack([jet.dqp, jet.dqq]).tobytes()
+    ]
+    # arithmetic and with_samples keep none
+    for G in (K, J):
+        for other in (G.with_samples(G.samples), G + 0.0, -G, G - G, 2.0 * G):
+            assert other.walk is None
 
 
 def test_resume_needs_a_prefix_under_the_same_primitive_and_grid(monkeypatch):
@@ -570,6 +581,173 @@ def test_an_action_walk_cannot_be_edited_in_place():
             x[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         K.samples += 1.0
+
+
+# ------------------------------------------------------------------
+# resumed path jets: the whole jet of new maps is the oracle
+# ------------------------------------------------------------------
+
+
+def count_runs(monkeypatch):
+    """A list of (state entries, points) of every march: 2 entries for
+    images, 4 for a jet."""
+    runs = []
+    run = FlowMap._run
+
+    def counted(flow, state, t0, t1, on_node):
+        runs.append((len(state), np.size(state[0])))
+        return run(flow, state, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_run", counted)
+    return runs
+
+
+def path(pieces, grid, manifold=None):
+    # a jet depends on no tolerance; a loose one lets the cylinder's
+    # translation through its period check
+    m = ComposedMap(pieces, manifold or pieces[0].manifold)
+    return cocycle_by_path(m, PDQ, grid=grid, tol=1.0)
+
+
+@pytest.mark.parametrize("case", ["held hinge pair", "unheld Gaussian pair", "cylinder flows"])
+def test_resumed_path_jet_is_the_whole_jet(case, monkeypatch):
+    pieces, grid = walk_pieces(case)
+    manifold = pieces[0].manifold
+    jet = (4, grid.n_p * grid.n_q)
+    whole = [path(copies(pieces[:n]), grid, manifold) for n in range(len(pieces) + 1)]
+    # the jet's images are apply's
+    P, Q = grid.mesh(manifold.window)
+    yp, yq = ComposedMap(pieces, manifold).apply(P.ravel(), Q.ravel())
+    assert [x.ravel().tobytes() for x in whole[-1].walk[:2]] == [yp.tobytes(), yq.tobytes()]
+    runs = count_runs(monkeypatch)
+    for k in range(len(pieces) + 1):
+        # the jet of the first k pieces continues the one before, alive
+        # until it returns, and then is the longest alive
+        del runs[:]
+        start = path(pieces[:k], grid, manifold)
+        assert_same_walk(start, whole[k])
+        assert runs == [jet] * min(k, 1)
+        for n in range(k, len(pieces) + 1):
+            del runs[:]
+            assert_same_walk(path(pieces[:n], grid, manifold), whole[n])
+            # a full match marches nothing
+            assert runs == [jet] * (n - k)
+    # with every shorter prefix alive the jet continues the longest
+    del start
+    held = [path(pieces[:n], grid, manifold) for n in range(1, len(pieces))]
+    del runs[:]
+    assert_same_walk(path(pieces, grid, manifold), whole[-1])
+    assert runs == [jet]
+    del held
+
+
+def test_pullback_difference_continues_a_jet_through_a_twist(monkeypatch):
+    f = bump_flow(CYL_BUMP, step=2e-2, manifold=CYL)
+    tw = TwistMap(parse("0.3*p^2"), CYL)
+    g = bump_flow(CYL_BUMP, duration=0.5, step=2e-2, manifold=CYL)
+    grid = GridSpec(13, 21)
+    pieces = [f, tw, g]
+    fresh = [*copies([f]), TwistMap(tw.profile, CYL), *copies([g])]
+    want = pullback_difference(ComposedMap(fresh), PDQ, grid=grid)
+    runs = count_runs(monkeypatch)
+    for k in range(len(pieces) + 1):
+        start = path(pieces[:k], grid, CYL)
+        del runs[:]
+        got = pullback_difference(ComposedMap(pieces), PDQ, grid=grid)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        # the twist marches nothing, and neither does a full match
+        assert runs == [(4, grid.n_p * grid.n_q)] * [2, 1, 1, 0][k]
+        del start
+
+
+def test_compose_with_reads_a_live_record(monkeypatch):
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    g, f = pieces[:2]
+    nodes = grid.n_p * grid.n_q
+    K = cocycle_by_path(f, PDQ, grid=grid, tol=1.0)
+    want = K.compose_with(copies([g])[0]).samples.tobytes()
+    runs = count_runs(monkeypatch)
+    for route in (lambda: path([g], grid), lambda: cocycle_by_action(g, PDQ, grid=grid)):
+        held = route()
+        del runs[:]
+        assert K.compose_with(g).samples.tobytes() == want
+        assert runs == []
+        del held
+    # a record of g on another grid of as many nodes is ignored
+    held = cocycle_by_path(g, PDQ, grid=GridSpec(grid.n_q, grid.n_p), tol=1.0)
+    del runs[:]
+    assert K.compose_with(g).samples.tobytes() == want
+    assert runs == [(2, nodes)]
+    # and so is one on g's manifold when the function is on another's
+    other = plane(Window(-2, 2, -2, 2))
+    K_other = cocycle_by_path(bump_flow(manifold=other, step=2e-2), PDQ, grid=grid, tol=1.0)
+    held = cocycle_by_path(g, PDQ, grid=grid, tol=1.0)
+    want_other = K_other.compose_with(copies([g])[0]).samples.tobytes()
+    del runs[:]
+    assert K_other.compose_with(g).samples.tobytes() == want_other
+    assert runs == [(2, nodes)]
+    del held
+
+
+def test_neither_route_continues_the_others_record(monkeypatch):
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    fg = ComposedMap(pieces[:2])
+    nodes = grid.n_p * grid.n_q
+    want_action = cocycle_by_action(ComposedMap(copies(pieces[:2])), PDQ, grid=grid)
+    want_path = path(copies(pieces[:2]), grid)
+    runs = count_runs(monkeypatch)
+    # an action cocycle after a path cocycle of the same pieces marches
+    # every piece, and a path cocycle after an action cocycle too
+    K_path = path(fg.factors, grid)
+    del runs[:]
+    K_action = cocycle_by_action(fg, PDQ, grid=grid)
+    assert_same_walk(K_action, want_action)
+    assert runs == [(2, nodes)] * 2
+    del K_path
+    runs[:] = []
+    assert_same_walk(path(fg.factors, grid), want_path)
+    assert runs == [(4, nodes)] * 2
+    del K_action
+
+
+def test_a_jet_continues_only_a_prefix_on_the_same_grid(monkeypatch):
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    g, f = pieces[:2]
+    want = path(copies([g, f]), grid)
+    runs = count_runs(monkeypatch)
+    # live jets whose pieces do not begin fg's, and g's on another grid of
+    # as many nodes
+    held = (
+        path([f], grid),
+        path([g, f, f], grid),
+        path([g.inverse()], grid),
+        path([g], GridSpec(grid.n_q, grid.n_p)),
+    )
+    del runs[:]
+    assert_same_walk(path([g, f], grid), want)
+    assert runs == [(4, grid.n_p * grid.n_q)] * 2
+    del held
+
+
+def test_a_dropped_jet_is_not_continued(monkeypatch):
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    g, f = pieces[:2]
+    K_g = path([g], grid)
+    runs = count_runs(monkeypatch)
+    del K_g
+    path([g, f], grid)
+    assert runs == [(4, grid.n_p * grid.n_q)] * 2
+
+
+def test_a_path_jet_cannot_be_edited_in_place():
+    pieces, grid = walk_pieces("unheld Gaussian pair")
+    K = path(pieces[:1], grid)
+    dP, dQ = K.walk[2:]
+    for x in (*K.walk, *dP, *dQ):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        dQ += 1.0
 
 
 # ------------------------------------------------------------------

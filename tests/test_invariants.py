@@ -377,6 +377,23 @@ def test_scan_on_the_walk_images_reports_what_the_marching_scan_does(case, monke
         assert scan in marched
 
 
+@pytest.mark.parametrize(
+    "case", ["plane_bump: g", "plane_bump: off", "disjoint_pair: a b", "cylinder flow"]
+)
+def test_scan_on_a_path_jet_reports_what_the_marching_scan_does(case, monkeypatch):
+    f, grid, alpha = scan_case(case)
+    want = find_fixed_points(f, grid=grid, alpha=alpha)
+    scan = grid.n_p * (grid.n_q - f.manifold.is_cylinder)
+    # a live path cocycle of f hands the scan its jet's images
+    K = cocycle_by_path(f, alpha, grid=grid, tol=1.0)
+    marched = count_marches(monkeypatch)
+    assert find_fixed_points(f, grid=grid, alpha=alpha) == want
+    assert scan not in marched
+    del K
+    assert find_fixed_points(f, grid=grid, alpha=alpha) == want
+    assert scan in marched
+
+
 def test_scan_ignores_the_walk_of_another_map_or_grid(monkeypatch):
     f, grid, alpha = scan_case("cylinder flow")
     want = find_fixed_points(f, grid=grid)

@@ -88,3 +88,27 @@ def test_powers_resume_the_walk_of_the_power_before(monkeypatch):
     del marched[:]
     bench.cocycle("action", ComposedMap([f] * 2), Primitive.symmetric())
     assert marched == [21 * 21] * 2
+
+
+def test_the_identity_check_continues_the_jets_of_its_pairs(monkeypatch):
+    # coarse flows on a coarse grid stand in for the gate's
+    monkeypatch.setattr(verify, "GATE_STEP", 2e-2)
+    bench = verify.Workbench(0)
+    bench.grid = GridSpec(61, 61)
+    runs = []
+    run = FlowMap._run
+
+    def counted(flow, state, t0, t1, on_node):
+        runs.append((len(state), np.size(state[0])))
+        return run(flow, state, t0, t1, on_node)
+
+    monkeypatch.setattr(FlowMap, "_run", counted)
+    verify._check_cocycle_identity(bench)
+    # per pair the jets of g and f, and of f.g only f; K(f).g marches
+    # nothing, since it reads g's images from K(g)'s jet
+    assert runs == [(4, 61 * 61)] * 15
+    # K(f)'s jet serves the defect and the other primitive whole
+    del runs[:]
+    verify._check_defining_equation(bench)
+    bench.cocycle("path", bench.flow(bench.random_pairs()[0][0]), Primitive.symmetric())
+    assert runs == []

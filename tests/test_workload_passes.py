@@ -27,7 +27,7 @@ _spec.loader.exec_module(workloads)
 
 # (flow marches, jet marches) of one pass
 MARCHES = {
-    "plane-grid": (4, 4),
+    "plane-grid": (3, 3),
     "word-search": (25, 0),
     "cylinder-cover": (4, 4),
 }
